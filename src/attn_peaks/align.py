@@ -10,12 +10,14 @@ can align with several entries that occur concurrently.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError
+from .ingest import csv_reader, undecodable, unreadable_row
 from .peaks import NewsEvent
 
 REGISTRY_COLUMNS = ("record_id", "source", "raw_type", "onset_date", "location", "status")
@@ -100,24 +102,31 @@ def load_registry(
     accepted_status = {s.strip().casefold() for s in status_accept}
 
     rows: list[tuple[int, dict[str, str]]] = []
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"registry file {path} is empty (header expected)") from None
-        if header != list(REGISTRY_COLUMNS):
-            raise InputError(
-                f"unexpected registry header in {path}: {header!r} "
-                f"(expected {','.join(REGISTRY_COLUMNS)})"
-            )
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(REGISTRY_COLUMNS):
+    row_number = -1  # the last row read; the header is row 0
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv_reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InputError(f"registry file {path} is empty (header expected)") from None
+            row_number = 0
+            if header != list(REGISTRY_COLUMNS):
                 raise InputError(
-                    f"malformed row {row_number}: expected "
-                    f"{len(REGISTRY_COLUMNS)} fields, got {len(row)}"
+                    f"unexpected registry header in {path}: {header!r} "
+                    f"(expected {','.join(REGISTRY_COLUMNS)})"
                 )
-            rows.append((row_number, dict(zip(REGISTRY_COLUMNS, row))))
+            for row_number, row in enumerate(reader, start=1):
+                if len(row) != len(REGISTRY_COLUMNS):
+                    raise InputError(
+                        f"malformed row {row_number}: expected "
+                        f"{len(REGISTRY_COLUMNS)} fields, got {len(row)}"
+                    )
+                rows.append((row_number, dict(zip(REGISTRY_COLUMNS, row))))
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+    except csv.Error as exc:
+        raise unreadable_row(path, row_number + 1, exc) from None
 
     unmapped = sorted({v["raw_type"] for _, v in rows if v["raw_type"] not in mapping})
     if unmapped:
@@ -203,37 +212,56 @@ def align_events(
 
     A pair ``(event, record)`` is emitted iff the hazards match and
     ``start_date(event) - onset_date(record)`` is between 0 and
-    ``window_days`` days inclusive:onsets after the first news day never
+    ``window_days`` days inclusive: onsets after the first news day never
     align, since coverage follows the disaster. All qualifying pairs are
     emitted, so one event may align with several records.
+
+    Pairs are sorted by ``(event_id, source, record_id)``; equal keys keep
+    event order, then record order. The records of each hazard are sorted
+    once by onset day, and each event binary-searches the onsets in its
+    window, so the cost is O((E + R) log R) plus the pairs emitted.
     """
     if window_days < 0:
         raise ValueError(f"window_days must be >= 0, got {window_days}")
+    # hazard -> (sorted onset day numbers, record positions in the same order)
+    groups: dict[str, list[tuple[int, int]]] = {}
+    for pos, record in enumerate(records):
+        groups.setdefault(record.hazard, []).append((record.onset_date.toordinal(), pos))
+    index: dict[str, tuple[list[int], list[int]]] = {}
+    for hazard, group in groups.items():
+        group.sort()
+        index[hazard] = ([day for day, _ in group], [pos for _, pos in group])
+
     pairs: list[AlignmentPair] = []
     matched_events: set[str] = set()
     matched_records: set[tuple[str, str]] = set()
     by_source_hazard: dict[str, dict[str, set[str]]] = {}
     for event in events:
+        if event.hazard not in index:
+            continue
+        onsets, positions = index[event.hazard]
+        start = event.start_date.toordinal()
+        lo = bisect.bisect_left(onsets, start - window_days)
+        hi = bisect.bisect_right(onsets, start)
+        if lo == hi:
+            continue
         event_id = event.event_id
-        for record in records:
-            if record.hazard != event.hazard:
-                continue
-            lag = (event.start_date - record.onset_date).days
-            if 0 <= lag <= window_days:
-                pairs.append(
-                    AlignmentPair(
-                        event_id=event_id,
-                        record_id=record.record_id,
-                        source=record.source,
-                        hazard=event.hazard,
-                        lag_days=lag,
-                    )
+        for pos in sorted(positions[lo:hi]):
+            record = records[pos]
+            pairs.append(
+                AlignmentPair(
+                    event_id=event_id,
+                    record_id=record.record_id,
+                    source=record.source,
+                    hazard=event.hazard,
+                    lag_days=start - record.onset_date.toordinal(),
                 )
-                matched_events.add(event_id)
-                matched_records.add((record.source, record.record_id))
-                by_source_hazard.setdefault(record.source, {}).setdefault(
-                    event.hazard, set()
-                ).add(event_id)
+            )
+            matched_events.add(event_id)
+            matched_records.add((record.source, record.record_id))
+            by_source_hazard.setdefault(record.source, {}).setdefault(
+                event.hazard, set()
+            ).add(event_id)
     pairs.sort(key=lambda p: (p.event_id, p.source, p.record_id))
     return AlignmentReport(
         window_days=window_days,

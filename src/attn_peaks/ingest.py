@@ -35,6 +35,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -192,31 +193,77 @@ def _make_document(
     )
 
 
+def csv_reader(handle: TextIO) -> Iterator[list[str]]:
+    """A csv reader whose field limit fits long article bodies.
+
+    The csv module's default limit is 128 KiB; 2**31 - 1 is the largest
+    value that every platform accepts.
+    """
+    csv.field_size_limit(2**31 - 1)
+    return csv.reader(handle)
+
+
+def unreadable_row(path: Path, row: int, reason: object) -> InputError:
+    """InputError for a row of ``path`` that does not decode or parse (the CSV header is row 0)."""
+    where = "the header" if row == 0 else f"row {row}"
+    return InputError(f"cannot read {where} of {path}: {reason}")
+
+
+# Undecodable bytes read with errors="surrogateescape" become lone surrogates.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def undecodable(path: Path, jsonl: bool = False) -> InputError:
+    """InputError naming the first row of ``path`` that is not valid UTF-8.
+
+    Rows are numbered as the loaders number them: the CSV header is row 0,
+    JSONL lines start at 1. A text-mode file decodes 8 KiB at a time, so a
+    UnicodeDecodeError surfaces at whichever row reached the bad chunk; this
+    reads the file again with each undecodable byte kept as a surrogate.
+    """
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        rows = enumerate(([line] for line in handle), 1) if jsonl else enumerate(csv_reader(handle))
+        for row, fields in rows:
+            for value in fields:
+                bad = _UNDECODABLE.search(value)
+                if bad:
+                    byte = ord(bad.group()) - 0xDC00
+                    return unreadable_row(path, row, f"byte 0x{byte:02x} is not valid UTF-8")
+    return InputError(f"{path} is not valid UTF-8")
+
+
 def _load_documents_csv(path: Path, hazards: tuple[str, ...]) -> list[Document]:
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"document file {path} is empty (header expected)") from None
-        expected = list(DOCUMENT_COLUMNS)
-        if header not in (expected, expected + list(OPTIONAL_DOCUMENT_COLUMNS)):
-            raise InputError(
-                f"unexpected document header in {path}: {header!r} "
-                f"(expected {','.join(expected)}[,text_key])"
-            )
-        has_key = len(header) == len(expected) + 1
-        for row_number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+    row_number = -1  # the last row read; the header is row 0
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv_reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InputError(f"document file {path} is empty (header expected)") from None
+            row_number = 0
+            expected = list(DOCUMENT_COLUMNS)
+            if header not in (expected, expected + list(OPTIONAL_DOCUMENT_COLUMNS)):
                 raise InputError(
-                    f"malformed row {row_number}: expected {len(header)} fields, got {len(row)}"
+                    f"unexpected document header in {path}: {header!r} "
+                    f"(expected {','.join(expected)}[,text_key])"
                 )
-            values = dict(zip(header, row))
-            if not has_key:
-                values["text_key"] = ""
-            docs.append(_make_document(values, row_number, hazards, seen_ids))
+            has_key = len(header) == len(expected) + 1
+            for row_number, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise InputError(
+                        f"malformed row {row_number}: expected {len(header)} fields, got {len(row)}"
+                    )
+                values = dict(zip(header, row))
+                if not has_key:
+                    values["text_key"] = ""
+                docs.append(_make_document(values, row_number, hazards, seen_ids))
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+    except csv.Error as exc:
+        raise unreadable_row(path, row_number + 1, exc) from None
     return docs
 
 
@@ -224,29 +271,32 @@ def _load_documents_jsonl(path: Path, hazards: tuple[str, ...]) -> list[Document
     docs: list[Document] = []
     seen_ids: set[str] = set()
     allowed = set(DOCUMENT_COLUMNS) | set(OPTIONAL_DOCUMENT_COLUMNS)
-    with path.open(encoding="utf-8") as handle:
-        for row_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"malformed row {row_number}: {exc}") from None
-            if not isinstance(record, dict):
-                raise InputError(f"malformed row {row_number}: expected a JSON object")
-            unknown = sorted(set(record) - allowed)
-            if unknown:
-                raise InputError(f"malformed row {row_number}: unknown field {unknown[0]!r}")
-            missing = [k for k in DOCUMENT_COLUMNS if k not in record]
-            if missing:
-                raise InputError(f"malformed row {row_number}: missing field {missing[0]!r}")
-            values = {k: record.get(k, "") for k in allowed}
-            for key, value in values.items():
-                if not isinstance(value, str):
-                    raise InputError(
-                        f"malformed row {row_number}: field {key!r} must be a string"
-                    )
-            docs.append(_make_document(values, row_number, hazards, seen_ids))
+    try:
+        with path.open(encoding="utf-8") as handle:
+            for row_number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"malformed row {row_number}: {exc}") from None
+                if not isinstance(record, dict):
+                    raise InputError(f"malformed row {row_number}: expected a JSON object")
+                unknown = sorted(set(record) - allowed)
+                if unknown:
+                    raise InputError(f"malformed row {row_number}: unknown field {unknown[0]!r}")
+                missing = [k for k in DOCUMENT_COLUMNS if k not in record]
+                if missing:
+                    raise InputError(f"malformed row {row_number}: missing field {missing[0]!r}")
+                values = {k: record.get(k, "") for k in allowed}
+                for key, value in values.items():
+                    if not isinstance(value, str):
+                        raise InputError(
+                            f"malformed row {row_number}: field {key!r} must be a string"
+                        )
+                docs.append(_make_document(values, row_number, hazards, seen_ids))
+    except UnicodeDecodeError:
+        raise undecodable(path, jsonl=True) from None
     return docs
 
 

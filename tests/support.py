@@ -11,7 +11,7 @@ import datetime
 
 import numpy as np
 
-from attn_peaks import CountSeries, Document, NewsEvent
+from attn_peaks import AlignmentPair, AlignmentReport, CountSeries, Document, NewsEvent
 
 DAY0 = datetime.date(2000, 1, 1)
 
@@ -104,6 +104,56 @@ def oracle_alignment_pairs(events: list[NewsEvent], records, window_days: int):
             if event.hazard == record.hazard and 0 <= lag <= window_days:
                 pairs.add((event.event_id, record.source, record.record_id, lag))
     return pairs
+
+
+def oracle_alignment_report(events: list[NewsEvent], records, window_days: int) -> AlignmentReport:
+    """The whole report by an all-pairs scan: every event against every record.
+
+    Pairs are emitted in event order, then record order, and stably sorted
+    by (event_id, source, record_id), so equal keys keep that order.
+    """
+    pairs = []
+    matched_events = set()
+    matched_records = set()
+    by_source_hazard: dict = {}
+    for event in events:
+        event_id = event.event_id
+        for record in records:
+            if record.hazard != event.hazard:
+                continue
+            lag = (event.start_date - record.onset_date).days
+            if 0 <= lag <= window_days:
+                pairs.append(
+                    AlignmentPair(
+                        event_id=event_id,
+                        record_id=record.record_id,
+                        source=record.source,
+                        hazard=event.hazard,
+                        lag_days=lag,
+                    )
+                )
+                matched_events.add(event_id)
+                matched_records.add((record.source, record.record_id))
+                by_source_hazard.setdefault(record.source, {}).setdefault(
+                    event.hazard, set()
+                ).add(event_id)
+    pairs.sort(key=lambda p: (p.event_id, p.source, p.record_id))
+    return AlignmentReport(
+        window_days=window_days,
+        pairs=pairs,
+        aligned_by_source={
+            source: {hazard: len(ids) for hazard, ids in sorted(hazards.items())}
+            for source, hazards in sorted(by_source_hazard.items())
+        },
+        unmatched_events=sorted(
+            e.event_id for e in events if e.event_id not in matched_events
+        ),
+        unmatched_records=sorted(
+            (r.source, r.record_id)
+            for r in records
+            if (r.source, r.record_id) not in matched_records
+        ),
+    )
 
 
 def write_small_corpus(root, with_registries: bool = True):

@@ -1,7 +1,13 @@
+import csv
 import datetime
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import attn_peaks.align
 
 from attn_peaks import (
     DisasterRecord,
@@ -11,7 +17,7 @@ from attn_peaks import (
     alignment_summary,
     load_registry,
 )
-from support import oracle_alignment_pairs
+from support import oracle_alignment_pairs, oracle_alignment_report
 
 D = datetime.date
 
@@ -125,6 +131,17 @@ class TestLoadRegistry:
         with pytest.raises(InputError, match="duplicate record id"):
             load_registry(path, "EMDAT")
 
+    def test_csv_parse_error_names_the_row(self, tmp_path, monkeypatch):
+        # A strict reader turns the stray quote in row 2 into a csv.Error.
+        monkeypatch.setattr(
+            attn_peaks.align, "csv_reader", lambda handle: csv.reader(handle, strict=True)
+        )
+        path = write_registry(
+            tmp_path, 'r1,EMDAT,Wildfire,2011-01-11,,\nr2,EMDAT,Wildfire,2011-01-12,"a"b,\n'
+        )
+        with pytest.raises(InputError, match="cannot read row 2 of .*registry.csv"):
+            load_registry(path, "EMDAT")
+
     def test_unexpected_header_is_rejected(self, tmp_path):
         path = write_registry(tmp_path, "", header="id,source,type,onset,loc,status\n")
         with pytest.raises(InputError, match="unexpected registry header"):
@@ -227,6 +244,107 @@ class TestAlignEvents:
             }
             assert previous <= pairs
             previous = pairs
+
+
+SPAN_START = D(2010, 1, 1)
+SPAN_DAYS = 40
+
+
+def _day(offset: int) -> D:
+    return SPAN_START + datetime.timedelta(days=offset)
+
+
+_HAZARDS = st.sampled_from(["landslide", "fire", "flood"])
+_DAYS = st.integers(0, SPAN_DAYS)
+_EVENTS = st.lists(
+    st.builds(
+        lambda hazard, day, length: make_event(hazard, _day(day), length, length // 2),
+        _HAZARDS,
+        _DAYS,
+        st.integers(1, 4),
+    ),
+    max_size=12,
+)
+# Small id and day pools, so duplicate (source, record_id) keys and many
+# records on one onset day are common.
+_RECORDS = st.lists(
+    st.builds(
+        lambda record_id, hazard, day, source: make_record(
+            f"r{record_id}", hazard, _day(day), source
+        ),
+        st.integers(0, 6),
+        _HAZARDS,
+        st.one_of(_DAYS, st.just(10)),
+        st.sampled_from(["EMDAT", "S2ID"]),
+    ),
+    max_size=30,
+)
+_WINDOWS = st.one_of(
+    st.integers(0, 8),
+    st.integers(SPAN_DAYS, 3 * SPAN_DAYS),
+    st.integers(0, 10**6),
+    st.sampled_from([0, 10**6]),
+)
+
+
+class TestAlignmentOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(events=_EVENTS, records=_RECORDS, window=_WINDOWS)
+    @example(  # many records sharing one onset day, window 0
+        events=[make_event("fire", _day(10))],
+        records=[make_record(f"r{i}", "fire", _day(10)) for i in (3, 1, 2, 1)],
+        window=0,
+    )
+    @example(  # duplicate (source, record_id) with different onsets, equal event ids
+        events=[make_event("fire", _day(9), 3, 1), make_event("fire", _day(10))],
+        records=[
+            make_record("r1", "fire", _day(8)),
+            make_record("r1", "fire", _day(5)),
+            make_record("r1", "fire", _day(7), "S2ID"),
+        ],
+        window=5,
+    )
+    @example(  # hazards with records but no events, and the reverse
+        events=[make_event("fire", _day(10)), make_event("flood", _day(12))],
+        records=[make_record("r1", "landslide", _day(9)), make_record("r2", "fire", _day(9))],
+        window=3,
+    )
+    @example(  # a window wider than any date span
+        events=[make_event("landslide", _day(0)), make_event("landslide", _day(SPAN_DAYS))],
+        records=[make_record("r1", "landslide", _day(i)) for i in (SPAN_DAYS, 0, 20)],
+        window=10**6,
+    )
+    def test_report_equals_all_pairs_oracle(self, events, records, window):
+        assert align_events(events, records, window) == oracle_alignment_report(
+            events, records, window
+        )
+
+    def test_scale_2k_events_26k_records_under_two_seconds(self):
+        # 26,000 records is about the size of a global EM-DAT export; the
+        # all-pairs scan takes several seconds at this size.
+        rng = np.random.default_rng(2026)
+        base = D(2000, 1, 1)
+        hazards = ("landslide", "fire")
+        events = [
+            make_event(hazards[i % 2], base + datetime.timedelta(days=int(d)))
+            for i, d in enumerate(rng.integers(0, 9000, 2000))
+        ]
+        records = [
+            make_record(
+                f"r{i}",
+                hazards[int(h)],
+                base + datetime.timedelta(days=int(d)),
+                source=("EMDAT", "S2ID")[i % 2],
+            )
+            for i, (h, d) in enumerate(
+                zip(rng.integers(0, 2, 26_000), rng.integers(-10, 9000, 26_000))
+            )
+        ]
+        started = time.perf_counter()
+        report = align_events(events, records, 5)
+        elapsed = time.perf_counter() - started
+        assert report.pairs
+        assert elapsed < 2.0, f"align_events took {elapsed:.2f} s"
 
 
 class TestAlignmentSummary:

@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -129,3 +131,88 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").is_file()
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "attn_peaks", *args], capture_output=True, text=True
+    )
+
+
+def _golden_copy(golden_dir, tmp_path):
+    for name in ("config.ini", "documents.csv", "emdat.csv", "s2id.csv"):
+        shutil.copy(golden_dir / name, tmp_path / name)
+    return tmp_path / "config.ini"
+
+
+def _edit_line(path, line: int, edit) -> None:
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = edit(lines[line])
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestUnreadableInput:
+    """Bad bytes and long fields end in exit 0 or 2, never in a traceback."""
+
+    def test_invalid_utf8_in_registry_exits_two_naming_the_row(self, golden_dir, tmp_path):
+        config = _golden_copy(golden_dir, tmp_path)
+        _edit_line(tmp_path / "emdat.csv", 3, lambda line: line[:10] + b"\xff" + line[10:])
+        proc = _run_cli("run", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "row 3 of" in proc.stderr and "emdat.csv" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_invalid_utf8_in_documents_exits_two_naming_the_row(
+        self, golden_dir, tmp_path, format
+    ):
+        config = _golden_copy(golden_dir, tmp_path)
+        documents = tmp_path / "documents.csv"
+        if format == "jsonl":
+            with documents.open(newline="", encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+            documents = tmp_path / "documents.jsonl"
+            documents.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        # Row 150 is line 150 of the CSV (after its header) and line 149 of the
+        # JSONL file (counted from 0). It lies past the first 8 KiB chunk that a
+        # text-mode reader decodes, so the decoder fails rows before it.
+        line = 150 if format == "csv" else 149
+        assert len(b"\n".join(documents.read_bytes().split(b"\n")[:line])) > 8192
+        _edit_line(documents, line, lambda text: text + b"\xc3")
+        proc = _run_cli(
+            "run", "--config", str(config), "--documents", str(documents),
+            "--format", format, "--out-dir", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "row 150 of" in proc.stderr and documents.name in proc.stderr
+        assert "0xc3" in proc.stderr
+
+    def test_long_registry_field_loads(self, golden_dir, tmp_path):
+        config = _golden_copy(golden_dir, tmp_path)
+        # Quoted, so the 200 KB location stays one field of the row.
+        _edit_line(
+            tmp_path / "emdat.csv",
+            2,
+            lambda line: line.replace(b"Nova Friburgo", b'"' + b"x" * 200_000 + b'"'),
+        )
+        proc = _run_cli("run", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        expected = (golden_dir / "expected" / "alignment.json").read_bytes()
+        assert (tmp_path / "out" / "alignment.json").read_bytes() == expected
+
+    def test_long_document_body_loads(self, golden_dir, tmp_path):
+        config = _golden_copy(golden_dir, tmp_path)
+        documents = tmp_path / "documents.csv"
+        with documents.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        rows[5][5] += " " + "y" * 200_000
+        with documents.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        proc = _run_cli("run", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        expected = (golden_dir / "expected" / "events.jsonl").read_bytes()
+        assert (tmp_path / "out" / "events.jsonl").read_bytes() == expected

@@ -1,8 +1,11 @@
+import csv
 import datetime
 import unicodedata
 
 import numpy as np
 import pytest
+
+import attn_peaks.ingest
 
 from attn_peaks import (
     ConsistencyError,
@@ -103,6 +106,25 @@ class TestLoadDocuments:
         docs = load_documents(path)
         assert docs[0].text_key == "k1"
         assert docs[1].text_key == text_digest("bar")
+
+    def test_csv_parse_error_names_the_row(self, tmp_path, monkeypatch):
+        # A strict reader turns the stray quote in row 2 into a csv.Error.
+        monkeypatch.setattr(
+            attn_peaks.ingest, "csv_reader", lambda handle: csv.reader(handle, strict=True)
+        )
+        path = write_csv(
+            tmp_path,
+            "a1,2011-01-12,Spiegel,Bericht,landslide,x\n"
+            'a2,2011-01-13,Zeit,Meldung,fire,"y"z\n',
+        )
+        with pytest.raises(InputError, match="cannot read row 2 of .*docs.csv"):
+            load_documents(path)
+
+    def test_undecodable_header_is_named(self, tmp_path):
+        path = tmp_path / "docs.csv"
+        path.write_bytes(b"id,da\xfete,outlet,text_type,hazard,text\n")
+        with pytest.raises(InputError, match="cannot read the header of .*byte 0xfe"):
+            load_documents(path)
 
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "docs.jsonl"
