@@ -18,7 +18,9 @@ Gazetteer: UTF-8 text, one country name per line; ``#`` starts a comment
 line. Matching is case-insensitive after Unicode NFC normalization, on
 whole tokens delimited by any non-letter character, so hyphenated and
 multi-word names ("Saudi-Arabien", "Costa Rica") match as token sequences.
-Declined or adjectival forms ("brasilianisch") are not matched.
+Matches are leftmost-longest and do not overlap: "Guinea-Bissau" is one
+mention of Guinea-Bissau, not also one of Guinea. Declined or adjectival
+forms ("brasilianisch") are not matched.
 
 All functions are pure; loaded corpora can be shared across threads.
 """
@@ -51,8 +53,24 @@ _TOKEN_RE = re.compile(r"[^\W\d_]+")
 
 
 def canonical_tokens(text: str) -> list[str]:
-    """Casefolded letter tokens of NFC-normalized ``text``."""
-    return [t.casefold() for t in _TOKEN_RE.findall(unicodedata.normalize("NFC", text))]
+    """Casefolded letter tokens of NFC-normalized ``text``.
+
+    Equal to casefolding each match of ``_TOKEN_RE`` in turn. Whitespace is
+    never a token letter and every alphabetic character is one, so a
+    whitespace-delimited chunk that is all alphabetic is a whole token and
+    only the other chunks need the regex. ``str.casefold`` maps each
+    character on its own, so the tokens are casefolded in one call. They
+    are cut before casefolding, because casefolding can turn a letter into
+    a letter plus a combining mark that is not a token letter (U+0130
+    becomes "i" + U+0307).
+    """
+    raw: list[str] = []
+    for chunk in unicodedata.normalize("NFC", text).split():
+        if chunk.isalpha():
+            raw.append(chunk)
+        else:
+            raw += _TOKEN_RE.findall(chunk)
+    return " ".join(raw).casefold().split(" ") if raw else []
 
 
 def text_digest(text: str) -> str:
@@ -84,7 +102,10 @@ class Gazetteer:
 
     entries: tuple[str, ...]
     target: str
+    # first token -> [(tokens, entry)], longest entry first
     _index: dict = field(init=False, repr=False)
+    # first tokens that start an entry of two or more tokens
+    _multi_starts: frozenset = field(init=False, repr=False)
     _target_entry: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -102,8 +123,13 @@ class Gazetteer:
             by_tokens[tokens] = entry
             kept.append(entry)
             index.setdefault(tokens[0], []).append((tokens, entry))
+        for bucket in index.values():
+            bucket.sort(key=lambda item: -len(item[0]))
         self.entries = tuple(kept)
         self._index = index
+        self._multi_starts = frozenset(
+            first for first, bucket in index.items() if len(bucket[0][0]) > 1
+        )
         target_tokens = tuple(canonical_tokens(self.target))
         if target_tokens not in by_tokens:
             raise InputError(f"gazetteer target {self.target!r} is not a gazetteer entry")
@@ -131,8 +157,12 @@ def load_gazetteer(path: Path | str | None = None, target: str = "Brasilien") ->
     path = Path(path)
     if not path.is_file():
         raise InputError(f"gazetteer file not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"gazetteer file {path} is not valid UTF-8: {exc}") from None
     entries = []
-    for line in path.read_text(encoding="utf-8-sig").splitlines():
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -141,24 +171,55 @@ def load_gazetteer(path: Path | str | None = None, target: str = "Brasilien") ->
 
 
 def extract_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
-    """Every gazetteer entry occurring in ``text`` as a whole token sequence."""
+    """The gazetteer entries that ``text`` mentions.
+
+    A mention is a run of whole tokens equal to an entry's tokens. Matches
+    are leftmost-longest and do not overlap: scanning left to right, the
+    longest entry starting at a token is taken and the scan resumes after
+    it, so a name nested in a longer one ("Guinea" in "Guinea-Bissau") is
+    not reported there. Cost: one tokenization of ``text``, a set
+    intersection with the entries' first tokens, and a scan of the tokens
+    only when one of those first tokens starts a multi-token entry.
+    """
     tokens = canonical_tokens(text)
-    found: set[str] = set()
     index = gazetteer._index
-    for i, token in enumerate(tokens):
-        for sequence, entry in index.get(token, ()):
-            if len(sequence) == 1 or tuple(tokens[i : i + len(sequence)]) == sequence:
+    hits = index.keys() & tokens
+    if not hits:
+        return set()
+    if hits.isdisjoint(gazetteer._multi_starts):
+        # Every hit starts only its own one-token entry.
+        return {index[token][0][1] for token in hits}
+    found: set[str] = set()
+    i = 0
+    while i < len(tokens):
+        step = 1
+        for sequence, entry in index.get(tokens[i], ()):
+            if tuple(tokens[i : i + len(sequence)]) == sequence:
                 found.add(entry)
+                step = len(sequence)
+                break
+        i += step
     return found
 
 
 def filter_single_country(docs: list[Document], gazetteer: Gazetteer) -> list[Document]:
     """Keep documents whose country mentions are exactly ``{target}``.
 
-    Order is preserved; the output is always a subset of the input.
+    Order is preserved; the output is always a subset of the input. A
+    document's verdict depends only on its text, so each distinct text is
+    tokenized and matched once (see :func:`extract_country_mentions`) and
+    its reprints reuse the verdict.
     """
     target = {gazetteer.target_entry}
-    return [d for d in docs if extract_country_mentions(d.text, gazetteer) == target]
+    verdicts: dict[str, bool] = {}
+    kept = []
+    for d in docs:
+        keep = verdicts.get(d.text)
+        if keep is None:
+            keep = verdicts[d.text] = extract_country_mentions(d.text, gazetteer) == target
+        if keep:
+            kept.append(d)
+    return kept
 
 
 def _parse_date(value: str, row: int) -> datetime.date:

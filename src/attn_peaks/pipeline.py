@@ -118,7 +118,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     parser.optionxform = str  # type: ignore[assignment]  # keep type-map key case
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise InputError(f"config file {path} is malformed: {exc}") from None
 
     config = PipelineConfig()

@@ -8,10 +8,19 @@ they stay independent of the code paths they verify.
 from __future__ import annotations
 
 import datetime
+import re
+import unicodedata
 
 import numpy as np
 
-from attn_peaks import AlignmentPair, AlignmentReport, CountSeries, Document, NewsEvent
+from attn_peaks import (
+    AlignmentPair,
+    AlignmentReport,
+    CountSeries,
+    Document,
+    Gazetteer,
+    NewsEvent,
+)
 
 DAY0 = datetime.date(2000, 1, 1)
 
@@ -154,6 +163,42 @@ def oracle_alignment_report(events: list[NewsEvent], records, window_days: int) 
             if (r.source, r.record_id) not in matched_records
         ),
     )
+
+
+_ORACLE_TOKEN = re.compile(r"[^\W\d_]+")
+
+
+def oracle_tokens(text: str) -> list[str]:
+    """Every regex letter run of the NFC text, each casefolded on its own."""
+    return [t.casefold() for t in _ORACLE_TOKEN.findall(unicodedata.normalize("NFC", text))]
+
+
+def oracle_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
+    """Leftmost-longest, non-overlapping entry matches by an every-position scan.
+
+    At each token position every entry is tried; the longest one whose
+    tokens follow from there is reported and the scan resumes after it.
+    No index and no fast path.
+    """
+    tokens = oracle_tokens(text)
+    entries = [(oracle_tokens(entry), entry) for entry in gazetteer.entries]
+    found = set()
+    i = 0
+    while i < len(tokens):
+        matches = [(len(seq), entry) for seq, entry in entries if tokens[i : i + len(seq)] == seq]
+        if matches:
+            length, entry = max(matches)
+            found.add(entry)
+            i += length
+        else:
+            i += 1
+    return found
+
+
+def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[str]:
+    """Ids of the documents whose oracle mentions are exactly the target, in order."""
+    target = {gazetteer.target_entry}
+    return [d.id for d in docs if oracle_country_mentions(d.text, gazetteer) == target]
 
 
 def write_small_corpus(root, with_registries: bool = True):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from attn_peaks import default_gazetteer_path
 from attn_peaks.cli import main
 from support import write_small_corpus
 
@@ -188,6 +189,28 @@ class TestUnreadableInput:
         assert "Traceback" not in proc.stderr
         assert "row 150 of" in proc.stderr and documents.name in proc.stderr
         assert "0xc3" in proc.stderr
+
+    def test_invalid_utf8_in_gazetteer_exits_two(self, golden_dir, tmp_path):
+        config = _golden_copy(golden_dir, tmp_path)
+        gazetteer = tmp_path / "countries.txt"
+        gazetteer.write_bytes(default_gazetteer_path().read_bytes() + b"\xff\n")
+        proc = _run_cli(
+            "run", "--config", str(config), "--gazetteer", str(gazetteer),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "countries.txt" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_utf8_in_config_exits_two(self, golden_dir, tmp_path):
+        config = _golden_copy(golden_dir, tmp_path)
+        config.write_bytes(config.read_bytes() + b"\xff\n")
+        proc = _run_cli("run", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "config.ini" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_long_registry_field_loads(self, golden_dir, tmp_path):
         config = _golden_copy(golden_dir, tmp_path)

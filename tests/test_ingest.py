@@ -4,6 +4,8 @@ import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import attn_peaks.ingest
 
@@ -20,7 +22,14 @@ from attn_peaks import (
     load_gazetteer,
     text_digest,
 )
-from support import make_doc, make_series
+from attn_peaks.ingest import canonical_tokens
+from support import (
+    make_doc,
+    make_series,
+    oracle_country_mentions,
+    oracle_filter_ids,
+    oracle_tokens,
+)
 
 D = datetime.date
 
@@ -224,6 +233,40 @@ class TestCountryMentions:
         gaz = load_gazetteer(path, target="Brasilien")
         assert gaz.entries == ("Brasilien", "Peru")
 
+    def test_gazetteer_file_must_be_utf8(self, tmp_path):
+        path = tmp_path / "gaz.txt"
+        path.write_bytes(b"Brasilien\nPeru\xff\n")
+        with pytest.raises(InputError, match="gaz.txt is not valid UTF-8"):
+            load_gazetteer(path, target="Brasilien")
+
+    def test_nested_name_reports_the_longest_match(self):
+        gaz = load_gazetteer(target="Guinea-Bissau")
+        assert extract_country_mentions("Flut in Guinea-Bissau", gaz) == {"Guinea-Bissau"}
+        doc = make_doc("a", D(2011, 1, 1), text="Flut in Guinea-Bissau")
+        assert filter_single_country([doc], gaz) == [doc]
+
+    def test_three_nested_names(self):
+        gaz = Gazetteer(
+            entries=("Kongo", "Republik Kongo", "Demokratische Republik Kongo"),
+            target="Kongo",
+        )
+        assert extract_country_mentions("Demokratische Republik Kongo", gaz) == {
+            "Demokratische Republik Kongo"
+        }
+        assert extract_country_mentions("die Republik Kongo", gaz) == {"Republik Kongo"}
+        assert extract_country_mentions("am Kongo", gaz) == {"Kongo"}
+        assert extract_country_mentions("Republik Kongo und Kongo", gaz) == {
+            "Republik Kongo",
+            "Kongo",
+        }
+        assert extract_country_mentions("Demokratische Kongo", gaz) == {"Kongo"}
+
+    def test_nested_names_named_separately_are_both_reported(self):
+        gaz = load_gazetteer(target="Guinea")
+        text = "Guinea und Guinea-Bissau"
+        assert extract_country_mentions(text, gaz) == {"Guinea", "Guinea-Bissau"}
+        assert filter_single_country([make_doc("a", D(2011, 1, 1), text=text)], gaz) == []
+
 
 class TestSingleCountryFilter:
     def test_filter_keeps_target_only_docs(self, south_america):
@@ -258,6 +301,103 @@ class TestSingleCountryFilter:
         kept_large = filter_single_country(docs, large)
         assert set(d.id for d in kept_large) <= set(d.id for d in kept_small)
         assert all(d in docs for d in kept_small)
+
+
+# Pieces that stress the tokenizer: casefolds that change length (ß, ẞ, ﬃ),
+# dotted and dotless i, final sigma, combining marks, numeric characters
+# that are token letters but not alphabetic (², ½), a non-ASCII digit,
+# underscore, hyphen, and whitespace that str.split() splits on.
+_TRICKY = [
+    "ß", "ẞ", "ss", "SS", "İ", "ı", "i", "Σ", "σ", "ς", "ﬃ", "ffi", "\u0307", "\u0301",
+    "²", "½", "٣", "7", "_", "-", ".", ",", " ", "\n", "\u00a0", "\u0085", "\u001c",
+    "\u3000",
+]
+_WORDS = [
+    "Guinea", "Bissau", "Kongo", "Republik", "Demokratische", "Brasilien", "Peru",
+    "Straße", "STRASSE", "Σίσυφος", "İzmir", "Flut", "e",
+]
+_SEPARATORS = [" ", "-", "\u00a0", " \u3000"]
+_ENTRIES = st.builds(
+    str.join,
+    st.sampled_from(_SEPARATORS),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def _gazetteers(draw, extra: int = 0):
+    entries = draw(st.lists(_ENTRIES, min_size=1, max_size=6))
+    # Longer entries that start with a drawn one, as Guinea-Bissau starts with Guinea.
+    entries += draw(
+        st.lists(
+            st.builds(
+                str.__add__,
+                st.sampled_from(entries),
+                st.builds(str.__add__, st.sampled_from(_SEPARATORS), st.sampled_from(_WORDS)),
+            ),
+            max_size=3,
+        )
+    )
+    target = draw(st.sampled_from(entries))
+    more = draw(st.lists(_ENTRIES, min_size=extra, max_size=extra))
+    return Gazetteer(entries=tuple(entries), target=target), more
+
+
+@st.composite
+def _texts(draw, gazetteer: Gazetteer):
+    pieces = st.sampled_from(_WORDS + _TRICKY + list(gazetteer.entries))
+    text = "".join(draw(st.lists(pieces, max_size=12)))
+    return unicodedata.normalize("NFD", text) if draw(st.booleans()) else text
+
+
+class TestCountryFilterOracle:
+    """The tokenizer, matcher and filter agree with the scan in ``support.py``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text())
+    @example(text="İstanbul Straße ẞ ﬃ Σίσυφος ΣΑΣ x²y ½a b٣c_d-e")
+    @example(text="a\u00a0b\u0085c\u001cd\u3000e\u1680f\u2028g")
+    @example(text="e\u0301 e\u0307 \u0301e i\u0307")
+    def test_tokens_equal_per_token_casefold(self, text):
+        assert canonical_tokens(text) == oracle_tokens(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_mentions_equal_oracle(self, data):
+        gaz, _ = data.draw(_gazetteers())
+        text = data.draw(_texts(gaz))
+        assert extract_country_mentions(text, gaz) == oracle_country_mentions(text, gaz)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_filter_keeps_oracle_ids_with_shuffled_reprints(self, data):
+        gaz, _ = data.draw(_gazetteers())
+        texts = data.draw(st.lists(_texts(gaz), min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=30))
+        # Reprints are equal strings but not always the same object; one
+        # text_key for all shows that the verdict depends on the text alone.
+        docs = [
+            make_doc(
+                f"d{i}",
+                D(2011, 1, 1),
+                text=texts[j] if i % 2 else "".join(texts[j]),
+                text_key="same",
+            )
+            for i, j in enumerate(picks)
+        ]
+        kept = filter_single_country(docs, gaz)
+        assert [d.id for d in kept] == oracle_filter_ids(docs, gaz)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_filter_monotone_in_random_gazetteers(self, data):
+        small, more = data.draw(_gazetteers(extra=3))
+        large = Gazetteer(entries=small.entries + tuple(more), target=small.target)
+        texts = data.draw(st.lists(_texts(large), min_size=1, max_size=8))
+        docs = [make_doc(f"d{i}", D(2011, 1, 1), text=t) for i, t in enumerate(texts)]
+        kept_small = {d.id for d in filter_single_country(docs, small)}
+        kept_large = {d.id for d in filter_single_country(docs, large)}
+        assert kept_large <= kept_small
 
 
 class TestCountSeries:
