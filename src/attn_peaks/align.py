@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError
-from .ingest import csv_reader, undecodable, unreadable_row
+from .ingest import csv_reader, parse_row_date, undecodable, unreadable_row
 from .peaks import NewsEvent
 
 REGISTRY_COLUMNS = ("record_id", "source", "raw_type", "onset_date", "location", "status")
@@ -101,7 +101,7 @@ def load_registry(
     mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
     accepted_status = {s.strip().casefold() for s in status_accept}
 
-    rows: list[tuple[int, dict[str, str]]] = []
+    rows: list[tuple[int, list[str]]] = []
     row_number = -1  # the last row read; the header is row 0
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -122,13 +122,14 @@ def load_registry(
                         f"malformed row {row_number}: expected "
                         f"{len(REGISTRY_COLUMNS)} fields, got {len(row)}"
                     )
-                rows.append((row_number, dict(zip(REGISTRY_COLUMNS, row))))
+                rows.append((row_number, row))
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
         raise unreadable_row(path, row_number + 1, exc) from None
 
-    unmapped = sorted({v["raw_type"] for _, v in rows if v["raw_type"] not in mapping})
+    # Rows are in REGISTRY_COLUMNS order; raw_type is field 2.
+    unmapped = sorted({row[2] for _, row in rows if row[2] not in mapping})
     if unmapped:
         raise InputError(
             f"registry {path} has raw_type labels missing from the type map: "
@@ -137,40 +138,37 @@ def load_registry(
 
     load = RegistryLoad(records=[])
     seen_ids: set[str] = set()
-    for row_number, values in rows:
-        if values["source"] and values["source"] != source:
+    onsets: dict[str, datetime.date] = {}
+    for row_number, (record_id, declared, raw_type, onset_text, location, status) in rows:
+        if declared and declared != source:
             raise InputError(
-                f"row {row_number} declares source {values['source']!r} "
+                f"row {row_number} declares source {declared!r} "
                 f"but the file was loaded as {source!r}"
             )
-        record_id = values["record_id"]
         if not record_id:
             raise InputError(f"malformed row {row_number}: empty field 'record_id'")
         if record_id in seen_ids:
             raise InputError(f"duplicate record id {record_id!r} at row {row_number}")
         seen_ids.add(record_id)
-        hazard = mapping[values["raw_type"]]
+        hazard = mapping[raw_type]
         if hazard == IGNORE:
             load.n_ignored_by_type += 1
             continue
-        if source == "S2ID" and values["status"].strip().casefold() not in accepted_status:
+        if source == "S2ID" and status.strip().casefold() not in accepted_status:
             load.n_dropped_by_status += 1
             continue
-        try:
-            onset = datetime.date.fromisoformat(values["onset_date"])
-        except ValueError:
-            raise InputError(
-                f"invalid date at row {row_number}: {values['onset_date']!r}"
-            ) from None
+        onset = onsets.get(onset_text)
+        if onset is None:
+            onset = onsets[onset_text] = parse_row_date(onset_text, row_number)
         load.records.append(
             DisasterRecord(
                 record_id=record_id,
                 source=source,
                 hazard=hazard,
                 onset_date=onset,
-                location=values["location"],
-                raw_type=values["raw_type"],
-                status=values["status"],
+                location=location,
+                raw_type=raw_type,
+                status=status,
             )
         )
     return load

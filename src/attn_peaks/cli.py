@@ -13,14 +13,15 @@ import sys
 from pathlib import Path
 
 from .errors import ConsistencyError, InputError
+from .ingest import parse_date
 from .pipeline import COMMANDS, PipelineConfig, load_config, run_pipeline
 
 
 def _date(value: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(value)
+        return parse_date(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an ISO date: {value!r}") from None
+        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

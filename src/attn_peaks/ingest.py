@@ -10,7 +10,8 @@ peak detection.
 File formats
 ------------
 Documents: CSV with header ``id,date,outlet,text_type,hazard,text[,text_key]``
-or JSON-lines with the same keys. UTF-8, dates ISO-8601 ``YYYY-MM-DD``.
+or JSON-lines with the same keys. UTF-8, optionally starting with a BOM;
+dates are exactly ``YYYY-MM-DD`` in ASCII digits, on every Python version.
 ``text_key`` is the identity key for deduplicated text content; when absent
 or empty it defaults to a SHA-256 digest of the NFC-normalized body text.
 
@@ -32,12 +33,11 @@ import datetime
 import hashlib
 import json
 import re
-import sys
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -222,36 +222,28 @@ def filter_single_country(docs: list[Document], gazetteer: Gazetteer) -> list[Do
     return kept
 
 
-def _parse_date(value: str, row: int) -> datetime.date:
+# ASCII digits only: in a str pattern \d would also match other scripts' digits.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(value: str) -> datetime.date:
+    """The calendar day written as ``YYYY-MM-DD``; ValueError for anything else.
+
+    ``date.fromisoformat`` alone accepts more from Python 3.11 on
+    (``20240101``, ``2024-W01-1``); checking the shape first gives every
+    Python version the same rule.
+    """
+    if not _ISO_DATE.fullmatch(value):
+        raise ValueError(f"not a YYYY-MM-DD date: {value!r}")
+    return datetime.date.fromisoformat(value)
+
+
+def parse_row_date(value: str, row: int) -> datetime.date:
+    """:func:`parse_date` for a file row; InputError naming the row."""
     try:
-        return datetime.date.fromisoformat(value)
-    except (TypeError, ValueError):
+        return parse_date(value)
+    except ValueError:
         raise InputError(f"invalid date at row {row}: {value!r}") from None
-
-
-def _make_document(
-    values: dict, row: int, hazards: tuple[str, ...], seen_ids: set[str]
-) -> Document:
-    doc_id = values["id"]
-    if not doc_id:
-        raise InputError(f"malformed row {row}: empty field 'id'")
-    if doc_id in seen_ids:
-        raise InputError(f"duplicate document id {doc_id!r} at row {row}")
-    seen_ids.add(doc_id)
-    hazard = values["hazard"]
-    if hazard not in hazards:
-        raise InputError(f"unknown hazard label {hazard!r} at row {row}")
-    text = values["text"]
-    text_key = values.get("text_key") or text_digest(text)
-    return Document(
-        id=doc_id,
-        date=_parse_date(values["date"], row),
-        outlet=sys.intern(values["outlet"]),
-        text_type=sys.intern(values["text_type"]),
-        hazard=sys.intern(hazard),
-        text=text,
-        text_key=text_key,
-    )
 
 
 def csv_reader(handle: TextIO) -> Iterator[list[str]]:
@@ -293,10 +285,66 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
     return InputError(f"{path} is not valid UTF-8")
 
 
+def _read_documents(
+    docs: list[Document],
+    rows: Iterable[tuple[int, list[str]]],
+    width: int,
+    hazards: tuple[str, ...],
+) -> None:
+    """Check each numbered row of ``width`` fields and append its Document to ``docs``.
+
+    Both file formats feed this loop, so every row is checked the same way.
+    Rows are unpacked into locals; each distinct date string is parsed
+    once, each distinct text without a ``text_key`` is digested once, and
+    equal outlet, genre and hazard strings share one object. A row that
+    fails raises before anything of it is appended, so ``len(docs)`` is
+    the number of rows read without error.
+    """
+    seen_ids: set[str] = set()
+    known_hazards = {hazard: hazard for hazard in hazards}
+    shared: dict[str, str] = {}
+    dates: dict[str, datetime.date] = {}
+    digests: dict[str, str] = {}
+    append = docs.append
+    has_key = width > len(DOCUMENT_COLUMNS)
+    for row, fields in rows:
+        if len(fields) != width:
+            raise InputError(f"malformed row {row}: expected {width} fields, got {len(fields)}")
+        if has_key:
+            doc_id, day, outlet, genre, hazard, text, key = fields
+        else:
+            doc_id, day, outlet, genre, hazard, text = fields
+            key = ""
+        if not doc_id:
+            raise InputError(f"malformed row {row}: empty field 'id'")
+        if doc_id in seen_ids:
+            raise InputError(f"duplicate document id {doc_id!r} at row {row}")
+        seen_ids.add(doc_id)
+        if hazard not in known_hazards:
+            raise InputError(f"unknown hazard label {hazard!r} at row {row}")
+        if not key:
+            key = digests.get(text)
+            if key is None:
+                key = digests[text] = text_digest(text)
+        date = dates.get(day)
+        if date is None:
+            date = dates[day] = parse_row_date(day, row)
+        append(
+            Document(
+                doc_id,
+                date,
+                shared.setdefault(outlet, outlet),
+                shared.setdefault(genre, genre),
+                known_hazards[hazard],
+                text,
+                key,
+            )
+        )
+
+
 def _load_documents_csv(path: Path, hazards: tuple[str, ...]) -> list[Document]:
     docs: list[Document] = []
-    seen_ids: set[str] = set()
-    row_number = -1  # the last row read; the header is row 0
+    header = None
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv_reader(handle)
@@ -304,58 +352,54 @@ def _load_documents_csv(path: Path, hazards: tuple[str, ...]) -> list[Document]:
                 header = next(reader)
             except StopIteration:
                 raise InputError(f"document file {path} is empty (header expected)") from None
-            row_number = 0
             expected = list(DOCUMENT_COLUMNS)
             if header not in (expected, expected + list(OPTIONAL_DOCUMENT_COLUMNS)):
                 raise InputError(
                     f"unexpected document header in {path}: {header!r} "
                     f"(expected {','.join(expected)}[,text_key])"
                 )
-            has_key = len(header) == len(expected) + 1
-            for row_number, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise InputError(
-                        f"malformed row {row_number}: expected {len(header)} fields, got {len(row)}"
-                    )
-                values = dict(zip(header, row))
-                if not has_key:
-                    values["text_key"] = ""
-                docs.append(_make_document(values, row_number, hazards, seen_ids))
+            _read_documents(docs, enumerate(reader, start=1), len(header), hazards)
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
-        raise unreadable_row(path, row_number + 1, exc) from None
+        # The header is row 0 and every row read after it became a document.
+        raise unreadable_row(path, 0 if header is None else len(docs) + 1, exc) from None
     return docs
+
+
+_JSONL_FIELDS = DOCUMENT_COLUMNS + OPTIONAL_DOCUMENT_COLUMNS
+
+
+def _jsonl_rows(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Numbered 7-field rows of a JSON-lines file; blank lines are skipped."""
+    allowed = set(_JSONL_FIELDS)
+    for row, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed row {row}: {exc}") from None
+        if not isinstance(record, dict):
+            raise InputError(f"malformed row {row}: expected a JSON object")
+        unknown = sorted(set(record) - allowed)
+        if unknown:
+            raise InputError(f"malformed row {row}: unknown field {unknown[0]!r}")
+        missing = [k for k in DOCUMENT_COLUMNS if k not in record]
+        if missing:
+            raise InputError(f"malformed row {row}: missing field {missing[0]!r}")
+        fields = [record.get(k, "") for k in _JSONL_FIELDS]
+        for key, value in zip(_JSONL_FIELDS, fields):
+            if not isinstance(value, str):
+                raise InputError(f"malformed row {row}: field {key!r} must be a string")
+        yield row, fields
 
 
 def _load_documents_jsonl(path: Path, hazards: tuple[str, ...]) -> list[Document]:
     docs: list[Document] = []
-    seen_ids: set[str] = set()
-    allowed = set(DOCUMENT_COLUMNS) | set(OPTIONAL_DOCUMENT_COLUMNS)
     try:
-        with path.open(encoding="utf-8") as handle:
-            for row_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"malformed row {row_number}: {exc}") from None
-                if not isinstance(record, dict):
-                    raise InputError(f"malformed row {row_number}: expected a JSON object")
-                unknown = sorted(set(record) - allowed)
-                if unknown:
-                    raise InputError(f"malformed row {row_number}: unknown field {unknown[0]!r}")
-                missing = [k for k in DOCUMENT_COLUMNS if k not in record]
-                if missing:
-                    raise InputError(f"malformed row {row_number}: missing field {missing[0]!r}")
-                values = {k: record.get(k, "") for k in allowed}
-                for key, value in values.items():
-                    if not isinstance(value, str):
-                        raise InputError(
-                            f"malformed row {row_number}: field {key!r} must be a string"
-                        )
-                docs.append(_make_document(values, row_number, hazards, seen_ids))
+        with path.open(encoding="utf-8-sig") as handle:
+            _read_documents(docs, _jsonl_rows(handle), len(_JSONL_FIELDS), hazards)
     except UnicodeDecodeError:
         raise undecodable(path, jsonl=True) from None
     return docs

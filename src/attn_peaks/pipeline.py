@@ -69,6 +69,7 @@ from .ingest import (
     filter_single_country,
     load_documents,
     load_gazetteer,
+    parse_date,
 )
 from .measures import MEASURE_COLUMNS, MeasureSet, measure_events, summarize
 from .peaks import NewsEvent, PeakParams, detect_events
@@ -117,7 +118,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     )
     parser.optionxform = str  # type: ignore[assignment]  # keep type-map key case
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise InputError(f"config file {path} is malformed: {exc}") from None
 
@@ -146,7 +147,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         if raw is None:
             return current
         try:
-            return datetime.date.fromisoformat(raw)
+            return parse_date(raw)
         except ValueError:
             raise InputError(f"config [{section}] {option} is not a date: {raw!r}") from None
 

@@ -7,9 +7,13 @@ they stay independent of the code paths they verify.
 
 from __future__ import annotations
 
+import csv
 import datetime
+import json
 import re
+import sys
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +23,11 @@ from attn_peaks import (
     CountSeries,
     Document,
     Gazetteer,
+    InputError,
     NewsEvent,
+    text_digest,
 )
+from attn_peaks.ingest import csv_reader, undecodable, unreadable_row
 
 DAY0 = datetime.date(2000, 1, 1)
 
@@ -199,6 +206,117 @@ def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[str]:
     """Ids of the documents whose oracle mentions are exactly the target, in order."""
     target = {gazetteer.target_entry}
     return [d.id for d in docs if oracle_country_mentions(d.text, gazetteer) == target]
+
+
+def _oracle_date(value, row: int) -> datetime.date:
+    digits = "0123456789"
+    if not (
+        len(value) == 10
+        and value[4] == value[7] == "-"
+        and all(c in digits for c in value[:4] + value[5:7] + value[8:])
+    ):
+        raise InputError(f"invalid date at row {row}: {value!r}")
+    try:
+        return datetime.date(int(value[:4]), int(value[5:7]), int(value[8:]))
+    except ValueError:
+        raise InputError(f"invalid date at row {row}: {value!r}") from None
+
+
+def _oracle_document(values: dict, row: int, hazards, seen_ids: set) -> Document:
+    doc_id = values["id"]
+    if not doc_id:
+        raise InputError(f"malformed row {row}: empty field 'id'")
+    if doc_id in seen_ids:
+        raise InputError(f"duplicate document id {doc_id!r} at row {row}")
+    seen_ids.add(doc_id)
+    hazard = values["hazard"]
+    if hazard not in hazards:
+        raise InputError(f"unknown hazard label {hazard!r} at row {row}")
+    text = values["text"]
+    text_key = values.get("text_key") or text_digest(text)
+    return Document(
+        id=doc_id,
+        date=_oracle_date(values["date"], row),
+        outlet=sys.intern(values["outlet"]),
+        text_type=sys.intern(values["text_type"]),
+        hazard=sys.intern(hazard),
+        text=text,
+        text_key=text_key,
+    )
+
+
+def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire")):
+    """The per-row document loader: one dict and one full parse per row.
+
+    A copy of the loader before it became a single row loop with caches,
+    with the documented rules where that loader was looser or
+    nondeterministic: dates are exactly ASCII ``YYYY-MM-DD`` (checked by
+    hand here, not by ``date.fromisoformat``, which accepts more from Python
+    3.11 on), a JSON-lines file may start with a UTF-8 BOM, and the first
+    non-string JSON field is named in column order.
+    """
+    path = Path(path)
+    columns = ("id", "date", "outlet", "text_type", "hazard", "text")
+    docs: list[Document] = []
+    seen_ids: set = set()
+    if format == "csv":
+        row_number = -1
+        try:
+            with path.open(newline="", encoding="utf-8-sig") as handle:
+                reader = csv_reader(handle)
+                try:
+                    header = next(reader)
+                except StopIteration:
+                    raise InputError(f"document file {path} is empty (header expected)") from None
+                row_number = 0
+                expected = list(columns)
+                if header not in (expected, expected + ["text_key"]):
+                    raise InputError(
+                        f"unexpected document header in {path}: {header!r} "
+                        f"(expected {','.join(expected)}[,text_key])"
+                    )
+                for row_number, row in enumerate(reader, start=1):
+                    if len(row) != len(header):
+                        raise InputError(
+                            f"malformed row {row_number}: expected {len(header)} fields, "
+                            f"got {len(row)}"
+                        )
+                    values = dict(zip(header, row))
+                    values.setdefault("text_key", "")
+                    docs.append(_oracle_document(values, row_number, hazards, seen_ids))
+        except UnicodeDecodeError:
+            raise undecodable(path) from None
+        except csv.Error as exc:
+            raise unreadable_row(path, row_number + 1, exc) from None
+        return docs
+    allowed = columns + ("text_key",)
+    try:
+        with path.open(encoding="utf-8-sig") as handle:
+            for row_number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"malformed row {row_number}: {exc}") from None
+                if not isinstance(record, dict):
+                    raise InputError(f"malformed row {row_number}: expected a JSON object")
+                unknown = sorted(set(record) - set(allowed))
+                if unknown:
+                    raise InputError(f"malformed row {row_number}: unknown field {unknown[0]!r}")
+                missing = [k for k in columns if k not in record]
+                if missing:
+                    raise InputError(f"malformed row {row_number}: missing field {missing[0]!r}")
+                values = {k: record.get(k, "") for k in allowed}
+                for key, value in values.items():
+                    if not isinstance(value, str):
+                        raise InputError(
+                            f"malformed row {row_number}: field {key!r} must be a string"
+                        )
+                docs.append(_oracle_document(values, row_number, hazards, seen_ids))
+    except UnicodeDecodeError:
+        raise undecodable(path, jsonl=True) from None
+    return docs
 
 
 def write_small_corpus(root, with_registries: bool = True):

@@ -114,6 +114,33 @@ class TestLoadRegistry:
         with pytest.raises(InputError, match="invalid date at row 2"):
             load_registry(path, "EMDAT")
 
+    # Python 3.11's date.fromisoformat reads both as 2011-01-11.
+    @pytest.mark.parametrize("onset", ["20110111", "2011-W02-2"])
+    def test_onset_must_be_yyyy_mm_dd(self, tmp_path, onset):
+        path = write_registry(
+            tmp_path, f"r1,EMDAT,Wildfire,2011-01-11,,\nr2,EMDAT,Wildfire,{onset},,\n"
+        )
+        with pytest.raises(InputError, match=f"invalid date at row 2: '{onset}'"):
+            load_registry(path, "EMDAT")
+
+    def test_equal_onsets_share_one_date(self, tmp_path):
+        path = write_registry(
+            tmp_path, "r1,EMDAT,Wildfire,2011-01-11,,\nr2,EMDAT,Landslide,2011-01-11,,\n"
+        )
+        first, second = load_registry(path, "EMDAT").records
+        assert first.onset_date == D(2011, 1, 11)
+        assert first.onset_date is second.onset_date
+
+    def test_unmapped_raw_type_is_reported_before_row_errors(self, tmp_path):
+        path = write_registry(
+            tmp_path,
+            "r1,EMDAT,Wildfire,2011-13-40,,\n"
+            "r1,S2ID,Wildfire,2011-01-11,,\n"
+            "r3,EMDAT,Volcanic activity,2011-01-11,,\n",
+        )
+        with pytest.raises(InputError, match="missing from the type map: 'Volcanic activity'"):
+            load_registry(path, "EMDAT")
+
     def test_source_mismatch_is_rejected(self, tmp_path):
         path = write_registry(tmp_path, "r1,S2ID,Wildfire,2011-01-11,,\n")
         with pytest.raises(InputError, match="declares source 'S2ID'"):

@@ -1,4 +1,6 @@
+import codecs
 import csv
+import datetime
 import json
 import shutil
 import subprocess
@@ -113,6 +115,54 @@ class TestFlagOverrides:
         assert (out / "events.jsonl").is_file()
 
 
+def _basic(day: str) -> str:
+    return day.replace("-", "")
+
+
+def _iso_week(day: str) -> str:
+    year, week, weekday = datetime.date.fromisoformat(day).isocalendar()
+    return f"{year}-W{week:02d}-{weekday}"
+
+
+@pytest.mark.parametrize("spell", [_basic, _iso_week])
+class TestDatesMustBeYyyyMmDd:
+    """Other ISO 8601 spellings of a valid day exit 2 on every Python version.
+
+    Python 3.11's ``date.fromisoformat`` accepts both spellings used here;
+    Python 3.10's does not.
+    """
+
+    def _replace(self, path, old: str, new: str) -> None:
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+    def test_document_date_names_the_row(self, tmp_path, capsys, spell):
+        config = write_small_corpus(tmp_path)
+        self._replace(tmp_path / "documents.csv", "L3,2020-01-11", f"L3,{spell('2020-01-11')}")
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "invalid date at row 3" in capsys.readouterr().err
+
+    def test_registry_onset_names_the_row(self, tmp_path, capsys, spell):
+        config = write_small_corpus(tmp_path)
+        self._replace(tmp_path / "emdat.csv", "2020-01-09", spell("2020-01-09"))
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "invalid date at row 1" in capsys.readouterr().err
+
+    def test_config_range_names_the_key(self, tmp_path, capsys, spell):
+        config = write_small_corpus(tmp_path)
+        self._replace(config, "start = 2020-01-01", f"start = {spell('2020-01-01')}")
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config [range] start is not a date" in capsys.readouterr().err
+
+    def test_range_flag_names_the_flag(self, tmp_path, capsys, spell):
+        config = write_small_corpus(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config), "--end", spell("2020-12-31")])
+        assert exc.value.code == 2
+        assert "argument --end: not a YYYY-MM-DD date" in capsys.readouterr().err
+
+
 def test_module_entry_point_smoke(tmp_path):
     config = write_small_corpus(tmp_path)
     out = tmp_path / "out"
@@ -211,6 +261,28 @@ class TestUnreadableInput:
         assert "Traceback" not in proc.stderr
         assert "config.ini" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_every_input_may_start_with_a_bom(self, golden_dir, tmp_path, capsys, format):
+        config = _golden_copy(golden_dir, tmp_path)
+        gazetteer = tmp_path / "countries.txt"
+        shutil.copy(default_gazetteer_path(), gazetteer)
+        documents = tmp_path / "documents.csv"
+        if format == "jsonl":
+            with documents.open(newline="", encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+            documents = tmp_path / "documents.jsonl"
+            documents.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        for path in (config, documents, gazetteer, tmp_path / "emdat.csv", tmp_path / "s2id.csv"):
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--config", str(config), "--documents", str(documents), "--format", format,
+             "--gazetteer", str(gazetteer), "--out-dir", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        for expected in sorted((golden_dir / "expected").iterdir()):
+            assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
 
     def test_long_registry_field_loads(self, golden_dir, tmp_path):
         config = _golden_copy(golden_dir, tmp_path)

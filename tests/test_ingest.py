@@ -1,6 +1,10 @@
 import csv
 import datetime
+import io
+import json
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from support import (
     make_series,
     oracle_country_mentions,
     oracle_filter_ids,
+    oracle_load_documents,
     oracle_tokens,
 )
 
@@ -171,6 +176,177 @@ class TestLoadDocuments:
         path = write_csv(tmp_path, "")
         with pytest.raises(InputError, match="unknown document format"):
             load_documents(path, format="xml")
+
+    def test_jsonl_may_start_with_a_bom(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(
+            '{"id": "a1", "date": "2011-01-12", "outlet": "Spiegel",'
+            ' "text_type": "Bericht", "hazard": "landslide", "text": "x"}\n',
+            encoding="utf-8-sig",
+        )
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        docs = load_documents(path, format="jsonl")
+        assert [(d.id, d.date) for d in docs] == [("a1", D(2011, 1, 12))]
+
+    # Python 3.11's date.fromisoformat reads the first two as 2020-01-10.
+    @pytest.mark.parametrize(
+        "day", ["20200110", "2020-W02-5", "2020-1-10", "2020-01-10 ", "\uff12020-01-10"]
+    )
+    def test_date_must_be_yyyy_mm_dd_in_both_formats(self, tmp_path, day):
+        csv_path = write_csv(
+            tmp_path, f"a1,2020-01-10,o,t,fire,x\na2,{day},o,t,fire,x\n"
+        )
+        with pytest.raises(InputError, match=f"invalid date at row 2: {day!r}"):
+            load_documents(csv_path)
+        jsonl_path = tmp_path / "docs.jsonl"
+        jsonl_path.write_text(
+            json.dumps(dict(id="a1", date=day, outlet="o", text_type="t", hazard="fire", text="x"))
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(InputError, match=f"invalid date at row 1: {day!r}"):
+            load_documents(jsonl_path, format="jsonl")
+
+    def test_repeated_dates_and_labels_share_one_object(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            "a1,2020-01-10,Spiegel,Bericht,fire,x\na2,2020-01-10,Spiegel,Bericht,fire,y\n",
+        )
+        first, second = load_documents(path)
+        assert first.date is second.date
+        assert first.outlet is second.outlet
+        assert first.text_type is second.text_type
+        assert first.hazard is second.hazard
+
+
+_GOOD_DAYS = ["2020-01-10", "2020-02-29", "2000-01-01", "2024-12-31"]
+_BAD_DAYS = [
+    "2021-02-29", "2020-13-01", "20200110", "2020-W02-5", "2020-1-10",
+    " 2020-01-10", "2020/01/10", "2020-01-10T00:00", "\uff12020-01-10", "",
+]
+_LABELS = ["Blatt 1", "Blatt 2", 'Zeitung, "Süd"', "Genre\nzwei", "", "ß"]
+_BODIES = ["Erdrutsch in Brasilien", "Erdrutsch in Peru", 'Feuer, "groß"\r\nin Brasilien', "", "İ"]
+_TEXT = st.one_of(
+    st.sampled_from(_BODIES),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+_DEFECTS = ["empty_id", "dup_id", "bad_hazard", "bad_day", "short", "long", "blank", "not_string"]
+
+
+@st.composite
+def _document_files(draw):
+    """(file bytes, format) for a random CSV or JSON-lines documents file."""
+    fmt = draw(st.sampled_from(["csv", "csv+key", "jsonl"]))
+    columns = ["id", "date", "outlet", "text_type", "hazard", "text"]
+    if fmt != "csv":
+        columns.append("text_key")
+    lines = []
+    ids: list[str] = []
+    for n in range(draw(st.integers(0, 12))):
+        # One row in eight has one or two defects, so their checks' order is exercised.
+        defects = draw(st.sets(st.sampled_from(_DEFECTS), min_size=1, max_size=2))
+        if draw(st.integers(0, 7)):
+            defects = set()
+        row = {
+            "id": f"d{n}",
+            "date": draw(st.sampled_from(_GOOD_DAYS)),
+            "outlet": draw(st.sampled_from(_LABELS)),
+            "text_type": draw(st.sampled_from(_LABELS)),
+            "hazard": draw(st.sampled_from(["fire", "landslide"])),
+            "text": draw(_TEXT),
+            "text_key": draw(st.sampled_from(["", "", "k1", "k2"])),
+        }
+        if "empty_id" in defects:
+            row["id"] = ""
+        if "dup_id" in defects and ids:
+            row["id"] = draw(st.sampled_from(ids))
+        if "bad_hazard" in defects:
+            row["hazard"] = draw(st.sampled_from(["flood", "", "Fire"]))
+        if "bad_day" in defects:
+            row["date"] = draw(st.sampled_from(_BAD_DAYS))
+        ids.append(row["id"])
+        if fmt == "jsonl":
+            record = {k: row[k] for k in columns}
+            if draw(st.booleans()):
+                del record["text_key"]
+            if "short" in defects:
+                del record[draw(st.sampled_from(columns[:6]))]
+            if "long" in defects:
+                record["extra"] = "x"
+            if "not_string" in defects:
+                record[draw(st.sampled_from(columns))] = draw(st.sampled_from([1, None, ["x"]]))
+            if "blank" in defects:
+                lines.append("  ")
+            lines.append(json.dumps(record, ensure_ascii=draw(st.booleans())))
+        else:
+            fields = [row[k] for k in columns]
+            if "short" in defects:
+                fields.pop()
+            elif "long" in defects:
+                fields.append("x")
+            if "blank" in defects:
+                lines.append("")
+            lines.append(fields)
+    if fmt == "jsonl":
+        body = "".join(line + "\n" for line in lines)
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(columns)
+        for fields in lines:
+            if fields == "":
+                buffer.write("\r\n")
+            else:
+                writer.writerow(fields)
+        body = buffer.getvalue()
+    encoding = "utf-8-sig" if draw(st.booleans()) else "utf-8"
+    return body.encode(encoding), "jsonl" if fmt == "jsonl" else "csv"
+
+
+def _outcome(load):
+    try:
+        return load()
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+class TestLoaderOracle:
+    """The single row loop returns what the per-row loader in ``support.py`` returns."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(file=_document_files())
+    def test_documents_or_error_equal_oracle(self, file):
+        data, fmt = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"docs.{fmt}"
+            path.write_bytes(data)
+            got = _outcome(lambda: load_documents(path, fmt))
+            want = _outcome(lambda: oracle_load_documents(path, fmt))
+        assert got == want
+
+    def test_repeated_texts_without_keys_get_the_oracle_digests(self, tmp_path):
+        texts = ["Erdrutsch in Brasilien", "Erdrutsch in Peru"]
+        rows = "".join(f"d{i},2020-01-{i % 3 + 10},o,t,fire,{texts[i % 2]}\n" for i in range(6))
+        path = write_csv(tmp_path, rows)
+        docs = load_documents(path)
+        assert docs == oracle_load_documents(path)
+        assert docs[0].text_key is docs[2].text_key
+
+    # Each row breaks several rules; the first check in the per-row order names it.
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",2020-13-01,o,t,flood,x", "malformed row 2: empty field 'id'"),
+            ("a1,2020-13-01,o,t,flood,x", "duplicate document id 'a1' at row 2"),
+            ("a2,2020-13-01,o,t,flood,x", "unknown hazard label 'flood' at row 2"),
+            ("a2,2020-13-01,o,t,fire,x", "invalid date at row 2: '2020-13-01'"),
+            ("a1,2020-13-01,o,t,flood", "malformed row 2: expected 6 fields, got 5"),
+        ],
+    )
+    def test_the_first_broken_rule_of_a_row_is_reported(self, tmp_path, row, message):
+        path = write_csv(tmp_path, f"a1,2020-01-10,o,t,fire,x\n{row}\n")
+        assert _outcome(lambda: load_documents(path)) == f"InputError: {message}"
+        assert _outcome(lambda: oracle_load_documents(path)) == f"InputError: {message}"
 
 
 class TestCountryMentions:
