@@ -368,6 +368,12 @@ def _load_documents_csv(path: Path, hazards: tuple[str, ...]) -> list[Document]:
 
 
 _JSONL_FIELDS = DOCUMENT_COLUMNS + OPTIONAL_DOCUMENT_COLUMNS
+# A JSON \uD800-\uDFFF escape that is not half of a pair decodes to a lone
+# surrogate, which is not text: it cannot be encoded, digested or written.
+# Only rows whose raw line holds such an escape are scanned for one. Most
+# lines hold no backslash at all, and a one-character search is far cheaper
+# than a search for the escape, so it comes first.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _jsonl_rows(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
@@ -392,6 +398,12 @@ def _jsonl_rows(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
         for key, value in zip(_JSONL_FIELDS, fields):
             if not isinstance(value, str):
                 raise InputError(f"malformed row {row}: field {key!r} must be a string")
+        if "\\" in line and ("\\ud" in line or "\\uD" in line):
+            for key, value in zip(_JSONL_FIELDS, fields):
+                if _SURROGATE.search(value):
+                    raise InputError(
+                        f"malformed row {row}: field {key!r} holds an unpaired surrogate escape"
+                    )
         yield row, fields
 
 

@@ -75,64 +75,6 @@ class BoxStats:
     n: int
 
 
-def _docs_by_day(docs: list[Document], hazard: str) -> dict[datetime.date, list[Document]]:
-    by_day: dict[datetime.date, list[Document]] = defaultdict(list)
-    for doc in docs:
-        if doc.hazard == hazard:
-            by_day[doc.date].append(doc)
-    return by_day
-
-
-def _characterize(
-    event: NewsEvent, by_day: dict[datetime.date, list[Document]]
-) -> MeasureSet:
-    text_keys: set[str] = set()
-    outlets: set[str] = set()
-    genres: set[str] = set()
-    for day, count in event.day_counts:
-        day_docs = by_day.get(day, ())
-        if not day_docs:
-            raise ConsistencyError(
-                f"event {event.event_id} day {day} has no documents "
-                "(corpus/series mismatch)"
-            )
-        if len(day_docs) != count:
-            raise ConsistencyError(
-                f"event {event.event_id} day {day} has {len(day_docs)} documents "
-                f"but the series counts {count} (corpus/series mismatch)"
-            )
-        for doc in day_docs:
-            text_keys.add(doc.text_key)
-            outlets.add(doc.outlet)
-            genres.add(doc.text_type)
-    return MeasureSet(
-        event_id=event.event_id,
-        hazard=event.hazard,
-        peak_date=event.peak_date,
-        n_at_peak=event.peak_count,
-        total_volume=event.total_volume,
-        duration_days=event.duration_days,
-        days_since_last=None,
-        days_to_peak=(event.peak_date - event.start_date).days,
-        days_to_fade=(event.end_date - event.peak_date).days,
-        n_text_types=len(text_keys),
-        n_outlets=len(outlets),
-        n_genres=len(genres),
-        days_since_last_peak=None,
-    )
-
-
-def characterize(event: NewsEvent, docs: list[Document]) -> MeasureSet:
-    """Measures of one event, from the documents of its hazard.
-
-    Every event day must be backed by exactly as many documents as the
-    series counted there; a mismatch raises :class:`ConsistencyError`.
-    The gap measures (``days_since_last``, ``days_since_last_peak``) need
-    the event sequence and are filled by :func:`measure_events`.
-    """
-    return _characterize(event, _docs_by_day(docs, event.hazard))
-
-
 def gaps(events: list[NewsEvent]) -> list[int | None]:
     """Days since the previous event, per event; None for the first.
 
@@ -172,18 +114,59 @@ def peak_gaps(events: list[NewsEvent]) -> list[int | None]:
 
 
 def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[MeasureSet]:
-    """Characterize a hazard's event sequence, gap measures included.
+    """Measures of a hazard's event sequence, gap measures included.
 
     ``events`` must be the sorted, non-overlapping output of the detection
-    stage for one hazard; ``docs`` the documents the series was built from.
+    stage for one hazard; ``docs`` the documents the series was built from
+    (documents of other hazards are ignored). Every event day must be backed
+    by exactly as many documents as the series counted there; a mismatch
+    raises :class:`ConsistencyError`.
     """
     if not events:
         return []
-    by_day = _docs_by_day(docs, events[0].hazard)
-    measures = [_characterize(e, by_day) for e in events]
-    for measure, gap, peak_gap in zip(measures, gaps(events), peak_gaps(events)):
-        measure.days_since_last = gap
-        measure.days_since_last_peak = peak_gap
+    hazard = events[0].hazard
+    by_day: dict[datetime.date, list[Document]] = defaultdict(list)
+    for doc in docs:
+        if doc.hazard == hazard:
+            by_day[doc.date].append(doc)
+    measures = []
+    for event, gap, peak_gap in zip(events, gaps(events), peak_gaps(events)):
+        text_keys: set[str] = set()
+        outlets: set[str] = set()
+        genres: set[str] = set()
+        for day, count in event.day_counts:
+            day_docs = by_day.get(day, ())
+            if not day_docs:
+                raise ConsistencyError(
+                    f"event {event.event_id} day {day} has no documents "
+                    "(corpus/series mismatch)"
+                )
+            if len(day_docs) != count:
+                raise ConsistencyError(
+                    f"event {event.event_id} day {day} has {len(day_docs)} documents "
+                    f"but the series counts {count} (corpus/series mismatch)"
+                )
+            for doc in day_docs:
+                text_keys.add(doc.text_key)
+                outlets.add(doc.outlet)
+                genres.add(doc.text_type)
+        measures.append(
+            MeasureSet(
+                event_id=event.event_id,
+                hazard=event.hazard,
+                peak_date=event.peak_date,
+                n_at_peak=event.peak_count,
+                total_volume=event.total_volume,
+                duration_days=event.duration_days,
+                days_since_last=gap,
+                days_to_peak=(event.peak_date - event.start_date).days,
+                days_to_fade=(event.end_date - event.peak_date).days,
+                n_text_types=len(text_keys),
+                n_outlets=len(outlets),
+                n_genres=len(genres),
+                days_since_last_peak=peak_gap,
+            )
+        )
     return measures
 
 

@@ -53,7 +53,7 @@ import os
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import align as align_mod
@@ -66,6 +66,7 @@ from .ingest import (
     Document,
     build_count_series,
     corpus_stats,
+    default_gazetteer_path,
     filter_single_country,
     load_documents,
     load_gazetteer,
@@ -101,7 +102,8 @@ class PipelineConfig:
 
     @property
     def active_hazards(self) -> tuple[str, ...]:
-        return self.run_hazards or self.hazards
+        """The hazards this run processes, each once, in the order given."""
+        return tuple(dict.fromkeys(self.run_hazards or self.hazards))
 
 
 def _split_list(raw: str) -> tuple[str, ...]:
@@ -156,7 +158,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         "range": {"start", "end"},
         "gazetteer": {"path", "target"},
         "peaks": {"min_height", "min_distance"},
-        "align": {"window_days", "emdat", "s2id", "other", "s2id_accept"},
+        "align": {"window_days", "emdat", "s2id", "s2id_accept"},
         "type_map": None,
         "output": {"dir"},
     }
@@ -189,7 +191,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     config.min_distance = _get_int("peaks", "min_distance", config.min_distance)
     config.window_days = _get_int("align", "window_days", config.window_days)
     registries = []
-    for source, option in (("EMDAT", "emdat"), ("S2ID", "s2id"), ("other", "other")):
+    for source, option in (("EMDAT", "emdat"), ("S2ID", "s2id")):
         if raw := _get("align", option):
             registries.append((source, _path(raw)))
     config.registries = tuple(registries)
@@ -243,18 +245,21 @@ def validate_config(config: PipelineConfig) -> None:
 
 @dataclass
 class RunArtifacts:
-    """Everything a run produced: written files plus the in-memory results."""
+    """Everything a run produced: written files plus the in-memory results.
+
+    Each stage fills in its fields; those of stages not run stay empty.
+    """
 
     out_dir: Path
-    files: dict[str, Path]
-    series: dict[str, CountSeries]
-    stats: dict[str, CorpusStats]
-    events: dict[str, list[NewsEvent]]
-    measures: dict[str, list[MeasureSet]]
-    summaries: dict | None
-    alignment: AlignmentReport | None
-    registry_loads: dict[str, RegistryLoad]
-    report: dict | None
+    files: dict[str, Path] = field(default_factory=dict)
+    series: dict[str, CountSeries] = field(default_factory=dict)
+    stats: dict[str, CorpusStats] = field(default_factory=dict)
+    events: dict[str, list[NewsEvent]] = field(default_factory=dict)
+    measures: dict[str, list[MeasureSet]] = field(default_factory=dict)
+    summaries: dict | None = None
+    alignment: AlignmentReport | None = None
+    registry_loads: dict[str, RegistryLoad] = field(default_factory=dict)
+    report: dict | None = None
 
 
 @contextmanager
@@ -333,18 +338,6 @@ def _write_measures_csv(path: Path, measures_by_hazard: dict[str, list[MeasureSe
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _boxstats_json(stats) -> dict:
-    return {
-        "median": stats.median,
-        "q1": stats.q1,
-        "q3": stats.q3,
-        "whisker_low": stats.whisker_low,
-        "whisker_high": stats.whisker_high,
-        "outliers": stats.outliers,
-        "n": stats.n,
-    }
-
-
 def _summaries(measures_by_hazard: dict[str, list[MeasureSet]]) -> dict:
     out: dict = {}
     for hazard, measures in measures_by_hazard.items():
@@ -352,25 +345,9 @@ def _summaries(measures_by_hazard: dict[str, list[MeasureSet]]) -> dict:
         for column in MEASURE_COLUMNS:
             values = [getattr(m, column) for m in measures]
             values = [v for v in values if v is not None]
-            per_measure[column] = _boxstats_json(summarize(values)) if values else None
+            per_measure[column] = asdict(summarize(values)) if values else None
         out[hazard] = {"n_events": len(measures), "measures": per_measure}
     return out
-
-
-def _corpus_stats_json(stats: dict[str, CorpusStats]) -> dict:
-    return {
-        hazard: {
-            "n_articles": s.n_articles,
-            "n_text_types": s.n_text_types,
-            "n_genres": s.n_genres,
-            "daily_max": s.daily_max,
-            "n_active_days": s.n_active_days,
-            "active_mean": s.active_mean,
-            "active_std": s.active_std,
-            "n_outlets": s.n_outlets,
-        }
-        for hazard, s in stats.items()
-    }
 
 
 def _alignment_json(
@@ -386,16 +363,8 @@ def _alignment_json(
             }
             for source, load in registry_loads.items()
         },
-        "pairs": [
-            {
-                "event_id": p.event_id,
-                "record_id": p.record_id,
-                "source": p.source,
-                "hazard": p.hazard,
-                "lag_days": p.lag_days,
-            }
-            for p in report.pairs
-        ],
+        # vars, not asdict: asdict deep-copies every field of every pair.
+        "pairs": [vars(p) for p in report.pairs],
         "aligned_events_by_source": report.aligned_by_source,
         "unmatched_events": report.unmatched_events,
         "unmatched_records": [
@@ -415,12 +384,7 @@ def _manifest(config: PipelineConfig, command: str) -> dict:
             inputs[role] = {"path": str(path), "sha256": _sha256(Path(path))}
 
     _add("documents", config.documents)
-    gazetteer = config.gazetteer
-    if gazetteer is None:
-        from .ingest import default_gazetteer_path
-
-        gazetteer = default_gazetteer_path()
-    _add("gazetteer", gazetteer)
+    _add("gazetteer", config.gazetteer or default_gazetteer_path())
     for source, reg_path in config.registries:
         _add(f"registry_{source}", reg_path)
     return {
@@ -455,41 +419,32 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     with _stage("config"):
         validate_config(config)
     hazards = config.active_hazards
-    params = PeakParams(min_height=config.min_height, min_distance=config.min_distance)
+    want = COMMANDS.index(command)
+    run = RunArtifacts(out_dir=config.out_dir)
 
     with _stage("ingest"):
         gazetteer = load_gazetteer(config.gazetteer, target=config.target)
         raw_docs = load_documents(config.documents, config.doc_format, config.hazards)
-        docs = filter_single_country(raw_docs, gazetteer)
-        series: dict[str, CountSeries] = {}
-        stats: dict[str, CorpusStats] = {}
         docs_by_hazard: dict[str, list[Document]] = {h: [] for h in hazards}
-        for doc in docs:
+        for doc in filter_single_country(raw_docs, gazetteer):
             if doc.hazard in docs_by_hazard:
                 docs_by_hazard[doc.hazard].append(doc)
-        for hazard in hazards:
-            series[hazard] = build_count_series(
-                docs_by_hazard[hazard], hazard, config.start, config.end
-            )
-            stats[hazard] = corpus_stats(docs_by_hazard[hazard], series[hazard])
-
-    events: dict[str, list[NewsEvent]] = {}
-    measures: dict[str, list[MeasureSet]] = {}
-    summaries: dict | None = None
-    alignment: AlignmentReport | None = None
-    registry_loads: dict[str, RegistryLoad] = {}
-    report: dict | None = None
-    want = COMMANDS.index(command)
+        for hazard, docs in docs_by_hazard.items():
+            series = build_count_series(docs, hazard, config.start, config.end)
+            run.series[hazard] = series
+            run.stats[hazard] = corpus_stats(docs, series)
 
     if want >= COMMANDS.index("detect"):
         with _stage("detect"):
+            params = PeakParams(min_height=config.min_height, min_distance=config.min_distance)
             for hazard in hazards:
-                events[hazard] = detect_events(series[hazard], params)
+                run.events[hazard] = detect_events(run.series[hazard], params)
+    all_events = [e for events in run.events.values() for e in events]
     if want >= COMMANDS.index("measure"):
         with _stage("measure"):
             for hazard in hazards:
-                measures[hazard] = measure_events(events[hazard], docs_by_hazard[hazard])
-            summaries = _summaries(measures)
+                run.measures[hazard] = measure_events(run.events[hazard], docs_by_hazard[hazard])
+            run.summaries = _summaries(run.measures)
     if want >= COMMANDS.index("align"):
         with _stage("align"):
             records = []
@@ -497,92 +452,54 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
                 load = align_mod.load_registry(
                     reg_path, source, config.type_map, config.s2id_accept
                 )
-                registry_loads[source] = load
+                run.registry_loads[source] = load
                 records.extend(load.records)
-            all_events = [e for hazard in hazards for e in events[hazard]]
-            alignment = align_mod.align_events(all_events, records, config.window_days)
+            run.alignment = align_mod.align_events(all_events, records, config.window_days)
     if want >= COMMANDS.index("report"):
         with _stage("report"):
-            report = {
+            run.report = {
                 "range": {"start": config.start.isoformat(), "end": config.end.isoformat()},
                 "hazards": list(hazards),
-                "corpus": _corpus_stats_json(stats),
-                "n_events": {hazard: len(events[hazard]) for hazard in hazards},
-                "alignment": align_mod.alignment_summary(
-                    alignment, sum(len(events[h]) for h in hazards)
-                ),
+                "corpus": {hazard: asdict(s) for hazard, s in run.stats.items()},
+                "n_events": {hazard: len(events) for hazard, events in run.events.items()},
+                "alignment": align_mod.alignment_summary(run.alignment, len(all_events)),
             }
 
     with _stage("write"):
-        files = _write_artifacts(
-            config, command, hazards, series, stats, events, measures,
-            summaries, alignment, registry_loads, report,
-        )
-    return RunArtifacts(
-        out_dir=config.out_dir,
-        files=files,
-        series=series,
-        stats=stats,
-        events=events,
-        measures=measures,
-        summaries=summaries,
-        alignment=alignment,
-        registry_loads=registry_loads,
-        report=report,
-    )
+        run.files = _write_artifacts(config, command, run)
+    return run
 
 
-def _write_artifacts(
-    config: PipelineConfig,
-    command: str,
-    hazards: tuple[str, ...],
-    series: dict[str, CountSeries],
-    stats: dict[str, CorpusStats],
-    events: dict[str, list[NewsEvent]],
-    measures: dict[str, list[MeasureSet]],
-    summaries: dict | None,
-    alignment: AlignmentReport | None,
-    registry_loads: dict[str, RegistryLoad],
-    report: dict | None,
-) -> dict[str, Path]:
+def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) -> dict[str, Path]:
+    """Write the files of ``command`` into a temporary directory, then move them all into place."""
     out_dir = Path(config.out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".attn-peaks-", dir=out_dir.parent))
-    staged: list[str] = []
-
-    def _stage_file(name: str) -> Path:
-        staged.append(name)
-        return tmp / name
-
     try:
         if command in ("ingest", "run"):
-            _write_json(_stage_file("corpus_stats.json"), _corpus_stats_json(stats))
-        if command in ("ingest", "detect", "run"):
-            for hazard in hazards:
-                emit_timeseries(
-                    series[hazard],
-                    events.get(hazard, []),
-                    _stage_file(f"timeseries_{hazard}.csv"),
-                )
-        if command in ("detect", "run"):
-            _write_events_jsonl(_stage_file("events.jsonl"), events)
-        if command in ("measure", "run"):
-            _write_measures_csv(_stage_file("measures.csv"), measures)
-            _write_json(_stage_file("summaries.json"), summaries)
-        if command in ("align", "run"):
             _write_json(
-                _stage_file("alignment.json"), _alignment_json(alignment, registry_loads)
+                tmp / "corpus_stats.json", {hazard: asdict(s) for hazard, s in run.stats.items()}
             )
+        if command in ("ingest", "detect", "run"):
+            for hazard, series in run.series.items():
+                path = tmp / f"timeseries_{hazard}.csv"
+                emit_timeseries(series, run.events.get(hazard, []), path)
+        if command in ("detect", "run"):
+            _write_events_jsonl(tmp / "events.jsonl", run.events)
+        if command in ("measure", "run"):
+            _write_measures_csv(tmp / "measures.csv", run.measures)
+            _write_json(tmp / "summaries.json", run.summaries)
+        if command in ("align", "run"):
+            _write_json(tmp / "alignment.json", _alignment_json(run.alignment, run.registry_loads))
         if command in ("report", "run"):
-            _write_json(_stage_file("report.json"), report)
+            _write_json(tmp / "report.json", run.report)
         if command == "run":
-            _write_json(_stage_file("manifest.json"), _manifest(config, command))
+            _write_json(tmp / "manifest.json", _manifest(config, command))
         out_dir.mkdir(parents=True, exist_ok=True)
         files: dict[str, Path] = {}
-        for name in staged:
-            final = out_dir / name
-            os.replace(tmp / name, final)
-            files[name] = final
+        for staged in sorted(tmp.iterdir()):
+            files[staged.name] = final = out_dir / staged.name
+            os.replace(staged, final)
         return files
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

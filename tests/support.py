@@ -63,7 +63,7 @@ def make_doc(
 
 
 def docs_matching_series(series: CountSeries, outlet_pool: int = 5, genre_pool: int = 3):
-    """One document per count unit, so characterize() sees a consistent corpus."""
+    """One document per count unit, so measure_events() sees a consistent corpus."""
     docs = []
     n = 0
     for offset, count in enumerate(series.counts):
@@ -252,8 +252,9 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
     with the documented rules where that loader was looser or
     nondeterministic: dates are exactly ASCII ``YYYY-MM-DD`` (checked by
     hand here, not by ``date.fromisoformat``, which accepts more from Python
-    3.11 on), a JSON-lines file may start with a UTF-8 BOM, and the first
-    non-string JSON field is named in column order.
+    3.11 on), a JSON-lines file may start with a UTF-8 BOM, the first
+    non-string JSON field is named in column order, and a JSON field that
+    holds a lone surrogate is an error.
     """
     path = Path(path)
     columns = ("id", "date", "outlet", "text_type", "hazard", "text")
@@ -312,6 +313,12 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
                     if not isinstance(value, str):
                         raise InputError(
                             f"malformed row {row_number}: field {key!r} must be a string"
+                        )
+                for key, value in values.items():
+                    if any("\ud800" <= char <= "\udfff" for char in value):
+                        raise InputError(
+                            f"malformed row {row_number}: field {key!r} "
+                            "holds an unpaired surrogate escape"
                         )
                 docs.append(_oracle_document(values, row_number, hazards, seen_ids))
     except UnicodeDecodeError:

@@ -84,6 +84,18 @@ class TestFlagOverrides:
         events = [json.loads(l) for l in (out / "events.jsonl").read_text().splitlines()]
         assert [e["hazard"] for e in events] == ["fire"]
 
+    def test_repeated_hazard_flag_counts_once(self, tmp_path):
+        config = write_small_corpus(tmp_path)
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        common = ["run", "--config", str(config), "--hazard", "fire"]
+        assert main([*common, "--out-dir", str(once)]) == 0
+        assert main([*common, "--hazard", "fire", "--out-dir", str(twice)]) == 0
+        assert sorted(p.name for p in twice.iterdir()) == sorted(p.name for p in once.iterdir())
+        for path in once.iterdir():
+            assert (twice / path.name).read_bytes() == path.read_bytes(), path.name
+        manifest = json.loads((twice / "manifest.json").read_text())
+        assert manifest["parameters"]["hazards"] == ["fire"]
+
     def test_window_days_flag(self, tmp_path):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "w0"
@@ -239,6 +251,29 @@ class TestUnreadableInput:
         assert "Traceback" not in proc.stderr
         assert "row 150 of" in proc.stderr and documents.name in proc.stderr
         assert "0xc3" in proc.stderr
+
+    def test_lone_surrogate_escape_in_jsonl_text_exits_two_naming_the_row(
+        self, golden_dir, tmp_path
+    ):
+        # Without a text_key the text is digested, and a lone surrogate cannot be encoded.
+        config = _golden_copy(golden_dir, tmp_path)
+        with (tmp_path / "documents.csv").open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert "text_key" not in rows[0]
+        rows[149]["text"] += " PLACEHOLDER"
+        documents = tmp_path / "documents.jsonl"
+        documents.write_text(
+            "".join(json.dumps(r).replace("PLACEHOLDER", "\\ud800") + "\n" for r in rows),
+            encoding="utf-8",
+        )
+        proc = _run_cli(
+            "ingest", "--config", str(config), "--documents", str(documents),
+            "--format", "jsonl", "--out-dir", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "row 150: field 'text' holds an unpaired surrogate escape" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_utf8_in_gazetteer_exits_two(self, golden_dir, tmp_path):
         config = _golden_copy(golden_dir, tmp_path)

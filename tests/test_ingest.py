@@ -168,6 +168,32 @@ class TestLoadDocuments:
         with pytest.raises(InputError, match="missing field"):
             load_documents(path, format="jsonl")
 
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFF", "\\ude00\\ud83d"])
+    @pytest.mark.parametrize("field", ["outlet", "text", "text_key"])
+    def test_jsonl_lone_surrogate_escape_names_row_and_field(self, tmp_path, escape, field):
+        record = dict(id="a1", date="2020-01-10", outlet="o", text_type="t", hazard="fire")
+        record.update(text="Brasilien", text_key="")
+        good = json.dumps(record)
+        record[field] = "PLACEHOLDER"
+        bad = json.dumps(record).replace("PLACEHOLDER", f"Brasilien {escape}")
+        path = tmp_path / "docs.jsonl"
+        path.write_text(good.replace("a1", "a0") + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(
+            InputError, match=f"malformed row 2: field '{field}' holds an unpaired surrogate"
+        ):
+            load_documents(path, format="jsonl")
+
+    def test_jsonl_surrogate_pair_escape_is_one_character(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(
+            '{"id": "a1", "date": "2011-01-12", "outlet": "\\ud83d\\ude00",'
+            ' "text_type": "t", "hazard": "fire", "text": "Feuer \\uD83D\\uDD25"}\n',
+            encoding="utf-8",
+        )
+        [doc] = load_documents(path, format="jsonl")
+        assert (doc.outlet, doc.text) == ("\U0001f600", "Feuer \U0001f525")
+        assert doc.text_key == text_digest("Feuer \U0001f525")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             load_documents(tmp_path / "nope.csv")
@@ -230,7 +256,10 @@ _TEXT = st.one_of(
     st.sampled_from(_BODIES),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
 )
-_DEFECTS = ["empty_id", "dup_id", "bad_hazard", "bad_day", "short", "long", "blank", "not_string"]
+_DEFECTS = [
+    "empty_id", "dup_id", "bad_hazard", "bad_day", "short", "long", "blank", "not_string",
+    "surrogate",  # JSON-lines only: a lone surrogate escape in one string field
+]
 
 
 @st.composite
@@ -277,7 +306,13 @@ def _document_files(draw):
                 record[draw(st.sampled_from(columns))] = draw(st.sampled_from([1, None, ["x"]]))
             if "blank" in defects:
                 lines.append("  ")
-            lines.append(json.dumps(record, ensure_ascii=draw(st.booleans())))
+            if "surrogate" in defects:
+                text_fields = sorted(k for k, v in record.items() if isinstance(v, str))
+                key = draw(st.sampled_from(text_fields))
+                record[key] += draw(st.sampled_from(["\ud800", "\udfff", "\udc80x"]))
+            # A lone surrogate can only be written as an escape.
+            ascii_only = "surrogate" in defects or draw(st.booleans())
+            lines.append(json.dumps(record, ensure_ascii=ascii_only))
         else:
             fields = [row[k] for k in columns]
             if "short" in defects:

@@ -7,7 +7,6 @@ from attn_peaks import (
     ConsistencyError,
     NewsEvent,
     PeakParams,
-    characterize,
     detect_events,
     gaps,
     measure_events,
@@ -46,7 +45,7 @@ class TestCharacterize:
             make_doc("d", d + datetime.timedelta(days=1)),
             make_doc("e", d + datetime.timedelta(days=2)),
         ]
-        m = characterize(ev, docs)
+        m = measure_events([ev], docs)[0]
         assert m.total_volume == 5
         assert m.duration_days == 3
         assert m.days_to_peak == 1
@@ -57,7 +56,7 @@ class TestCharacterize:
         d = D(2020, 3, 10)
         ev = event("fire", d, d, d, [(d, 2)])
         docs = [make_doc("a", d, hazard="fire"), make_doc("b", d, hazard="fire")]
-        m = characterize(ev, docs)
+        m = measure_events([ev], docs)[0]
         assert m.duration_days == 1
         assert m.days_to_peak == 0
         assert m.days_to_fade == 0
@@ -70,22 +69,29 @@ class TestCharacterize:
             make_doc("a", d, outlet="A", text_key="same"),
             make_doc("b", d, outlet="B", text_key="same"),
         ]
-        m = characterize(ev, docs)
+        m = measure_events([ev], docs)[0]
         assert m.n_text_types == 1
         assert m.n_outlets == 2
         assert m.total_volume == 2
+
+    def test_documents_of_other_hazards_are_ignored(self):
+        d = D(2020, 3, 10)
+        ev = event("landslide", d, d, d, [(d, 2)])
+        docs = [make_doc("a", d), make_doc("b", d), make_doc("c", d, hazard="fire", outlet="F")]
+        m = measure_events([ev], docs)[0]
+        assert (m.total_volume, m.n_outlets) == (2, 1)
 
     def test_event_day_without_documents_is_inconsistent(self):
         d = D(2020, 3, 10)
         ev = event("landslide", d, d, d, [(d, 2)])
         with pytest.raises(ConsistencyError, match="no documents"):
-            characterize(ev, [])
+            measure_events([ev], [])[0]
 
     def test_document_count_mismatch_is_inconsistent(self):
         d = D(2020, 3, 10)
         ev = event("landslide", d, d, d, [(d, 2)])
         with pytest.raises(ConsistencyError, match="corpus/series mismatch"):
-            characterize(ev, [make_doc("a", d)])
+            measure_events([ev], [make_doc("a", d)])[0]
 
 
 class TestGaps:

@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(InputError, match="unknown key 'height'"):
             load_config(path)
 
+    def test_undocumented_other_registry_key_rejected(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[align]\nwindow_days = 5\nother = other.csv\n", encoding="utf-8")
+        with pytest.raises(InputError, match="unknown key 'other'"):
+            load_config(path)
+
     def test_missing_documents_is_a_config_error(self):
         with pytest.raises(InputError, match="documents"):
             validate_config(PipelineConfig())
@@ -234,6 +240,33 @@ class TestRunPipeline:
         }
         assert set(run_pipeline(config, "align").files) == {"alignment.json"}
         assert set(run_pipeline(config, "report").files) == {"report.json"}
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("ingest", ["corpus_stats.json", "timeseries_fire.csv", "timeseries_landslide.csv"]),
+            ("detect", ["events.jsonl", "timeseries_fire.csv", "timeseries_landslide.csv"]),
+            ("measure", ["measures.csv", "summaries.json"]),
+            ("align", ["alignment.json"]),
+            ("report", ["report.json"]),
+        ],
+    )
+    def test_stage_subcommands_write_the_golden_bytes(self, golden_dir, tmp_path, command, names):
+        config = load_config(golden_dir / "config.ini")
+        config.out_dir = tmp_path / "out"
+        files = run_pipeline(config, command).files
+        assert sorted(files) == names
+        for name, path in files.items():
+            got, want = path.read_bytes(), (golden_dir / "expected" / name).read_bytes()
+            if command == "ingest" and name.startswith("timeseries_"):
+                # ingest runs no detection: the counts match and no day is flagged.
+                got_rows = [line.split(b",") for line in got.split(b"\n")]
+                want_rows = [line.split(b",") for line in want.split(b"\n")]
+                assert [row[:2] for row in got_rows] == [row[:2] for row in want_rows], name
+                assert got_rows[0] == want_rows[0], name
+                assert {tuple(row[2:]) for row in got_rows[1:-1]} == {(b"0", b"0")}, name
+            else:
+                assert got == want, name
 
     def test_hazard_subset_run(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
