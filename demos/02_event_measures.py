@@ -11,12 +11,10 @@ statistics with Tukey fences.
 
 import datetime
 
-import numpy as np
-
 from attn_peaks import CountSeries, Document, PeakParams, detect_events, measure_events, summarize
 
 start = datetime.date(2021, 1, 1)
-counts = np.zeros(120, dtype=np.int64)
+counts = [0] * 120
 counts[10:13] = [1, 3, 1]   # a slow three-day burst
 counts[50] = 4              # a one-day spike
 counts[90:92] = [6, 2]      # a sharp two-day burst
@@ -30,7 +28,7 @@ docs = []
 n = 0
 for offset, count in enumerate(counts):
     day = start + datetime.timedelta(days=offset)
-    for k in range(int(count)):
+    for k in range(count):
         text = "Agenturmeldung: Feuer in Brasilien" if offset == 50 and k < 2 else f"Feuer in Brasilien, Artikel {n}"
         docs.append(
             Document(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError
-from .ingest import csv_reader, parse_row_date, undecodable, unreadable_row
+from .ingest import csv_reader, parse_row_date, row_error, undecodable
 from .peaks import NewsEvent
 
 REGISTRY_COLUMNS = ("record_id", "source", "raw_type", "onset_date", "location", "status")
@@ -118,15 +118,13 @@ def load_registry(
                 )
             for row_number, row in enumerate(reader, start=1):
                 if len(row) != len(REGISTRY_COLUMNS):
-                    raise InputError(
-                        f"malformed row {row_number}: expected "
-                        f"{len(REGISTRY_COLUMNS)} fields, got {len(row)}"
-                    )
+                    width = len(REGISTRY_COLUMNS)
+                    raise row_error(path, row_number, f"expected {width} fields, got {len(row)}")
                 rows.append((row_number, row))
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
-        raise unreadable_row(path, row_number + 1, exc) from None
+        raise row_error(path, row_number + 1, f"malformed CSV: {exc}") from None
 
     # Rows are in REGISTRY_COLUMNS order; raw_type is field 2.
     unmapped = sorted({row[2] for _, row in rows if row[2] not in mapping})
@@ -141,14 +139,12 @@ def load_registry(
     onsets: dict[str, datetime.date] = {}
     for row_number, (record_id, declared, raw_type, onset_text, location, status) in rows:
         if declared and declared != source:
-            raise InputError(
-                f"row {row_number} declares source {declared!r} "
-                f"but the file was loaded as {source!r}"
-            )
+            reason = f"declares source {declared!r} but the file was loaded as {source!r}"
+            raise row_error(path, row_number, reason)
         if not record_id:
-            raise InputError(f"malformed row {row_number}: empty field 'record_id'")
+            raise row_error(path, row_number, "empty field 'record_id'")
         if record_id in seen_ids:
-            raise InputError(f"duplicate record id {record_id!r} at row {row_number}")
+            raise row_error(path, row_number, f"duplicate record id {record_id!r}")
         seen_ids.add(record_id)
         hazard = mapping[raw_type]
         if hazard == IGNORE:
@@ -159,7 +155,7 @@ def load_registry(
             continue
         onset = onsets.get(onset_text)
         if onset is None:
-            onset = onsets[onset_text] = parse_row_date(onset_text, row_number)
+            onset = onsets[onset_text] = parse_row_date(onset_text, path, row_number)
         load.records.append(
             DisasterRecord(
                 record_id=record_id,

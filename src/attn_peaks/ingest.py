@@ -32,14 +32,13 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
-
-import numpy as np
 
 from .errors import ConsistencyError, InputError
 
@@ -238,12 +237,12 @@ def parse_date(value: str) -> datetime.date:
     return datetime.date.fromisoformat(value)
 
 
-def parse_row_date(value: str, row: int) -> datetime.date:
-    """:func:`parse_date` for a file row; InputError naming the row."""
+def parse_row_date(value: str, path: Path, row: int) -> datetime.date:
+    """:func:`parse_date` for a file row; InputError naming the file and row."""
     try:
         return parse_date(value)
     except ValueError:
-        raise InputError(f"invalid date at row {row}: {value!r}") from None
+        raise row_error(path, row, f"invalid date {value!r}") from None
 
 
 def csv_reader(handle: TextIO) -> Iterator[list[str]]:
@@ -256,10 +255,10 @@ def csv_reader(handle: TextIO) -> Iterator[list[str]]:
     return csv.reader(handle)
 
 
-def unreadable_row(path: Path, row: int, reason: object) -> InputError:
-    """InputError for a row of ``path`` that does not decode or parse (the CSV header is row 0)."""
+def row_error(path: Path, row: int, reason: object) -> InputError:
+    """InputError naming ``path`` and its row ``row`` (the CSV header is row 0)."""
     where = "the header" if row == 0 else f"row {row}"
-    return InputError(f"cannot read {where} of {path}: {reason}")
+    return InputError(f"{where} of {path}: {reason}")
 
 
 # Undecodable bytes read with errors="surrogateescape" become lone surrogates.
@@ -281,12 +280,13 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
                 bad = _UNDECODABLE.search(value)
                 if bad:
                     byte = ord(bad.group()) - 0xDC00
-                    return unreadable_row(path, row, f"byte 0x{byte:02x} is not valid UTF-8")
+                    return row_error(path, row, f"byte 0x{byte:02x} is not valid UTF-8")
     return InputError(f"{path} is not valid UTF-8")
 
 
 def _read_documents(
     docs: list[Document],
+    path: Path,
     rows: Iterable[tuple[int, list[str]]],
     width: int,
     hazards: tuple[str, ...],
@@ -309,26 +309,26 @@ def _read_documents(
     has_key = width > len(DOCUMENT_COLUMNS)
     for row, fields in rows:
         if len(fields) != width:
-            raise InputError(f"malformed row {row}: expected {width} fields, got {len(fields)}")
+            raise row_error(path, row, f"expected {width} fields, got {len(fields)}")
         if has_key:
             doc_id, day, outlet, genre, hazard, text, key = fields
         else:
             doc_id, day, outlet, genre, hazard, text = fields
             key = ""
         if not doc_id:
-            raise InputError(f"malformed row {row}: empty field 'id'")
+            raise row_error(path, row, "empty field 'id'")
         if doc_id in seen_ids:
-            raise InputError(f"duplicate document id {doc_id!r} at row {row}")
+            raise row_error(path, row, f"duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
         if hazard not in known_hazards:
-            raise InputError(f"unknown hazard label {hazard!r} at row {row}")
+            raise row_error(path, row, f"unknown hazard label {hazard!r}")
         if not key:
             key = digests.get(text)
             if key is None:
                 key = digests[text] = text_digest(text)
         date = dates.get(day)
         if date is None:
-            date = dates[day] = parse_row_date(day, row)
+            date = dates[day] = parse_row_date(day, path, row)
         append(
             Document(
                 doc_id,
@@ -358,12 +358,13 @@ def _load_documents_csv(path: Path, hazards: tuple[str, ...]) -> list[Document]:
                     f"unexpected document header in {path}: {header!r} "
                     f"(expected {','.join(expected)}[,text_key])"
                 )
-            _read_documents(docs, enumerate(reader, start=1), len(header), hazards)
+            _read_documents(docs, path, enumerate(reader, start=1), len(header), hazards)
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
         # The header is row 0 and every row read after it became a document.
-        raise unreadable_row(path, 0 if header is None else len(docs) + 1, exc) from None
+        row = 0 if header is None else len(docs) + 1
+        raise row_error(path, row, f"malformed CSV: {exc}") from None
     return docs
 
 
@@ -376,7 +377,7 @@ _JSONL_FIELDS = DOCUMENT_COLUMNS + OPTIONAL_DOCUMENT_COLUMNS
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _jsonl_rows(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
+def _jsonl_rows(handle: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
     """Numbered 7-field rows of a JSON-lines file; blank lines are skipped."""
     allowed = set(_JSONL_FIELDS)
     for row, line in enumerate(handle, start=1):
@@ -385,25 +386,23 @@ def _jsonl_rows(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise InputError(f"malformed row {row}: {exc}") from None
+            raise row_error(path, row, f"malformed JSON: {exc}") from None
         if not isinstance(record, dict):
-            raise InputError(f"malformed row {row}: expected a JSON object")
+            raise row_error(path, row, "expected a JSON object")
         unknown = sorted(set(record) - allowed)
         if unknown:
-            raise InputError(f"malformed row {row}: unknown field {unknown[0]!r}")
+            raise row_error(path, row, f"unknown field {unknown[0]!r}")
         missing = [k for k in DOCUMENT_COLUMNS if k not in record]
         if missing:
-            raise InputError(f"malformed row {row}: missing field {missing[0]!r}")
+            raise row_error(path, row, f"missing field {missing[0]!r}")
         fields = [record.get(k, "") for k in _JSONL_FIELDS]
         for key, value in zip(_JSONL_FIELDS, fields):
             if not isinstance(value, str):
-                raise InputError(f"malformed row {row}: field {key!r} must be a string")
+                raise row_error(path, row, f"field {key!r} must be a string")
         if "\\" in line and ("\\ud" in line or "\\uD" in line):
             for key, value in zip(_JSONL_FIELDS, fields):
                 if _SURROGATE.search(value):
-                    raise InputError(
-                        f"malformed row {row}: field {key!r} holds an unpaired surrogate escape"
-                    )
+                    raise row_error(path, row, f"field {key!r} holds an unpaired surrogate escape")
         yield row, fields
 
 
@@ -411,7 +410,7 @@ def _load_documents_jsonl(path: Path, hazards: tuple[str, ...]) -> list[Document
     docs: list[Document] = []
     try:
         with path.open(encoding="utf-8-sig") as handle:
-            _read_documents(docs, _jsonl_rows(handle), len(_JSONL_FIELDS), hazards)
+            _read_documents(docs, path, _jsonl_rows(handle, path), len(_JSONL_FIELDS), hazards)
     except UnicodeDecodeError:
         raise undecodable(path, jsonl=True) from None
     return docs
@@ -438,36 +437,33 @@ def load_documents(
     raise InputError(f"unknown document format {format!r} (expected csv or jsonl)")
 
 
+@dataclass(slots=True)
 class CountSeries:
     """Dense daily integer counts over a fixed calendar range, for one hazard.
 
-    ``counts[i]`` is the article count on ``start + i days``; the array spans
+    ``counts[i]`` is the article count on ``start + i days``; the list spans
     ``start`` .. ``end`` inclusive, leap days included.
     """
 
-    __slots__ = ("start", "end", "counts", "hazard")
+    start: datetime.date
+    end: datetime.date
+    counts: list[int] = field(repr=False)
+    hazard: str
 
-    def __init__(
-        self, start: datetime.date, end: datetime.date, counts: np.ndarray, hazard: str
-    ) -> None:
-        if start > end:
-            raise InputError(f"series range is not well-ordered: {start} > {end}")
-        counts = np.asarray(counts, dtype=np.int64)
-        expected = (end - start).days + 1
-        if counts.ndim != 1 or counts.shape[0] != expected:
+    def __post_init__(self) -> None:
+        if self.start > self.end:
+            raise InputError(f"series range is not well-ordered: {self.start} > {self.end}")
+        expected = (self.end - self.start).days + 1
+        if len(self.counts) != expected:
             raise ConsistencyError(
-                f"count array length {counts.shape} does not match day span {expected}"
+                f"count list length {len(self.counts)} does not match day span {expected}"
             )
-        if (counts < 0).any():
+        if min(self.counts) < 0:
             raise ConsistencyError("counts must be non-negative")
-        self.start = start
-        self.end = end
-        self.counts = counts
-        self.hazard = hazard
 
     @property
     def n_days(self) -> int:
-        return self.counts.shape[0]
+        return len(self.counts)
 
     def index_of(self, day: datetime.date) -> int:
         offset = (day - self.start).days
@@ -479,22 +475,6 @@ class CountSeries:
         if not 0 <= index < self.n_days:
             raise IndexError(f"index {index} outside series of {self.n_days} days")
         return self.start + datetime.timedelta(days=index)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountSeries):
-            return NotImplemented
-        return (
-            self.start == other.start
-            and self.end == other.end
-            and self.hazard == other.hazard
-            and bool(np.array_equal(self.counts, other.counts))
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CountSeries(hazard={self.hazard!r}, {self.start}..{self.end}, "
-            f"total={int(self.counts.sum())})"
-        )
 
 
 def build_count_series(
@@ -512,7 +492,7 @@ def build_count_series(
     if start > end:
         raise InputError(f"series range is not well-ordered: {start} > {end}")
     n_days = (end - start).days + 1
-    counts = np.zeros(n_days, dtype=np.int64)
+    counts = [0] * n_days
     for doc in docs:
         if doc.date < start or doc.date > end:
             raise InputError(
@@ -545,22 +525,56 @@ class CorpusStats:
     n_outlets: int
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum of ``values`` rounded as numpy's float64 ``add.reduce`` rounds it.
+
+    numpy sums pairwise (Higham, SIAM J. Sci. Comput. 14(4), 1993): fewer
+    than 8 values in one loop; up to 128 in eight interleaved accumulators,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail; more
+    by halves split at a multiple of 8. Every sum starts from 0.0, as
+    numpy's reduction does, so a sum of negative zeros is 0.0 here too.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    tail = 0
+    if n >= 8:
+        tail = n - n % 8
+        r = []
+        for j in range(8):
+            acc = 0.0
+            for v in values[j:tail:8]:
+                acc += v
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[tail:]:
+        total += v
+    return total
+
+
 def corpus_stats(docs: list[Document], series: CountSeries) -> CorpusStats:
     """Compute :class:`CorpusStats` for documents and the series built from them."""
-    if int(series.counts.sum()) != len(docs):
+    total = sum(series.counts)
+    if total != len(docs):
         raise ConsistencyError(
-            f"series total {int(series.counts.sum())} does not match "
-            f"document count {len(docs)}"
+            f"series total {total} does not match document count {len(docs)}"
         )
-    active = series.counts[series.counts > 0]
-    n_active = int(active.size)
+    active = [c for c in series.counts if c > 0]
+    mean = std = None
+    if active:
+        mean = total / len(active)
+        deviations = [c - mean for c in active]
+        std = math.sqrt(_pairwise_sum([d * d for d in deviations]) / len(active))
     return CorpusStats(
         n_articles=len(docs),
         n_text_types=len({d.text_key for d in docs}),
         n_genres=len({d.text_type for d in docs}),
-        daily_max=int(series.counts.max(initial=0)),
-        n_active_days=n_active,
-        active_mean=float(active.mean()) if n_active else None,
-        active_std=float(active.std()) if n_active else None,
+        daily_max=max(series.counts, default=0),
+        n_active_days=len(active),
+        active_mean=mean,
+        active_std=std,
         n_outlets=len({d.outlet for d in docs}),
     )

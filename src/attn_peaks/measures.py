@@ -11,10 +11,9 @@ box-plot statistics with Tukey 1.5*IQR outlier fences.
 from __future__ import annotations
 
 import datetime
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConsistencyError
 from .ingest import Document
@@ -170,6 +169,24 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
     return measures
 
 
+def _percentile(ordered: list[float], q: float) -> float:
+    """Quantile ``q`` of sorted values, rounded as ``numpy.percentile`` rounds it.
+
+    Hyndman and Fan's type 7 (Am. Stat. 50(4), 1996): linear interpolation
+    at the virtual index (n-1)*q. numpy's ``_lerp`` interpolates from the
+    nearer of the two order statistics, so this does too.
+    """
+    position = (len(ordered) - 1) * q
+    below = math.floor(position)
+    if below >= len(ordered) - 1:  # one value: numpy returns it as it is, -0.0 included
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = position - below
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
 def summarize(values: list[float]) -> BoxStats:
     """Box-plot statistics of a non-empty list of numbers.
 
@@ -178,19 +195,19 @@ def summarize(values: list[float]) -> BoxStats:
     """
     if len(values) == 0:
         raise ValueError("summarize requires at least one value")
-    arr = np.asarray(values, dtype=float)
-    if np.isnan(arr).any():
+    ordered = sorted(map(float, values))
+    if any(map(math.isnan, ordered)):
         raise ValueError("null values must be excluded before summarizing")
-    q1, median, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
+    q1, median, q3 = (_percentile(ordered, q) for q in (0.25, 0.5, 0.75))
     reach = 1.5 * (q3 - q1)
-    inside = arr[(arr >= q1 - reach) & (arr <= q3 + reach)]
-    outliers = sorted(float(v) for v in arr[(arr < q1 - reach) | (arr > q3 + reach)])
+    low, high = q1 - reach, q3 + reach
+    inside = [v for v in ordered if low <= v <= high]
     return BoxStats(
         median=median,
         q1=q1,
         q3=q3,
-        whisker_low=float(inside.min()),
-        whisker_high=float(inside.max()),
-        outliers=outliers,
-        n=int(arr.size),
+        whisker_low=inside[0],
+        whisker_high=inside[-1],
+        outliers=[v for v in ordered if v < low or v > high],
+        n=len(ordered),
     )

@@ -75,7 +75,7 @@ def local_maxima(series: CountSeries) -> list[int]:
     so the first and last day can never be candidates.
     """
     x = series.counts
-    n = x.shape[0]
+    n = len(x)
     maxima: list[int] = []
     i = 1
     while i < n - 1:
@@ -132,7 +132,7 @@ def segment_events(series: CountSeries, peaks: list[int]) -> list[NewsEvent]:
     day is active.
     """
     x = series.counts
-    n = x.shape[0]
+    n = len(x)
     events: list[NewsEvent] = []
     k = 0
     while k < len(peaks):
@@ -171,9 +171,7 @@ def _interior_minimum(x, left_peak: int, right_peak: int) -> int:
 
 
 def _make_event(series: CountSeries, peak: int, start: int, end: int) -> NewsEvent:
-    days = tuple(
-        (series.day_at(i), int(series.counts[i])) for i in range(start, end + 1)
-    )
+    days = tuple((series.day_at(i), series.counts[i]) for i in range(start, end + 1))
     return NewsEvent(
         hazard=series.hazard,
         peak_date=series.day_at(peak),

@@ -300,7 +300,7 @@ def emit_timeseries(series: CountSeries, events: list[NewsEvent], path: Path | s
     one_day = datetime.timedelta(days=1)
     for count in series.counts:
         lines.append(
-            f"{day.isoformat()},{int(count)},"
+            f"{day.isoformat()},{count},"
             f"{1 if day in event_days else 0},{1 if day in peak_days else 0}"
         )
         day += one_day

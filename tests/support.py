@@ -20,6 +20,7 @@ import numpy as np
 from attn_peaks import (
     AlignmentPair,
     AlignmentReport,
+    BoxStats,
     CountSeries,
     Document,
     Gazetteer,
@@ -27,13 +28,13 @@ from attn_peaks import (
     NewsEvent,
     text_digest,
 )
-from attn_peaks.ingest import csv_reader, undecodable, unreadable_row
+from attn_peaks.ingest import csv_reader, row_error, undecodable
 
 DAY0 = datetime.date(2000, 1, 1)
 
 
 def make_series(values, hazard: str = "landslide", start: datetime.date = DAY0) -> CountSeries:
-    values = np.asarray(values, dtype=np.int64)
+    values = [int(v) for v in values]
     return CountSeries(
         start=start,
         end=start + datetime.timedelta(days=len(values) - 1),
@@ -109,6 +110,24 @@ def oracle_peaks(values, min_height: int, min_distance: int) -> list[int]:
         if all(abs(c - k) >= min_distance for k in kept):
             kept.append(c)
     return sorted(kept)
+
+
+def oracle_summarize(values) -> BoxStats:
+    """:func:`attn_peaks.summarize` computed with numpy, as it was before the stdlib rewrite."""
+    arr = np.asarray(values, dtype=float)
+    q1, median, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
+    reach = 1.5 * (q3 - q1)
+    inside = arr[(arr >= q1 - reach) & (arr <= q3 + reach)]
+    outliers = sorted(float(v) for v in arr[(arr < q1 - reach) | (arr > q3 + reach)])
+    return BoxStats(
+        median=median,
+        q1=q1,
+        q3=q3,
+        whisker_low=float(inside.min()),
+        whisker_high=float(inside.max()),
+        outliers=outliers,
+        n=int(arr.size),
+    )
 
 
 def oracle_alignment_pairs(events: list[NewsEvent], records, window_days: int):
@@ -208,35 +227,35 @@ def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[str]:
     return [d.id for d in docs if oracle_country_mentions(d.text, gazetteer) == target]
 
 
-def _oracle_date(value, row: int) -> datetime.date:
+def _oracle_date(value, path: Path, row: int) -> datetime.date:
     digits = "0123456789"
     if not (
         len(value) == 10
         and value[4] == value[7] == "-"
         and all(c in digits for c in value[:4] + value[5:7] + value[8:])
     ):
-        raise InputError(f"invalid date at row {row}: {value!r}")
+        raise row_error(path, row, f"invalid date {value!r}")
     try:
         return datetime.date(int(value[:4]), int(value[5:7]), int(value[8:]))
     except ValueError:
-        raise InputError(f"invalid date at row {row}: {value!r}") from None
+        raise row_error(path, row, f"invalid date {value!r}") from None
 
 
-def _oracle_document(values: dict, row: int, hazards, seen_ids: set) -> Document:
+def _oracle_document(values: dict, path: Path, row: int, hazards, seen_ids: set) -> Document:
     doc_id = values["id"]
     if not doc_id:
-        raise InputError(f"malformed row {row}: empty field 'id'")
+        raise row_error(path, row, "empty field 'id'")
     if doc_id in seen_ids:
-        raise InputError(f"duplicate document id {doc_id!r} at row {row}")
+        raise row_error(path, row, f"duplicate document id {doc_id!r}")
     seen_ids.add(doc_id)
     hazard = values["hazard"]
     if hazard not in hazards:
-        raise InputError(f"unknown hazard label {hazard!r} at row {row}")
+        raise row_error(path, row, f"unknown hazard label {hazard!r}")
     text = values["text"]
     text_key = values.get("text_key") or text_digest(text)
     return Document(
         id=doc_id,
-        date=_oracle_date(values["date"], row),
+        date=_oracle_date(values["date"], path, row),
         outlet=sys.intern(values["outlet"]),
         text_type=sys.intern(values["text_type"]),
         hazard=sys.intern(hazard),
@@ -278,17 +297,15 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
                     )
                 for row_number, row in enumerate(reader, start=1):
                     if len(row) != len(header):
-                        raise InputError(
-                            f"malformed row {row_number}: expected {len(header)} fields, "
-                            f"got {len(row)}"
-                        )
+                        reason = f"expected {len(header)} fields, got {len(row)}"
+                        raise row_error(path, row_number, reason)
                     values = dict(zip(header, row))
                     values.setdefault("text_key", "")
-                    docs.append(_oracle_document(values, row_number, hazards, seen_ids))
+                    docs.append(_oracle_document(values, path, row_number, hazards, seen_ids))
         except UnicodeDecodeError:
             raise undecodable(path) from None
         except csv.Error as exc:
-            raise unreadable_row(path, row_number + 1, exc) from None
+            raise row_error(path, row_number + 1, f"malformed CSV: {exc}") from None
         return docs
     allowed = columns + ("text_key",)
     try:
@@ -299,28 +316,24 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise InputError(f"malformed row {row_number}: {exc}") from None
+                    raise row_error(path, row_number, f"malformed JSON: {exc}") from None
                 if not isinstance(record, dict):
-                    raise InputError(f"malformed row {row_number}: expected a JSON object")
+                    raise row_error(path, row_number, "expected a JSON object")
                 unknown = sorted(set(record) - set(allowed))
                 if unknown:
-                    raise InputError(f"malformed row {row_number}: unknown field {unknown[0]!r}")
+                    raise row_error(path, row_number, f"unknown field {unknown[0]!r}")
                 missing = [k for k in columns if k not in record]
                 if missing:
-                    raise InputError(f"malformed row {row_number}: missing field {missing[0]!r}")
+                    raise row_error(path, row_number, f"missing field {missing[0]!r}")
                 values = {k: record.get(k, "") for k in allowed}
                 for key, value in values.items():
                     if not isinstance(value, str):
-                        raise InputError(
-                            f"malformed row {row_number}: field {key!r} must be a string"
-                        )
+                        raise row_error(path, row_number, f"field {key!r} must be a string")
                 for key, value in values.items():
                     if any("\ud800" <= char <= "\udfff" for char in value):
-                        raise InputError(
-                            f"malformed row {row_number}: field {key!r} "
-                            "holds an unpaired surrogate escape"
-                        )
-                docs.append(_oracle_document(values, row_number, hazards, seen_ids))
+                        reason = f"field {key!r} holds an unpaired surrogate escape"
+                        raise row_error(path, row_number, reason)
+                docs.append(_oracle_document(values, path, row_number, hazards, seen_ids))
     except UnicodeDecodeError:
         raise undecodable(path, jsonl=True) from None
     return docs

@@ -65,9 +65,7 @@ def test_peak_oracle_equivalence():
                 min_height=int(rng.integers(1, 5)),
                 min_distance=int(rng.integers(1, 15)),
             )
-            expected = oracle_peaks(
-                series.counts.tolist(), params.min_height, params.min_distance
-            )
+            expected = oracle_peaks(series.counts, params.min_height, params.min_distance)
             if detect_peaks(series, params) != expected:
                 mismatches += 1
         elapsed = time.perf_counter() - started

@@ -153,13 +153,13 @@ class TestDatesMustBeYyyyMmDd:
         config = write_small_corpus(tmp_path)
         self._replace(tmp_path / "documents.csv", "L3,2020-01-11", f"L3,{spell('2020-01-11')}")
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "invalid date at row 3" in capsys.readouterr().err
+        assert f"row 3 of {tmp_path / 'documents.csv'}: invalid date" in capsys.readouterr().err
 
     def test_registry_onset_names_the_row(self, tmp_path, capsys, spell):
         config = write_small_corpus(tmp_path)
         self._replace(tmp_path / "emdat.csv", "2020-01-09", spell("2020-01-09"))
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "invalid date at row 1" in capsys.readouterr().err
+        assert f"row 1 of {tmp_path / 'emdat.csv'}: invalid date" in capsys.readouterr().err
 
     def test_config_range_names_the_key(self, tmp_path, capsys, spell):
         config = write_small_corpus(tmp_path)
@@ -200,6 +200,13 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "attn_peaks", *args], capture_output=True, text=True
     )
+
+
+# Runs the command line with every import of numpy failing.
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from attn_peaks.cli import main; sys.exit(main(sys.argv[1:]))"
+)
 
 
 def _golden_copy(golden_dir, tmp_path):
@@ -272,7 +279,8 @@ class TestUnreadableInput:
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "row 150: field 'text' holds an unpaired surrogate escape" in proc.stderr
+        message = f"row 150 of {documents}: field 'text' holds an unpaired surrogate escape"
+        assert message in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_invalid_utf8_in_gazetteer_exits_two(self, golden_dir, tmp_path):
@@ -346,3 +354,15 @@ class TestUnreadableInput:
         assert "Traceback" not in proc.stderr
         expected = (golden_dir / "expected" / "events.jsonl").read_bytes()
         assert (tmp_path / "out" / "events.jsonl").read_bytes() == expected
+
+
+def test_golden_run_needs_no_numpy(golden_dir, tmp_path):
+    config = _golden_copy(golden_dir, tmp_path)
+    out = tmp_path / "out"
+    command = ["run", "--config", str(config), "--out-dir", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *command], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    for expected in sorted((golden_dir / "expected").iterdir()):
+        assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name

@@ -1,7 +1,10 @@
 import datetime
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attn_peaks import (
     ConsistencyError,
@@ -13,7 +16,7 @@ from attn_peaks import (
     peak_gaps,
     summarize,
 )
-from support import docs_matching_series, make_doc, make_series, random_series
+from support import docs_matching_series, make_doc, make_series, oracle_summarize, random_series
 
 D = datetime.date
 
@@ -188,6 +191,39 @@ class TestSummarize:
         assert scaled.whisker_low == pytest.approx(3.0 * base.whisker_low)
         assert scaled.whisker_high == pytest.approx(3.0 * base.whisker_high)
         assert scaled.outliers == pytest.approx([3.0 * v for v in base.outliers])
+
+
+
+def _bits(box):
+    """Every number of a BoxStats, floats as their exact bits."""
+    numbers = (box.median, box.q1, box.q3, box.whisker_low, box.whisker_high, *box.outliers)
+    return [v.hex() for v in numbers], box.n
+
+
+@st.composite
+def _values(draw):
+    """1-7, 8-128 or up to 4,000 counts or floats, as summarize receives them."""
+    n = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 4000)))
+    if n <= 128 and draw(st.booleans()):
+        element = st.one_of(st.integers(0, 400), st.floats(-1e6, 1e6, allow_nan=False))
+        return draw(st.lists(element, min_size=n, max_size=n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([1, 5, 60, 10**6]))
+    # Mostly small values with a long tail, so that some fall outside the fences.
+    return [int(rng.paretovariate(1.5)) % (top + 1) for _ in range(n)]
+
+
+class TestSummarizeAgainstNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_values())
+    def test_equals_numpy_percentile_bit_for_bit(self, values):
+        assert _bits(summarize(values)) == _bits(oracle_summarize(values))
+
+    def test_linear_interpolation_from_the_nearer_order_statistic(self):
+        # numpy interpolates from b when the fraction is at least 0.5:
+        # 0.1 + (16.8 - 0.1) * 0.75 rounds to 12.624999999999998, but
+        # 16.8 - (16.8 - 0.1) * 0.25 to 12.625, which is numpy's result.
+        assert summarize([0.1, 16.8]).q3 == 12.625 == oracle_summarize([0.1, 16.8]).q3
 
 
 class TestMeasureEvents:

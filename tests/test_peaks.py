@@ -95,9 +95,7 @@ class TestDetectAgainstOracle:
                 min_height=int(rng.integers(1, 5)),
                 min_distance=int(rng.integers(1, 15)),
             )
-            expected = oracle_peaks(
-                series.counts.tolist(), params.min_height, params.min_distance
-            )
+            expected = oracle_peaks(series.counts, params.min_height, params.min_distance)
             assert detect_peaks(series, params) == expected
 
     def test_separation_invariant(self):

@@ -121,7 +121,7 @@ class TestEmitTimeseries:
         assert len(flagged) == 3
         assert peaks == ["2000-01-03,3,1,1"]
         counts = sum(int(line.split(",")[1]) for line in lines)
-        assert counts == int(series.counts.sum())
+        assert counts == sum(series.counts)
 
     def test_full_range_has_9132_rows(self, tmp_path):
         series = make_series([0] * 9132)
