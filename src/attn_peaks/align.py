@@ -13,7 +13,10 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import InputError
@@ -57,7 +60,7 @@ DEFAULT_S2ID_ACCEPT = ("recognised",)
 IGNORE = "ignore"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DisasterRecord:
     """One registry entry after hazard mapping."""
 
@@ -101,7 +104,7 @@ def load_registry(
     mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
     accepted_status = {s.strip().casefold() for s in status_accept}
 
-    rows: list[tuple[int, list[str]]] = []
+    rows: list[list[str]] = []
     row_number = -1  # the last row read; the header is row 0
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -116,28 +119,32 @@ def load_registry(
                     f"unexpected registry header in {path}: {header!r} "
                     f"(expected {','.join(REGISTRY_COLUMNS)})"
                 )
+            width = len(REGISTRY_COLUMNS)
             for row_number, row in enumerate(reader, start=1):
-                if len(row) != len(REGISTRY_COLUMNS):
-                    width = len(REGISTRY_COLUMNS)
+                if len(row) != width:
                     raise row_error(path, row_number, f"expected {width} fields, got {len(row)}")
-                rows.append((row_number, row))
+                rows.append(row)
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
         raise row_error(path, row_number + 1, f"malformed CSV: {exc}") from None
 
     # Rows are in REGISTRY_COLUMNS order; raw_type is field 2.
-    unmapped = sorted({row[2] for _, row in rows if row[2] not in mapping})
+    unmapped = sorted({row[2] for row in rows}.difference(mapping))
     if unmapped:
         raise InputError(
             f"registry {path} has raw_type labels missing from the type map: "
             + ", ".join(repr(u) for u in unmapped)
         )
 
-    load = RegistryLoad(records=[])
+    records: list[DisasterRecord] = []
+    n_ignored = n_dropped = 0
+    check_status = source == "S2ID"
     seen_ids: set[str] = set()
     onsets: dict[str, datetime.date] = {}
-    for row_number, (record_id, declared, raw_type, onset_text, location, status) in rows:
+    for row_number, (record_id, declared, raw_type, onset_text, location, status) in enumerate(
+        rows, start=1
+    ):
         if declared and declared != source:
             reason = f"declares source {declared!r} but the file was loaded as {source!r}"
             raise row_error(path, row_number, reason)
@@ -148,29 +155,19 @@ def load_registry(
         seen_ids.add(record_id)
         hazard = mapping[raw_type]
         if hazard == IGNORE:
-            load.n_ignored_by_type += 1
+            n_ignored += 1
             continue
-        if source == "S2ID" and status.strip().casefold() not in accepted_status:
-            load.n_dropped_by_status += 1
+        if check_status and status.strip().casefold() not in accepted_status:
+            n_dropped += 1
             continue
         onset = onsets.get(onset_text)
         if onset is None:
             onset = onsets[onset_text] = parse_row_date(onset_text, path, row_number)
-        load.records.append(
-            DisasterRecord(
-                record_id=record_id,
-                source=source,
-                hazard=hazard,
-                onset_date=onset,
-                location=location,
-                raw_type=raw_type,
-                status=status,
-            )
-        )
-    return load
+        records.append(DisasterRecord(record_id, source, hazard, onset, location, raw_type, status))
+    return RegistryLoad(records, n_ignored, n_dropped)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AlignmentPair:
     """One event-record match; lag is first news day minus onset, in days."""
 
@@ -197,6 +194,9 @@ class AlignmentReport:
     unmatched_records: list[tuple[str, str]] = field(default_factory=list)
 
 
+_record_key = attrgetter("source", "record_id")
+
+
 def align_events(
     events: list[NewsEvent],
     records: list[DisasterRecord],
@@ -211,67 +211,69 @@ def align_events(
     emitted, so one event may align with several records.
 
     Pairs are sorted by ``(event_id, source, record_id)``; equal keys keep
-    event order, then record order. The records of each hazard are sorted
-    once by onset day, and each event binary-searches the onsets in its
-    window, so the cost is O((E + R) log R) plus the pairs emitted.
+    event order, then record order. The records are ranked once by
+    ``(source, record_id)``, and each hazard's ranks are sorted once by onset
+    day; each event binary-searches the onsets in its window and sorts the
+    few ranks there, so the cost is O((E + R) log R) plus the pairs emitted.
     """
     if window_days < 0:
         raise ValueError(f"window_days must be >= 0, got {window_days}")
-    # hazard -> (sorted onset day numbers, record positions in the same order)
-    groups: dict[str, list[tuple[int, int]]] = {}
-    for pos, record in enumerate(records):
-        groups.setdefault(record.hazard, []).append((record.onset_date.toordinal(), pos))
+    # Sorting is stable, so records with equal keys keep record order.
+    ranked = sorted(records, key=_record_key)
+    keys = list(map(_record_key, ranked))
+    onset_days = [record.onset_date.toordinal() for record in ranked]
+    hazards = [record.hazard for record in ranked]
+    # Stable, so the records of one onset day stay in rank order.
+    by_onset = sorted(range(len(ranked)), key=onset_days.__getitem__)
+    # hazard -> (sorted onset days, the ranks of their records in the same order)
     index: dict[str, tuple[list[int], list[int]]] = {}
-    for hazard, group in groups.items():
-        group.sort()
-        index[hazard] = ([day for day, _ in group], [pos for _, pos in group])
+    for hazard in dict.fromkeys(hazards):
+        ranks = [rank for rank in by_onset if hazards[rank] == hazard]
+        index[hazard] = ([onset_days[rank] for rank in ranks], ranks)
 
     pairs: list[AlignmentPair] = []
     matched_events: set[str] = set()
     matched_records: set[tuple[str, str]] = set()
-    by_source_hazard: dict[str, dict[str, set[str]]] = {}
-    for event in events:
-        if event.hazard not in index:
-            continue
-        onsets, positions = index[event.hazard]
-        start = event.start_date.toordinal()
-        lo = bisect.bisect_left(onsets, start - window_days)
-        hi = bisect.bisect_right(onsets, start)
-        if lo == hi:
-            continue
-        event_id = event.event_id
-        for pos in sorted(positions[lo:hi]):
-            record = records[pos]
-            pairs.append(
-                AlignmentPair(
-                    event_id=event_id,
-                    record_id=record.record_id,
-                    source=record.source,
-                    hazard=event.hazard,
-                    lag_days=start - record.onset_date.toordinal(),
+    aligned: set[tuple[str, str, str]] = set()  # (source, hazard, event_id)
+    ids = [event.event_id for event in events]
+    # Stable, so events that share an id keep event order.
+    order = sorted(range(len(events)), key=ids.__getitem__)
+    for event_id, same_id in groupby(order, key=ids.__getitem__):
+        first = len(pairs)
+        n_aligned = 0
+        for i in same_id:
+            event = events[i]
+            hazard = event.hazard
+            if hazard not in index:
+                continue
+            onsets, ranks = index[hazard]
+            start = event.start_date.toordinal()
+            lo = bisect.bisect_left(onsets, start - window_days)
+            hi = bisect.bisect_right(onsets, start)
+            if lo == hi:
+                continue
+            n_aligned += 1
+            for rank in sorted(ranks[lo:hi]):
+                source, record_id = key = keys[rank]
+                pairs.append(
+                    AlignmentPair(event_id, record_id, source, hazard, start - onset_days[rank])
                 )
-            )
+                matched_records.add(key)
+                aligned.add((source, hazard, event_id))
+        if n_aligned:
             matched_events.add(event_id)
-            matched_records.add((record.source, record.record_id))
-            by_source_hazard.setdefault(record.source, {}).setdefault(
-                event.hazard, set()
-            ).add(event_id)
-    pairs.sort(key=lambda p: (p.event_id, p.source, p.record_id))
+        if n_aligned > 1:
+            # Events that share an id: merge their pairs by key; equal keys keep event order.
+            pairs[first:] = sorted(pairs[first:], key=lambda p: (p.source, p.record_id))
+    aligned_by_source: dict[str, dict[str, int]] = {}
+    for (source, hazard), n in sorted(Counter(t[:2] for t in aligned).items()):
+        aligned_by_source.setdefault(source, {})[hazard] = n
     return AlignmentReport(
         window_days=window_days,
         pairs=pairs,
-        aligned_by_source={
-            source: {hazard: len(ids) for hazard, ids in sorted(hazards.items())}
-            for source, hazards in sorted(by_source_hazard.items())
-        },
-        unmatched_events=sorted(
-            e.event_id for e in events if e.event_id not in matched_events
-        ),
-        unmatched_records=sorted(
-            (r.source, r.record_id)
-            for r in records
-            if (r.source, r.record_id) not in matched_records
-        ),
+        aligned_by_source=aligned_by_source,
+        unmatched_events=[ids[i] for i in order if ids[i] not in matched_events],
+        unmatched_records=[key for key in keys if key not in matched_records],
     )
 
 

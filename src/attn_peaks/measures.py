@@ -10,6 +10,7 @@ box-plot statistics with Tukey 1.5*IQR outlier fences.
 
 from __future__ import annotations
 
+import bisect
 import datetime
 import math
 from collections import defaultdict
@@ -190,14 +191,17 @@ def _percentile(ordered: list[float], q: float) -> float:
 def summarize(values: list[float]) -> BoxStats:
     """Box-plot statistics of a non-empty list of numbers.
 
-    Nulls must be excluded beforehand. The summary is permutation-invariant
-    and scales with the data.
+    Nulls must be excluded beforehand. The summary is permutation-invariant,
+    down to the sign of a zero, and scales with the data.
     """
     if len(values) == 0:
         raise ValueError("summarize requires at least one value")
     ordered = sorted(map(float, values))
     if any(map(math.isnan, ordered)):
         raise ValueError("null values must be excluded before summarizing")
+    # -0.0 == 0.0, so the sort keeps signed zeros in input order; put -0.0 first.
+    zeros = slice(bisect.bisect_left(ordered, 0.0), bisect.bisect_right(ordered, 0.0))
+    ordered[zeros] = sorted(ordered[zeros], key=lambda v: math.copysign(1.0, v))
     q1, median, q3 = (_percentile(ordered, q) for q in (0.25, 0.5, 0.75))
     reach = 1.5 * (q3 - q1)
     low, high = q1 - reach, q3 + reach

@@ -54,6 +54,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import align as align_mod
@@ -350,28 +351,59 @@ def _summaries(measures_by_hazard: dict[str, list[MeasureSet]]) -> dict:
     return out
 
 
-def _alignment_json(
-    report: AlignmentReport, registry_loads: dict[str, RegistryLoad]
-) -> dict:
-    return {
-        "window_days": report.window_days,
-        "registries": {
-            source: {
-                "records": len(load.records),
-                "ignored_by_type": load.n_ignored_by_type,
-                "dropped_by_status": load.n_dropped_by_status,
-            }
-            for source, load in registry_loads.items()
-        },
-        # vars, not asdict: asdict deep-copies every field of every pair.
-        "pairs": [vars(p) for p in report.pairs],
-        "aligned_events_by_source": report.aligned_by_source,
-        "unmatched_events": report.unmatched_events,
-        "unmatched_records": [
-            {"source": source, "record_id": record_id}
-            for source, record_id in report.unmatched_records
-        ],
+# One item of alignment.json's long lists, laid out as json.dumps(indent=2)
+# lays it out two levels deep, keys sorted.
+_PAIR_ITEM = (
+    '    {\n      "event_id": %s,\n      "hazard": %s,\n      "lag_days": %d,\n'
+    '      "record_id": %s,\n      "source": %s\n    }'
+)
+_RECORD_ITEM = '    {\n      "record_id": %s,\n      "source": %s\n    }'
+
+
+def _alignment_text(report: AlignmentReport, registry_loads: dict[str, RegistryLoad]) -> str:
+    """The text of ``alignment.json``: what :func:`_write_json` would write, byte for byte.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the three
+    long lists are filled into fixed item templates instead, each string
+    escaped by ``encode_basestring``, the escaper ``json.dumps`` uses when
+    ``ensure_ascii`` is off. ``json.dumps`` writes the small fields.
+    """
+    esc = encode_basestring
+
+    def nested(value) -> str:
+        # json escapes the newlines in strings, so each one here starts a line:
+        # indent every line after the first one level deeper.
+        text = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
+        return text.replace("\n", "\n  ")
+
+    def array(items: list[str]) -> str:
+        return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+    registries = {
+        source: {
+            "records": len(load.records),
+            "ignored_by_type": load.n_ignored_by_type,
+            "dropped_by_status": load.n_dropped_by_status,
+        }
+        for source, load in registry_loads.items()
     }
+    fields = {  # in sorted key order
+        "aligned_events_by_source": nested(report.aligned_by_source),
+        "pairs": array([
+            _PAIR_ITEM
+            % (esc(p.event_id), esc(p.hazard), p.lag_days, esc(p.record_id), esc(p.source))
+            for p in report.pairs
+        ]),
+        "registries": nested(registries),
+        "unmatched_events": array(["    " + esc(e) for e in report.unmatched_events]),
+        "unmatched_records": array([
+            _RECORD_ITEM % (esc(record_id), esc(source))
+            for source, record_id in report.unmatched_records
+        ]),
+        "window_days": nested(report.window_days),
+    }
+    body = ",\n".join(f"  {esc(key)}: {text}" for key, text in fields.items())
+    return "{\n" + body + "\n}\n"
 
 
 def _manifest(config: PipelineConfig, command: str) -> dict:
@@ -490,7 +522,8 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
             _write_measures_csv(tmp / "measures.csv", run.measures)
             _write_json(tmp / "summaries.json", run.summaries)
         if command in ("align", "run"):
-            _write_json(tmp / "alignment.json", _alignment_json(run.alignment, run.registry_loads))
+            text = _alignment_text(run.alignment, run.registry_loads)
+            (tmp / "alignment.json").write_text(text, encoding="utf-8")
         if command in ("report", "run"):
             _write_json(tmp / "report.json", run.report)
         if command == "run":

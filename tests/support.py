@@ -13,19 +13,24 @@ import json
 import re
 import sys
 import unicodedata
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from attn_peaks import (
+    DEFAULT_S2ID_ACCEPT,
+    DEFAULT_TYPE_MAP,
     AlignmentPair,
     AlignmentReport,
     BoxStats,
     CountSeries,
+    DisasterRecord,
     Document,
     Gazetteer,
     InputError,
     NewsEvent,
+    RegistryLoad,
     text_digest,
 )
 from attn_peaks.ingest import csv_reader, row_error, undecodable
@@ -189,6 +194,118 @@ def oracle_alignment_report(events: list[NewsEvent], records, window_days: int) 
             if (r.source, r.record_id) not in matched_records
         ),
     )
+
+
+def oracle_alignment_json(report: AlignmentReport, registry_loads: dict) -> str:
+    """The text of ``alignment.json`` by ``json.dumps`` alone, from plain dicts."""
+    obj = {
+        "window_days": report.window_days,
+        "registries": {
+            source: {
+                "records": len(load.records),
+                "ignored_by_type": load.n_ignored_by_type,
+                "dropped_by_status": load.n_dropped_by_status,
+            }
+            for source, load in registry_loads.items()
+        },
+        "pairs": [asdict(pair) for pair in report.pairs],
+        "aligned_events_by_source": report.aligned_by_source,
+        "unmatched_events": report.unmatched_events,
+        "unmatched_records": [
+            {"source": source, "record_id": record_id}
+            for source, record_id in report.unmatched_records
+        ],
+    }
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_load_registry(
+    path, source: str, type_map=None, status_accept=DEFAULT_S2ID_ACCEPT
+) -> RegistryLoad:
+    """The registry loader in two plain passes, one dict per row.
+
+    Pass one reads every row and checks its width. Then every raw_type
+    missing from the type map is reported at once, before any row rule.
+    Pass two applies the row rules in order: declared source, empty id,
+    duplicate id, ignored type, S2ID status, onset date. Dates are checked
+    by hand as exactly ``YYYY-MM-DD``, and rows dropped before the date rule
+    never have their dates read.
+    """
+    if not source:
+        raise InputError("registry source must be a non-empty label")
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"registry file not found: {path}")
+    mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
+    columns = ["record_id", "source", "raw_type", "onset_date", "location", "status"]
+    rows: list[tuple[int, dict]] = []
+    row_number = -1
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv_reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InputError(f"registry file {path} is empty (header expected)") from None
+            row_number = 0
+            if header != columns:
+                raise InputError(
+                    f"unexpected registry header in {path}: {header!r} "
+                    f"(expected {','.join(columns)})"
+                )
+            for row_number, row in enumerate(reader, start=1):
+                if len(row) != len(columns):
+                    reason = f"expected {len(columns)} fields, got {len(row)}"
+                    raise row_error(path, row_number, reason)
+                rows.append((row_number, dict(zip(columns, row))))
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+    except csv.Error as exc:
+        raise row_error(path, row_number + 1, f"malformed CSV: {exc}") from None
+
+    missing = []
+    for _, values in rows:
+        if values["raw_type"] not in mapping and values["raw_type"] not in missing:
+            missing.append(values["raw_type"])
+    if missing:
+        raise InputError(
+            f"registry {path} has raw_type labels missing from the type map: "
+            + ", ".join(repr(label) for label in sorted(missing))
+        )
+
+    accepted = [status.strip().casefold() for status in status_accept]
+    load = RegistryLoad(records=[])
+    seen_ids = []
+    for row, values in rows:
+        record_id = values["record_id"]
+        if values["source"] != "" and values["source"] != source:
+            reason = (
+                f"declares source {values['source']!r} but the file was loaded as {source!r}"
+            )
+            raise row_error(path, row, reason)
+        if record_id == "":
+            raise row_error(path, row, "empty field 'record_id'")
+        if record_id in seen_ids:
+            raise row_error(path, row, f"duplicate record id {record_id!r}")
+        seen_ids.append(record_id)
+        hazard = mapping[values["raw_type"]]
+        if hazard == "ignore":
+            load.n_ignored_by_type += 1
+        elif source == "S2ID" and values["status"].strip().casefold() not in accepted:
+            load.n_dropped_by_status += 1
+        else:
+            load.records.append(
+                DisasterRecord(
+                    record_id=record_id,
+                    source=source,
+                    hazard=hazard,
+                    onset_date=_oracle_date(values["onset_date"], path, row),
+                    location=values["location"],
+                    raw_type=values["raw_type"],
+                    status=values["status"],
+                )
+            )
+    return load
 
 
 _ORACLE_TOKEN = re.compile(r"[^\W\d_]+")

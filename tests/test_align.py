@@ -18,7 +18,7 @@ from attn_peaks import (
     alignment_summary,
     load_registry,
 )
-from support import oracle_alignment_pairs, oracle_alignment_report
+from support import oracle_alignment_pairs, oracle_alignment_report, oracle_load_registry
 
 D = datetime.date
 
@@ -180,6 +180,79 @@ class TestLoadRegistry:
             load_registry(path, "EMDAT")
 
 
+_ORACLE_TYPE_MAP = {
+    "Landslide": "landslide",
+    "Wildfire": "fire",
+    "Incêndio florestal": "fire",
+    "Flood": "ignore",
+}
+_VALID_ONSETS = ["2020-01-05", "2019-12-31", "2020-02-29", "2020-01-05", "2019-12-31"]
+# Each row breaks a rule with a small chance, so that both loads that succeed
+# and each kind of error are common: many-times-repeated entries are the
+# valid ones, single entries the broken ones.
+_REGISTRY_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([f"R{i}" for i in range(20)] + ["Rö-4", "R,5", ""]),
+        st.sampled_from([""] * 30 + ["EMDAT", "S2ID", "Other"]),
+        st.sampled_from(["Landslide", "Wildfire", "Incêndio florestal", "Flood"] * 6 + ["Hail"]),
+        st.sampled_from(
+            _VALID_ONSETS * 6
+            + ["2021-02-29", "20200105", "2020-1-05", "", "２０２０-01-05", "2020-01-05 "]
+        ),
+        st.sampled_from(["", "Acre", 'Rio "de" Janeiro', "Petrópolis, RJ"]),
+        st.sampled_from(["recognised", "recognised", " Recognised ", "RECOGNISED", "pending", ""]),
+        # Fields taken away or added: a wrong width in a few rows.
+        st.sampled_from([0] * 60 + [-1, -6, 1]),
+    ),
+    max_size=8,
+)
+
+
+def _registry_outcome(loader, path, source):
+    """The records field by field and the tallies, or the error message."""
+    try:
+        load = loader(path, source, _ORACLE_TYPE_MAP, ("recognised",))
+    except InputError as exc:
+        return "error", str(exc)
+    fields = DisasterRecord.__dataclass_fields__
+    records = [[getattr(record, name) for name in fields] for record in load.records]
+    return records, load.n_ignored_by_type, load.n_dropped_by_status
+
+
+class TestLoadRegistryOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=_REGISTRY_ROWS, source=st.sampled_from(["EMDAT", "S2ID"]))
+    @example(rows=[], source="EMDAT")
+    @example(  # a wrong width is reported before an unmapped type
+        rows=[("R1", "", "Hail", "2020-01-05", "", "", 0), ("R2", "", "Flood", "x", "", "", 1)],
+        source="EMDAT",
+    )
+    @example(  # an unmapped type is reported before a duplicate id and a bad date
+        rows=[("R1", "", "Wildfire", "x", "", "", 0), ("R1", "", "Hail", "x", "", "", 0)],
+        source="EMDAT",
+    )
+    @example(  # dropped rows never have their dates read
+        rows=[
+            ("R1", "", "Flood", "x", "", "recognised", 0),
+            ("R2", "S2ID", "Wildfire", "x", "", "pending", 0),
+            ("R3", "", "Landslide", "2020-01-05", "", " Recognised ", 0),
+        ],
+        source="S2ID",
+    )
+    def test_equals_the_plain_loader(self, tmp_path_factory, rows, source):
+        path = tmp_path_factory.mktemp("registry") / "registry.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(REGISTRY_HEADER.strip().split(","))
+            for *fields, width_change in rows:
+                if width_change < 0:
+                    fields = fields[:width_change]
+                writer.writerow(fields + ["x"] * width_change)
+        assert _registry_outcome(load_registry, path, source) == _registry_outcome(
+            oracle_load_registry, path, source
+        )
+
+
 class TestAlignEvents:
     def test_onset_on_first_news_day_aligns_with_lag_zero(self):
         ev = make_event("landslide", D(2011, 1, 12))
@@ -333,6 +406,20 @@ class TestAlignmentOracle:
             make_record("r1", "fire", _day(8)),
             make_record("r1", "fire", _day(5)),
             make_record("r1", "fire", _day(7), "S2ID"),
+        ],
+        window=5,
+    )
+    @example(  # two events with one event_id whose windows interleave by (source, record_id)
+        events=[make_event("fire", _day(9), 3, 1), make_event("fire", _day(10))],
+        records=[
+            make_record("r5", "fire", _day(10)),  # the second event's only
+            make_record("r1", "fire", _day(4)),  # the first event's only
+            make_record("r2", "fire", _day(10)),
+            make_record("r3", "fire", _day(4)),
+            make_record("r5", "fire", _day(4)),  # the same key, the other onset
+            make_record("r4", "fire", _day(4), "S2ID"),
+            make_record("r1", "fire", _day(10), "S2ID"),
+            make_record("r6", "fire", _day(7)),  # both events'
         ],
         window=5,
     )

@@ -1,9 +1,10 @@
 import datetime
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attn_peaks import (
@@ -194,10 +195,17 @@ class TestSummarize:
 
 
 
-def _bits(box):
-    """Every number of a BoxStats, floats as their exact bits."""
+def _bits(box, zeros_by_value: bool = False):
+    """Every number of a BoxStats, floats as their exact bits.
+
+    With ``zeros_by_value``, a zero is shown as ``0`` whatever its sign.
+    """
     numbers = (box.median, box.q1, box.q3, box.whisker_low, box.whisker_high, *box.outliers)
-    return [v.hex() for v in numbers], box.n
+    return ["0" if zeros_by_value and v == 0 else v.hex() for v in numbers], box.n
+
+
+def _holds_both_signed_zeros(values) -> bool:
+    return len({math.copysign(1.0, v) for v in values if v == 0}) == 2
 
 
 @st.composite
@@ -213,17 +221,47 @@ def _values(draw):
     return [int(rng.paretovariate(1.5)) % (top + 1) for _ in range(n)]
 
 
+# Lists where 0, 0.0 and -0.0 are common, next to a few other values.
+_SIGNED_ZEROS = st.lists(
+    st.sampled_from([0, 0.0, -0.0, -0.0, 1.5, -2.0, 400]), min_size=1, max_size=40
+)
+
+
 class TestSummarizeAgainstNumpy:
     @settings(max_examples=300, deadline=None)
     @given(values=_values())
+    @example(values=[0] * 7 + [-0.0])  # numpy's whisker_low is -0.0 here
     def test_equals_numpy_percentile_bit_for_bit(self, values):
-        assert _bits(summarize(values)) == _bits(oracle_summarize(values))
+        # -0.0 == 0.0, and numpy keeps equal values in input order, so for
+        # an input with both zeros the sign of a zero statistic depends on
+        # that order: np.array([0.0, -0.0]).min() is -0.0, but
+        # np.array([-0.0, 0.0]).min() is 0.0. summarize puts -0.0 first
+        # whatever the order, so such zeros are compared by value only.
+        zeros_by_value = _holds_both_signed_zeros(values)
+        assert _bits(summarize(values), zeros_by_value) == _bits(
+            oracle_summarize(values), zeros_by_value
+        )
 
     def test_linear_interpolation_from_the_nearer_order_statistic(self):
         # numpy interpolates from b when the fraction is at least 0.5:
         # 0.1 + (16.8 - 0.1) * 0.75 rounds to 12.624999999999998, but
         # 16.8 - (16.8 - 0.1) * 0.25 to 12.625, which is numpy's result.
         assert summarize([0.1, 16.8]).q3 == 12.625 == oracle_summarize([0.1, 16.8]).q3
+
+
+class TestSummarizeIgnoresOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_shuffled_input_gives_identical_bits(self, data):
+        values = data.draw(st.one_of(_values(), _SIGNED_ZEROS), label="values")
+        shuffled = data.draw(st.permutations(values), label="shuffled")
+        assert _bits(summarize(shuffled)) == _bits(summarize(values))
+
+    def test_negative_zero_sorts_before_zero(self):
+        for values in ([0, -0.0], [-0.0, 0], [0.0, -0.0, 0.0]):
+            box = summarize(values)
+            assert math.copysign(1.0, box.whisker_low) == -1.0, values
+            assert math.copysign(1.0, box.whisker_high) == 1.0, values
 
 
 class TestMeasureEvents:

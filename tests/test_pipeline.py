@@ -2,19 +2,25 @@ import datetime
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attn_peaks import (
+    AlignmentPair,
+    AlignmentReport,
     InputError,
     NewsEvent,
     PeakParams,
     PipelineConfig,
+    RegistryLoad,
     detect_events,
     emit_timeseries,
     load_config,
     run_pipeline,
     validate_config,
 )
-from support import make_series, write_small_corpus
+from attn_peaks.pipeline import _alignment_text
+from support import make_series, oracle_alignment_json, write_small_corpus
 
 D = datetime.date
 
@@ -298,3 +304,47 @@ class TestRunPipeline:
         config.start = D(2020, 1, 11)  # L1 on the 10th now falls outside
         with pytest.raises(InputError, match="^ingest: .*'L1'"):
             run_pipeline(config, "run")
+
+
+# Ids with what json must escape or may keep: quotes, backslashes, control
+# characters, non-ASCII letters, U+2028/U+2029 and astral characters.
+_IDS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "Petrópolis", 'a"\\\nb', "🔥"]
+    ),
+)
+_COUNTS = st.integers(0, 10**6)
+_REPORTS = st.builds(
+    AlignmentReport,
+    window_days=st.integers(0, 10**6),
+    pairs=st.lists(st.builds(AlignmentPair, _IDS, _IDS, _IDS, _IDS, _COUNTS), max_size=6),
+    aligned_by_source=st.dictionaries(
+        _IDS, st.dictionaries(_IDS, _COUNTS, max_size=3), max_size=3
+    ),
+    unmatched_events=st.lists(_IDS, max_size=6),
+    unmatched_records=st.lists(st.tuples(_IDS, _IDS), max_size=6),
+)
+# The writer reads only how many records a load kept, not the records.
+_REGISTRY_LOADS = st.dictionaries(
+    _IDS,
+    st.builds(RegistryLoad, st.lists(st.none(), max_size=3), _COUNTS, _COUNTS),
+    max_size=3,
+)
+
+
+class TestAlignmentText:
+    @settings(max_examples=300, deadline=None)
+    @given(report=_REPORTS, registry_loads=_REGISTRY_LOADS)
+    @example(report=AlignmentReport(window_days=5), registry_loads={})  # no registries configured
+    @example(
+        report=AlignmentReport(
+            window_days=0,
+            pairs=[AlignmentPair("fire-2020-01-01", "EM-\u2028\"1\"", "EMDAT", "fire", 0)],
+            aligned_by_source={"EMDAT": {"fire": 1}},
+        ),
+        registry_loads={"EMDAT": RegistryLoad([None], 2, 0), "S2ID": RegistryLoad([], 0, 3)},
+    )
+    def test_equals_json_dumps_byte_for_byte(self, report, registry_loads):
+        want = oracle_alignment_json(report, registry_loads)
+        assert _alignment_text(report, registry_loads) == want
