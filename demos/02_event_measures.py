@@ -11,7 +11,7 @@ statistics with Tukey fences.
 
 import datetime
 
-from attn_peaks import CountSeries, Document, PeakParams, detect_events, measure_events, summarize
+from attn_peaks import CountSeries, PeakParams, detect_events, measure_events, summarize
 
 start = datetime.date(2021, 1, 1)
 counts = [0] * 120
@@ -21,26 +21,21 @@ counts[90:92] = [6, 2]      # a sharp two-day burst
 
 series = CountSeries(start=start, end=start + datetime.timedelta(days=119), counts=counts, hazard="fire")
 
-# One document per counted article. Two documents on the spike day carry
-# the same text (an agency wire reprinted by a second outlet), so the spike
-# has 4 articles but only 3 unique texts.
+# One document per counted article, as the tuple
+# (id, date, outlet, text_type, hazard, text, text_key) that load_documents
+# returns. Two documents on the spike day carry the same text (an agency
+# wire reprinted by a second outlet), so the spike has 4 articles but only
+# 3 unique texts.
 docs = []
 n = 0
 for offset, count in enumerate(counts):
     day = start + datetime.timedelta(days=offset)
     for k in range(count):
         text = "Agenturmeldung: Feuer in Brasilien" if offset == 50 and k < 2 else f"Feuer in Brasilien, Artikel {n}"
-        docs.append(
-            Document(
-                id=f"a{n}",
-                date=day,
-                outlet=f"Blatt {n % 4 + 1}",
-                text_type=f"Genre {n % 2 + 1}",
-                hazard="fire",
-                text=text,
-                text_key=text,  # identity key; normally a content digest
-            )
-        )
+        outlet = f"Blatt {n % 4 + 1}"
+        genre = f"Genre {n % 2 + 1}"
+        # The text doubles as its identity key; normally that is a content digest.
+        docs.append((f"a{n}", day, outlet, genre, "fire", text, text))
         n += 1
 
 events = detect_events(series, PeakParams(min_height=2, min_distance=7))

@@ -1,7 +1,9 @@
 """Corpus ingestion: document loading, country filtering, daily count series.
 
 A document is one news item with a calendar date, an outlet, a genre label
-(``text_type``), a hazard label and the body text. Documents are filtered
+(``text_type``), a hazard label and the body text. It is held as a plain
+7-tuple ``(id, date, outlet, text_type, hazard, text, text_key)``, indexed
+by the ``DOC_*`` constants. Documents are filtered
 with a gazetteer heuristic that keeps only texts mentioning exactly one
 configured target country and no other country name. The daily counts of
 the surviving documents, per hazard, form the attention series that drives
@@ -77,17 +79,13 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()
 
 
-@dataclass(slots=True)
-class Document:
-    """One news item."""
-
-    id: str
-    date: datetime.date
-    outlet: str
-    text_type: str
-    hazard: str
-    text: str
-    text_key: str
+# A document is the plain tuple (id, date, outlet, text_type, hazard, text,
+# text_key), indexed by these constants. Its fields are strings and a date,
+# none of which the cyclic GC tracks, so CPython stops tracking the tuple
+# itself at the first collection that sees it, and later collections no
+# longer scan the corpus. A tuple subclass, such as a namedtuple, stays tracked.
+DOC_ID, DOC_DATE, DOC_OUTLET, DOC_TEXT_TYPE, DOC_HAZARD, DOC_TEXT, DOC_TEXT_KEY = range(7)
+Document = tuple[str, datetime.date, str, str, str, str, str]
 
 
 @dataclass
@@ -212,12 +210,13 @@ def filter_single_country(docs: list[Document], gazetteer: Gazetteer) -> list[Do
     target = {gazetteer.target_entry}
     verdicts: dict[str, bool] = {}
     kept = []
-    for d in docs:
-        keep = verdicts.get(d.text)
+    for doc in docs:
+        text = doc[DOC_TEXT]
+        keep = verdicts.get(text)
         if keep is None:
-            keep = verdicts[d.text] = extract_country_mentions(d.text, gazetteer) == target
+            keep = verdicts[text] = extract_country_mentions(text, gazetteer) == target
         if keep:
-            kept.append(d)
+            kept.append(doc)
     return kept
 
 
@@ -291,12 +290,12 @@ def _read_documents(
     width: int,
     hazards: tuple[str, ...],
 ) -> None:
-    """Check each numbered row of ``width`` fields and append its Document to ``docs``.
+    """Check each numbered row of ``width`` fields and append its document to ``docs``.
 
     Both file formats feed this loop, so every row is checked the same way.
     Rows are unpacked into locals; each distinct date string is parsed
     once, each distinct text without a ``text_key`` is digested once, and
-    equal outlet, genre and hazard strings share one object. A row that
+    equal outlet, genre, hazard and text strings share one object. A row that
     fails raises before anything of it is appended, so ``len(docs)`` is
     the number of rows read without error.
     """
@@ -330,13 +329,13 @@ def _read_documents(
         if date is None:
             date = dates[day] = parse_row_date(day, path, row)
         append(
-            Document(
+            (
                 doc_id,
                 date,
                 shared.setdefault(outlet, outlet),
                 shared.setdefault(genre, genre),
                 known_hazards[hazard],
-                text,
+                shared.setdefault(text, text),
                 key,
             )
         )
@@ -494,13 +493,14 @@ def build_count_series(
     n_days = (end - start).days + 1
     counts = [0] * n_days
     for doc in docs:
-        if doc.date < start or doc.date > end:
+        date = doc[DOC_DATE]
+        if date < start or date > end:
             raise InputError(
-                f"document {doc.id!r} dated {doc.date} is outside the series range "
+                f"document {doc[DOC_ID]!r} dated {date} is outside the series range "
                 f"{start}..{end}"
             )
-        if doc.hazard == hazard:
-            counts[(doc.date - start).days] += 1
+        if doc[DOC_HAZARD] == hazard:
+            counts[(date - start).days] += 1
     return CountSeries(start=start, end=end, counts=counts, hazard=hazard)
 
 
@@ -570,11 +570,11 @@ def corpus_stats(docs: list[Document], series: CountSeries) -> CorpusStats:
         std = math.sqrt(_pairwise_sum([d * d for d in deviations]) / len(active))
     return CorpusStats(
         n_articles=len(docs),
-        n_text_types=len({d.text_key for d in docs}),
-        n_genres=len({d.text_type for d in docs}),
+        n_text_types=len({d[DOC_TEXT_KEY] for d in docs}),
+        n_genres=len({d[DOC_TEXT_TYPE] for d in docs}),
         daily_max=max(series.counts, default=0),
         n_active_days=len(active),
         active_mean=mean,
         active_std=std,
-        n_outlets=len({d.outlet for d in docs}),
+        n_outlets=len({d[DOC_OUTLET] for d in docs}),
     )

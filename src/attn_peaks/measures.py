@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .ingest import Document
+from .ingest import DOC_DATE, DOC_HAZARD, DOC_OUTLET, DOC_TEXT_KEY, DOC_TEXT_TYPE, Document
 from .peaks import NewsEvent
 
 # Per-event measure columns, in emission order. days_since_last_peak is a
@@ -127,8 +127,8 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
     hazard = events[0].hazard
     by_day: dict[datetime.date, list[Document]] = defaultdict(list)
     for doc in docs:
-        if doc.hazard == hazard:
-            by_day[doc.date].append(doc)
+        if doc[DOC_HAZARD] == hazard:
+            by_day[doc[DOC_DATE]].append(doc)
     measures = []
     for event, gap, peak_gap in zip(events, gaps(events), peak_gaps(events)):
         text_keys: set[str] = set()
@@ -147,9 +147,9 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
                     f"but the series counts {count} (corpus/series mismatch)"
                 )
             for doc in day_docs:
-                text_keys.add(doc.text_key)
-                outlets.add(doc.outlet)
-                genres.add(doc.text_type)
+                text_keys.add(doc[DOC_TEXT_KEY])
+                outlets.add(doc[DOC_OUTLET])
+                genres.add(doc[DOC_TEXT_TYPE])
         measures.append(
             MeasureSet(
                 event_id=event.event_id,

@@ -62,6 +62,7 @@ from .align import DEFAULT_S2ID_ACCEPT, DEFAULT_TYPE_MAP, IGNORE, AlignmentRepor
 from .errors import AttnPeaksError, ConsistencyError, InputError
 from .ingest import (
     DEFAULT_HAZARDS,
+    DOC_HAZARD,
     CorpusStats,
     CountSeries,
     Document,
@@ -218,6 +219,10 @@ def validate_config(config: PipelineConfig) -> None:
         raise InputError(f"window_days must be >= 0, got {config.window_days}")
     if not config.hazards:
         raise InputError("no hazards configured")
+    for hazard in config.hazards:
+        # A label names an output file (timeseries_<hazard>.csv).
+        if any(c in hazard for c in "/\\\0"):
+            raise InputError(f"hazard label {hazard!r} must not contain '/', '\\' or NUL")
     unknown = [h for h in config.run_hazards if h not in config.hazards]
     if unknown:
         raise InputError(
@@ -456,11 +461,15 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
 
     with _stage("ingest"):
         gazetteer = load_gazetteer(config.gazetteer, target=config.target)
-        raw_docs = load_documents(config.documents, config.doc_format, config.hazards)
         docs_by_hazard: dict[str, list[Document]] = {h: [] for h in hazards}
-        for doc in filter_single_country(raw_docs, gazetteer):
-            if doc.hazard in docs_by_hazard:
-                docs_by_hazard[doc.hazard].append(doc)
+        # Nothing names the unfiltered corpus, so it is freed once filtered,
+        # not kept alive through the later stages.
+        for doc in filter_single_country(
+            load_documents(config.documents, config.doc_format, config.hazards), gazetteer
+        ):
+            hazard_docs = docs_by_hazard.get(doc[DOC_HAZARD])
+            if hazard_docs is not None:
+                hazard_docs.append(doc)
         for hazard, docs in docs_by_hazard.items():
             series = build_count_series(docs, hazard, config.start, config.end)
             run.series[hazard] = series
@@ -503,11 +512,18 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
 
 
 def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) -> dict[str, Path]:
-    """Write the files of ``command`` into a temporary directory, then move them all into place."""
+    """Write the files of ``command`` into a temporary directory, then move them all into place.
+
+    An OSError from creating or filling the output directory, such as a
+    path that is or runs through a regular file, is an InputError.
+    """
     out_dir = Path(config.out_dir)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=".attn-peaks-", dir=out_dir.parent))
+    # Hashing the inputs reads them; an error there is not one of the output directory.
+    manifest = _manifest(config, command) if command == "run" else None
+    tmp = None
     try:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=".attn-peaks-", dir=out_dir.parent))
         if command in ("ingest", "run"):
             _write_json(
                 tmp / "corpus_stats.json", {hazard: asdict(s) for hazard, s in run.stats.items()}
@@ -526,13 +542,17 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
             (tmp / "alignment.json").write_text(text, encoding="utf-8")
         if command in ("report", "run"):
             _write_json(tmp / "report.json", run.report)
-        if command == "run":
-            _write_json(tmp / "manifest.json", _manifest(config, command))
+        if manifest is not None:
+            _write_json(tmp / "manifest.json", manifest)
         out_dir.mkdir(parents=True, exist_ok=True)
         files: dict[str, Path] = {}
         for staged in sorted(tmp.iterdir()):
             files[staged.name] = final = out_dir / staged.name
             os.replace(staged, final)
         return files
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise InputError(f"cannot write output directory {out_dir}: {reason}") from None
     finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)

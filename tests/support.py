@@ -21,6 +21,8 @@ import numpy as np
 from attn_peaks import (
     DEFAULT_S2ID_ACCEPT,
     DEFAULT_TYPE_MAP,
+    DOC_ID,
+    DOC_TEXT,
     AlignmentPair,
     AlignmentReport,
     BoxStats,
@@ -57,15 +59,8 @@ def make_doc(
     text: str = "Erdrutsch in Brasilien",
     text_key: str | None = None,
 ) -> Document:
-    return Document(
-        id=doc_id,
-        date=day,
-        outlet=outlet,
-        text_type=text_type,
-        hazard=hazard,
-        text=text,
-        text_key=text_key if text_key is not None else f"key-{doc_id}",
-    )
+    key = text_key if text_key is not None else f"key-{doc_id}"
+    return (doc_id, day, outlet, text_type, hazard, text, key)
 
 
 def docs_matching_series(series: CountSeries, outlet_pool: int = 5, genre_pool: int = 3):
@@ -341,7 +336,7 @@ def oracle_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
 def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[str]:
     """Ids of the documents whose oracle mentions are exactly the target, in order."""
     target = {gazetteer.target_entry}
-    return [d.id for d in docs if oracle_country_mentions(d.text, gazetteer) == target]
+    return [d[DOC_ID] for d in docs if oracle_country_mentions(d[DOC_TEXT], gazetteer) == target]
 
 
 def _oracle_date(value, path: Path, row: int) -> datetime.date:
@@ -370,14 +365,16 @@ def _oracle_document(values: dict, path: Path, row: int, hazards, seen_ids: set)
         raise row_error(path, row, f"unknown hazard label {hazard!r}")
     text = values["text"]
     text_key = values.get("text_key") or text_digest(text)
-    return Document(
-        id=doc_id,
-        date=_oracle_date(values["date"], path, row),
-        outlet=sys.intern(values["outlet"]),
-        text_type=sys.intern(values["text_type"]),
-        hazard=sys.intern(hazard),
-        text=text,
-        text_key=text_key,
+    # The field order README documents, spelled out here rather than taken
+    # from the DOC_* constants; tuples compare field by field.
+    return (
+        doc_id,
+        _oracle_date(values["date"], path, row),
+        sys.intern(values["outlet"]),
+        sys.intern(values["text_type"]),
+        sys.intern(hazard),
+        text,
+        text_key,
     )
 
 

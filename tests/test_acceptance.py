@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from attn_peaks import (
+    DOC_HAZARD,
+    DOC_ID,
     DisasterRecord,
-    Document,
     NewsEvent,
     PeakParams,
     align_events,
@@ -31,7 +32,7 @@ from attn_peaks import (
     measure_events,
     run_pipeline,
 )
-from support import docs_matching_series, make_series, oracle_peaks, random_series
+from support import docs_matching_series, make_doc, make_series, oracle_peaks, random_series
 
 D = datetime.date
 
@@ -79,17 +80,7 @@ def test_calendar_invariant():
         assert series.n_days == 9132
         leap_index = series.index_of(D(2000, 2, 29))
         assert series.day_at(leap_index) == D(2000, 2, 29)
-        docs = [
-            Document(
-                id="leap",
-                date=D(2000, 2, 29),
-                outlet="o",
-                text_type="t",
-                hazard="landslide",
-                text="x",
-                text_key="k",
-            )
-        ]
+        docs = [make_doc("leap", D(2000, 2, 29), outlet="o", text_type="t", text="x", text_key="k")]
         with_doc = build_count_series(docs, "landslide", D(2000, 1, 1), D(2024, 12, 31))
         assert with_doc.counts[leap_index] == 1
 
@@ -300,18 +291,13 @@ def test_single_country_filter_precision_recall(data_dir):
             rows = list(csv.DictReader(handle))
         assert len(rows) == 50
         docs = [
-            Document(
-                id=row["id"],
-                date=D(2020, 1, 1),
-                outlet="o",
-                text_type="t",
-                hazard="landslide",
-                text=row["text"],
+            make_doc(
+                row["id"], D(2020, 1, 1), outlet="o", text_type="t", text=row["text"],
                 text_key=row["id"],
             )
             for row in rows
         ]
-        kept = {d.id for d in filter_single_country(docs, gazetteer)}
+        kept = {d[DOC_ID] for d in filter_single_country(docs, gazetteer)}
         expected = {row["id"] for row in rows if row["label"] == "keep"}
         true_positives = len(kept & expected)
         precision = true_positives / len(kept) if kept else 0.0
@@ -377,7 +363,7 @@ def test_scale_smoke_one_million_documents(tmp_path):
         kept = filter_single_country(docs, gazetteer)
         all_events = []
         for hazard in ("landslide", "fire"):
-            hazard_docs = [d for d in kept if d.hazard == hazard]
+            hazard_docs = [d for d in kept if d[DOC_HAZARD] == hazard]
             series = build_count_series(hazard_docs, hazard, D(2000, 1, 1), D(2024, 12, 31))
             events = detect_events(series, params)
             measures = measure_events(events, hazard_docs)

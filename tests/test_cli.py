@@ -356,6 +356,41 @@ class TestUnreadableInput:
         assert (tmp_path / "out" / "events.jsonl").read_bytes() == expected
 
 
+class TestOutputPaths:
+    """Output paths that cannot be written end in exit 2, never in a traceback."""
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_dir_on_a_regular_file_exits_two_and_leaves_nothing(
+        self, golden_dir, tmp_path, below
+    ):
+        config = _golden_copy(golden_dir, tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep me\n", encoding="utf-8")
+        out = blocker / "out" if below else blocker
+        proc = _run_cli("ingest", "--config", str(config), "--out-dir", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"cannot write output directory {out}" in proc.stderr
+        assert blocker.read_text(encoding="utf-8") == "keep me\n"
+        assert not list(tmp_path.glob(".attn-peaks-*"))
+
+    @pytest.mark.parametrize("label", ["a/b", "a\\b"])
+    def test_hazard_label_with_a_path_separator_exits_two(self, tmp_path, label):
+        config = write_small_corpus(tmp_path)
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace("hazards = landslide, fire", f"hazards = {label}, landslide, fire"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        proc = _run_cli("run", "--config", str(config), "--out-dir", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"hazard label {label!r}" in proc.stderr
+        assert not out.exists()
+        assert not list(tmp_path.glob(".attn-peaks-*"))
+
+
 def test_golden_run_needs_no_numpy(golden_dir, tmp_path):
     config = _golden_copy(golden_dir, tmp_path)
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import csv
 import datetime
+import gc
 import io
 import json
 import random
@@ -16,6 +17,13 @@ from hypothesis import strategies as st
 import attn_peaks.ingest
 
 from attn_peaks import (
+    DOC_DATE,
+    DOC_HAZARD,
+    DOC_ID,
+    DOC_OUTLET,
+    DOC_TEXT,
+    DOC_TEXT_KEY,
+    DOC_TEXT_TYPE,
     ConsistencyError,
     CountSeries,
     Gazetteer,
@@ -69,15 +77,15 @@ class TestLoadDocuments:
         docs = load_documents(path)
         assert len(docs) == 3
         first = docs[0]
-        assert first.id == "a1"
-        assert first.date == D(2011, 1, 12)
-        assert first.outlet == "Spiegel"
-        assert first.text_type == "Bericht"
-        assert first.hazard == "landslide"
-        assert first.text == "Erdrutsch in Brasilien"
-        assert first.text_key == text_digest("Erdrutsch in Brasilien")
-        assert [d.id for d in docs] == ["a1", "a2", "a3"]
-        assert docs[2].text == "Regen, Brasilien"
+        assert first[DOC_ID] == "a1"
+        assert first[DOC_DATE] == D(2011, 1, 12)
+        assert first[DOC_OUTLET] == "Spiegel"
+        assert first[DOC_TEXT_TYPE] == "Bericht"
+        assert first[DOC_HAZARD] == "landslide"
+        assert first[DOC_TEXT] == "Erdrutsch in Brasilien"
+        assert first[DOC_TEXT_KEY] == text_digest("Erdrutsch in Brasilien")
+        assert [d[DOC_ID] for d in docs] == ["a1", "a2", "a3"]
+        assert docs[2][DOC_TEXT] == "Regen, Brasilien"
 
     def test_impossible_calendar_day_is_rejected(self, tmp_path):
         path = write_csv(
@@ -123,8 +131,8 @@ class TestLoadDocuments:
             header="id,date,outlet,text_type,hazard,text,text_key\n",
         )
         docs = load_documents(path)
-        assert docs[0].text_key == "k1"
-        assert docs[1].text_key == text_digest("bar")
+        assert docs[0][DOC_TEXT_KEY] == "k1"
+        assert docs[1][DOC_TEXT_KEY] == text_digest("bar")
 
     def test_csv_parse_error_names_the_row(self, tmp_path, monkeypatch):
         # A strict reader turns the stray quote in row 2 into a csv.Error.
@@ -155,8 +163,8 @@ class TestLoadDocuments:
         )
         docs = load_documents(path, format="jsonl")
         assert len(docs) == 1
-        assert docs[0].date == D(2011, 1, 12)
-        assert docs[0].text_key == text_digest("x")
+        assert docs[0][DOC_DATE] == D(2011, 1, 12)
+        assert docs[0][DOC_TEXT_KEY] == text_digest("x")
 
     def test_jsonl_unknown_field_is_rejected(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -197,8 +205,8 @@ class TestLoadDocuments:
             encoding="utf-8",
         )
         [doc] = load_documents(path, format="jsonl")
-        assert (doc.outlet, doc.text) == ("\U0001f600", "Feuer \U0001f525")
-        assert doc.text_key == text_digest("Feuer \U0001f525")
+        assert (doc[DOC_OUTLET], doc[DOC_TEXT]) == ("\U0001f600", "Feuer \U0001f525")
+        assert doc[DOC_TEXT_KEY] == text_digest("Feuer \U0001f525")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
@@ -218,7 +226,7 @@ class TestLoadDocuments:
         )
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         docs = load_documents(path, format="jsonl")
-        assert [(d.id, d.date) for d in docs] == [("a1", D(2011, 1, 12))]
+        assert [(d[DOC_ID], d[DOC_DATE]) for d in docs] == [("a1", D(2011, 1, 12))]
 
     # Python 3.11's date.fromisoformat reads the first two as 2020-01-10.
     @pytest.mark.parametrize(
@@ -247,10 +255,35 @@ class TestLoadDocuments:
             "a1,2020-01-10,Spiegel,Bericht,fire,x\na2,2020-01-10,Spiegel,Bericht,fire,y\n",
         )
         first, second = load_documents(path)
-        assert first.date is second.date
-        assert first.outlet is second.outlet
-        assert first.text_type is second.text_type
-        assert first.hazard is second.hazard
+        assert first[DOC_DATE] is second[DOC_DATE]
+        assert first[DOC_OUTLET] is second[DOC_OUTLET]
+        assert first[DOC_TEXT_TYPE] is second[DOC_TEXT_TYPE]
+        assert first[DOC_HAZARD] is second[DOC_HAZARD]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_documents_are_tuples_the_gc_does_not_track(self, tmp_path, fmt):
+        texts = ["Erdrutsch in Brasilien nach Starkregen", "Feuer in Brasilien nach Hitze"]
+        records = [
+            dict(id=f"a{i}", date=f"2020-01-1{i % 3}", outlet=f"Blatt {i % 2}",
+                 text_type="Bericht", hazard="fire", text=texts[i % 2])
+            for i in range(6)
+        ]
+        path = tmp_path / f"docs.{fmt}"
+        if fmt == "csv":
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                writer = csv.DictWriter(handle, fieldnames=list(records[0]))
+                writer.writeheader()
+                writer.writerows(records)
+        else:
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        docs = load_documents(path, fmt)
+        gc.collect()
+        assert [type(doc) for doc in docs] == [tuple] * 6
+        assert [doc for doc in docs if gc.is_tracked(doc)] == []
+        # Reprints share one text object.
+        assert docs[0][DOC_TEXT] is docs[2][DOC_TEXT] is docs[4][DOC_TEXT]
+        assert docs[1][DOC_TEXT] is docs[3][DOC_TEXT] is docs[5][DOC_TEXT]
+        assert docs == oracle_load_documents(path, fmt)
 
 
 _GOOD_DAYS = ["2020-01-10", "2020-02-29", "2000-01-01", "2024-12-31"]
@@ -373,7 +406,7 @@ class TestLoaderOracle:
         path = write_csv(tmp_path, rows)
         docs = load_documents(path)
         assert docs == oracle_load_documents(path)
-        assert docs[0].text_key is docs[2].text_key
+        assert docs[0][DOC_TEXT_KEY] is docs[2][DOC_TEXT_KEY]
 
     # Each row breaks several rules; the first check in the per-row order names it.
     @pytest.mark.parametrize(
@@ -519,7 +552,7 @@ class TestSingleCountryFilter:
         large = Gazetteer(entries=("Brasilien", "Peru", "Chile"), target="Brasilien")
         kept_small = filter_single_country(docs, small)
         kept_large = filter_single_country(docs, large)
-        assert set(d.id for d in kept_large) <= set(d.id for d in kept_small)
+        assert set(d[DOC_ID] for d in kept_large) <= set(d[DOC_ID] for d in kept_small)
         assert all(d in docs for d in kept_small)
 
 
@@ -606,7 +639,7 @@ class TestCountryFilterOracle:
             for i, j in enumerate(picks)
         ]
         kept = filter_single_country(docs, gaz)
-        assert [d.id for d in kept] == oracle_filter_ids(docs, gaz)
+        assert [d[DOC_ID] for d in kept] == oracle_filter_ids(docs, gaz)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -615,8 +648,8 @@ class TestCountryFilterOracle:
         large = Gazetteer(entries=small.entries + tuple(more), target=small.target)
         texts = data.draw(st.lists(_texts(large), min_size=1, max_size=8))
         docs = [make_doc(f"d{i}", D(2011, 1, 1), text=t) for i, t in enumerate(texts)]
-        kept_small = {d.id for d in filter_single_country(docs, small)}
-        kept_large = {d.id for d in filter_single_country(docs, large)}
+        kept_small = {d[DOC_ID] for d in filter_single_country(docs, small)}
+        kept_large = {d[DOC_ID] for d in filter_single_country(docs, large)}
         assert kept_large <= kept_small
 
 

@@ -1,5 +1,6 @@
 import datetime
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +103,13 @@ class TestConfig:
         config = load_config(write_small_corpus(tmp_path))
         config.run_hazards = ("flood",)
         with pytest.raises(InputError, match="'flood'"):
+            validate_config(config)
+
+    @pytest.mark.parametrize("label", ["a/b", "a\\b", "a\0b", "/"])
+    def test_hazard_label_with_a_path_separator_or_nul_rejected(self, tmp_path, label):
+        config = load_config(write_small_corpus(tmp_path))
+        config.hazards = (label, "landslide", "fire")
+        with pytest.raises(InputError, match=re.escape(f"hazard label {label!r}")):
             validate_config(config)
 
 
