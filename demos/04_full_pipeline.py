@@ -76,6 +76,7 @@ with tempfile.TemporaryDirectory(prefix="attn-peaks-demo-") as tmp:
     print("\nevents per hazard:", report["n_events"])
     print("aligned fraction: ", report["alignment"]["aligned_fraction"])
 
-    events = [json.loads(line) for line in (out_dir / "events.jsonl").read_text().splitlines()]
+    events_text = (out_dir / "events.jsonl").read_text(encoding="utf-8")
+    events = [json.loads(line) for line in events_text.splitlines()]
     for event in events:
         print(f"  {event['hazard']:10} {event['start_date']} .. {event['end_date']}")

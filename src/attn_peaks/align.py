@@ -95,6 +95,13 @@ def load_registry(
     whose ``raw_type`` maps to ``"ignore"`` are dropped and counted. For
     S2ID, records whose ``status`` is not in ``status_accept`` (compared
     case-insensitively) are dropped and counted as well.
+
+    Each row is checked as it is read; only the records are kept.
+    A wrong width, malformed CSV or undecodable bytes raise at once. The
+    other errors wait for the end of the file: every ``raw_type`` missing
+    from the type map is reported first, then the first row that breaks a
+    row rule. Equal ``raw_type`` and ``status`` strings share one object;
+    ``location`` is kept as read.
     """
     if not source:
         raise InputError("registry source must be a non-empty label")
@@ -104,7 +111,14 @@ def load_registry(
     mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
     accepted_status = {s.strip().casefold() for s in status_accept}
 
-    rows: list[list[str]] = []
+    unmapped: set[str] = set()
+    records: list[DisasterRecord] = []
+    n_ignored = n_dropped = 0
+    check_status = source == "S2ID"
+    seen_ids: set[str] = set()
+    onsets: dict[str, datetime.date] = {}
+    shared: dict[str, str] = {}
+    first_error: InputError | None = None
     row_number = -1  # the last row read; the header is row 0
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -123,47 +137,57 @@ def load_registry(
             for row_number, row in enumerate(reader, start=1):
                 if len(row) != width:
                     raise row_error(path, row_number, f"expected {width} fields, got {len(row)}")
-                rows.append(row)
+                record_id, declared, raw_type, onset_text, location, status = row
+                if raw_type not in mapping:
+                    unmapped.add(raw_type)
+                    continue
+                if first_error is not None:
+                    continue
+                try:
+                    if declared and declared != source:
+                        reason = f"declares source {declared!r} but the file was loaded as"
+                        raise row_error(path, row_number, f"{reason} {source!r}")
+                    if not record_id:
+                        raise row_error(path, row_number, "empty field 'record_id'")
+                    if record_id in seen_ids:
+                        raise row_error(path, row_number, f"duplicate record id {record_id!r}")
+                    seen_ids.add(record_id)
+                    hazard = mapping[raw_type]
+                    if hazard == IGNORE:
+                        n_ignored += 1
+                        continue
+                    if check_status and status.strip().casefold() not in accepted_status:
+                        n_dropped += 1
+                        continue
+                    onset = onsets.get(onset_text)
+                    if onset is None:
+                        onset = onsets[onset_text] = parse_row_date(onset_text, path, row_number)
+                except InputError as exc:
+                    first_error = exc
+                    continue
+                records.append(
+                    DisasterRecord(
+                        record_id,
+                        source,
+                        hazard,
+                        onset,
+                        location,
+                        shared.setdefault(raw_type, raw_type),
+                        shared.setdefault(status, status),
+                    )
+                )
     except UnicodeDecodeError:
         raise undecodable(path) from None
     except csv.Error as exc:
         raise row_error(path, row_number + 1, f"malformed CSV: {exc}") from None
 
-    # Rows are in REGISTRY_COLUMNS order; raw_type is field 2.
-    unmapped = sorted({row[2] for row in rows}.difference(mapping))
     if unmapped:
         raise InputError(
             f"registry {path} has raw_type labels missing from the type map: "
-            + ", ".join(repr(u) for u in unmapped)
+            + ", ".join(repr(u) for u in sorted(unmapped))
         )
-
-    records: list[DisasterRecord] = []
-    n_ignored = n_dropped = 0
-    check_status = source == "S2ID"
-    seen_ids: set[str] = set()
-    onsets: dict[str, datetime.date] = {}
-    for row_number, (record_id, declared, raw_type, onset_text, location, status) in enumerate(
-        rows, start=1
-    ):
-        if declared and declared != source:
-            reason = f"declares source {declared!r} but the file was loaded as {source!r}"
-            raise row_error(path, row_number, reason)
-        if not record_id:
-            raise row_error(path, row_number, "empty field 'record_id'")
-        if record_id in seen_ids:
-            raise row_error(path, row_number, f"duplicate record id {record_id!r}")
-        seen_ids.add(record_id)
-        hazard = mapping[raw_type]
-        if hazard == IGNORE:
-            n_ignored += 1
-            continue
-        if check_status and status.strip().casefold() not in accepted_status:
-            n_dropped += 1
-            continue
-        onset = onsets.get(onset_text)
-        if onset is None:
-            onset = onsets[onset_text] = parse_row_date(onset_text, path, row_number)
-        records.append(DisasterRecord(record_id, source, hazard, onset, location, raw_type, status))
+    if first_error is not None:
+        raise first_error
     return RegistryLoad(records, n_ignored, n_dropped)
 
 

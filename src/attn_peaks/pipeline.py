@@ -56,6 +56,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import align as align_mod
 from .align import DEFAULT_S2ID_ACCEPT, DEFAULT_TYPE_MAP, IGNORE, AlignmentReport, RegistryLoad
@@ -280,7 +281,7 @@ def _stage(name: str):
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -365,15 +366,18 @@ _PAIR_ITEM = (
 _RECORD_ITEM = '    {\n      "record_id": %s,\n      "source": %s\n    }'
 
 
-def _alignment_text(report: AlignmentReport, registry_loads: dict[str, RegistryLoad]) -> str:
-    """The text of ``alignment.json``: what :func:`_write_json` would write, byte for byte.
+def _write_alignment(
+    handle: TextIO, report: AlignmentReport, registry_loads: dict[str, RegistryLoad]
+) -> None:
+    """Write ``alignment.json`` to ``handle``, byte for byte as :func:`_write_json` would.
 
     ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the three
-    long lists are filled into fixed item templates instead, each string
-    escaped by ``encode_basestring``, the escaper ``json.dumps`` uses when
-    ``ensure_ascii`` is off. ``json.dumps`` writes the small fields.
+    long lists are written item by item from fixed templates instead, each
+    string escaped by ``encode_basestring``, the escaper ``json.dumps`` uses
+    when ``ensure_ascii`` is off. ``json.dumps`` writes the small fields.
     """
     esc = encode_basestring
+    write = handle.write
 
     def nested(value) -> str:
         # json escapes the newlines in strings, so each one here starts a line:
@@ -381,8 +385,15 @@ def _alignment_text(report: AlignmentReport, registry_loads: dict[str, RegistryL
         text = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
         return text.replace("\n", "\n  ")
 
-    def array(items: list[str]) -> str:
-        return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    def array(items: Iterator[str]) -> None:
+        first = next(items, None)
+        if first is None:
+            write("[]")
+            return
+        write("[\n" + first)
+        for item in items:
+            write(",\n" + item)
+        write("\n  ]")
 
     registries = {
         source: {
@@ -392,23 +403,22 @@ def _alignment_text(report: AlignmentReport, registry_loads: dict[str, RegistryL
         }
         for source, load in registry_loads.items()
     }
-    fields = {  # in sorted key order
-        "aligned_events_by_source": nested(report.aligned_by_source),
-        "pairs": array([
-            _PAIR_ITEM
-            % (esc(p.event_id), esc(p.hazard), p.lag_days, esc(p.record_id), esc(p.source))
-            for p in report.pairs
-        ]),
-        "registries": nested(registries),
-        "unmatched_events": array(["    " + esc(e) for e in report.unmatched_events]),
-        "unmatched_records": array([
-            _RECORD_ITEM % (esc(record_id), esc(source))
-            for source, record_id in report.unmatched_records
-        ]),
-        "window_days": nested(report.window_days),
-    }
-    body = ",\n".join(f"  {esc(key)}: {text}" for key, text in fields.items())
-    return "{\n" + body + "\n}\n"
+    # The keys in sorted order, as sort_keys writes them.
+    write('{\n  "aligned_events_by_source": ' + nested(report.aligned_by_source))
+    write(',\n  "pairs": ')
+    array(
+        _PAIR_ITEM % (esc(p.event_id), esc(p.hazard), p.lag_days, esc(p.record_id), esc(p.source))
+        for p in report.pairs
+    )
+    write(',\n  "registries": ' + nested(registries))
+    write(',\n  "unmatched_events": ')
+    array("    " + esc(e) for e in report.unmatched_events)
+    write(',\n  "unmatched_records": ')
+    array(
+        _RECORD_ITEM % (esc(record_id), esc(source))
+        for source, record_id in report.unmatched_records
+    )
+    write(',\n  "window_days": ' + nested(report.window_days) + "\n}\n")
 
 
 def _manifest(config: PipelineConfig, command: str) -> dict:
@@ -515,7 +525,8 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
     """Write the files of ``command`` into a temporary directory, then move them all into place.
 
     An OSError from creating or filling the output directory, such as a
-    path that is or runs through a regular file, is an InputError.
+    path that is or runs through a regular file, is an InputError. So is a
+    destination that is a directory; it is found before any file is moved.
     """
     out_dir = Path(config.out_dir)
     # Hashing the inputs reads them; an error there is not one of the output directory.
@@ -538,17 +549,21 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
             _write_measures_csv(tmp / "measures.csv", run.measures)
             _write_json(tmp / "summaries.json", run.summaries)
         if command in ("align", "run"):
-            text = _alignment_text(run.alignment, run.registry_loads)
-            (tmp / "alignment.json").write_text(text, encoding="utf-8")
+            with open(tmp / "alignment.json", "w", encoding="utf-8") as handle:
+                _write_alignment(handle, run.alignment, run.registry_loads)
         if command in ("report", "run"):
             _write_json(tmp / "report.json", run.report)
         if manifest is not None:
             _write_json(tmp / "manifest.json", manifest)
         out_dir.mkdir(parents=True, exist_ok=True)
-        files: dict[str, Path] = {}
-        for staged in sorted(tmp.iterdir()):
-            files[staged.name] = final = out_dir / staged.name
-            os.replace(staged, final)
+        staged = sorted(tmp.iterdir())
+        files = {path.name: out_dir / path.name for path in staged}
+        # A file cannot replace a directory: refuse before anything is moved.
+        for final in files.values():
+            if final.is_dir() and not final.is_symlink():
+                raise InputError(f"cannot write output file {final}: it is a directory")
+        for path in staged:
+            os.replace(path, files[path.name])
         return files
     except OSError as exc:
         reason = exc.strerror or exc

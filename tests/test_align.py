@@ -134,6 +134,18 @@ class TestLoadRegistry:
         assert first.onset_date == D(2011, 1, 11)
         assert first.onset_date is second.onset_date
 
+    def test_equal_labels_share_one_object(self, tmp_path):
+        row = "S2ID,Landslide,2011-01-1{},Petrópolis,recognised\n"
+        path = write_registry(tmp_path, "r1," + row.format(1) + "r2," + row.format(2))
+        first, second = load_registry(path, "S2ID").records
+        assert (first.raw_type, first.location, first.status) == (
+            "Landslide",
+            "Petrópolis",
+            "recognised",
+        )
+        assert first.raw_type is second.raw_type
+        assert first.status is second.status
+
     def test_unmapped_raw_type_is_reported_before_row_errors(self, tmp_path):
         path = write_registry(
             tmp_path,
@@ -229,6 +241,22 @@ class TestLoadRegistryOracle:
     )
     @example(  # an unmapped type is reported before a duplicate id and a bad date
         rows=[("R1", "", "Wildfire", "x", "", "", 0), ("R1", "", "Hail", "x", "", "", 0)],
+        source="EMDAT",
+    )
+    @example(  # a wrong width in row 2 is reported before a bad date in row 1
+        rows=[("R1", "", "Wildfire", "x", "", "", 0), ("R2", "", "Wildfire", "x", "", "", -1)],
+        source="EMDAT",
+    )
+    @example(  # an unmapped type in the last row is reported before a duplicate id
+        rows=[
+            ("R1", "", "Wildfire", "2020-01-05", "", "", 0),
+            ("R1", "", "Wildfire", "2020-01-05", "", "", 0),
+            ("R3", "", "Hail", "2020-01-05", "", "", 0),
+        ],
+        source="EMDAT",
+    )
+    @example(  # of two row errors, the first one is reported
+        rows=[("R1", "", "Wildfire", "x", "", "", 0), ("R2", "S2ID", "Landslide", "x", "", "", 0)],
         source="EMDAT",
     )
     @example(  # dropped rows never have their dates read

@@ -71,7 +71,7 @@ class TestFlagOverrides:
             ]
         )
         assert code == 0
-        assert (out / "events.jsonl").read_text() == ""
+        assert (out / "events.jsonl").read_text(encoding="utf-8") == ""
 
     def test_hazard_flag_narrows_processing(self, tmp_path):
         config = write_small_corpus(tmp_path)
@@ -81,7 +81,8 @@ class TestFlagOverrides:
         )
         assert code == 0
         assert not (out / "timeseries_landslide.csv").exists()
-        events = [json.loads(l) for l in (out / "events.jsonl").read_text().splitlines()]
+        lines = (out / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        events = [json.loads(line) for line in lines]
         assert [e["hazard"] for e in events] == ["fire"]
 
     def test_repeated_hazard_flag_counts_once(self, tmp_path):
@@ -93,7 +94,7 @@ class TestFlagOverrides:
         assert sorted(p.name for p in twice.iterdir()) == sorted(p.name for p in once.iterdir())
         for path in once.iterdir():
             assert (twice / path.name).read_bytes() == path.read_bytes(), path.name
-        manifest = json.loads((twice / "manifest.json").read_text())
+        manifest = json.loads((twice / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["parameters"]["hazards"] == ["fire"]
 
     def test_window_days_flag(self, tmp_path):
@@ -104,7 +105,7 @@ class TestFlagOverrides:
             ["align", "--config", str(config), "--window-days", "0", "--out-dir", str(out)]
         )
         assert code == 0
-        alignment = json.loads((out / "alignment.json").read_text())
+        alignment = json.loads((out / "alignment.json").read_text(encoding="utf-8"))
         assert alignment["pairs"] == []
 
     def test_cli_without_config_file(self, tmp_path):
@@ -191,6 +192,7 @@ def test_module_entry_point_smoke(tmp_path):
         ],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").is_file()
@@ -198,7 +200,10 @@ def test_module_entry_point_smoke(tmp_path):
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "attn_peaks", *args], capture_output=True, text=True
+        [sys.executable, "-m", "attn_peaks", *args],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
     )
 
 
@@ -374,6 +379,22 @@ class TestOutputPaths:
         assert blocker.read_text(encoding="utf-8") == "keep me\n"
         assert not list(tmp_path.glob(".attn-peaks-*"))
 
+    def test_directory_in_place_of_an_output_file_replaces_nothing(self, golden_dir, tmp_path):
+        config = _golden_copy(golden_dir, tmp_path)
+        out = tmp_path / "out"
+        command = ["ingest", "--config", str(config), "--out-dir", str(out)]
+        first = _run_cli(*command, "--hazard", "landslide")
+        assert first.returncode == 0, first.stderr
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        (out / "timeseries_fire.csv").mkdir()
+        proc = _run_cli(*command)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"{out / 'timeseries_fire.csv'}: it is a directory" in proc.stderr
+        after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        assert after == before
+        assert not list(tmp_path.glob(".attn-peaks-*"))
+
     @pytest.mark.parametrize("label", ["a/b", "a\\b"])
     def test_hazard_label_with_a_path_separator_exits_two(self, tmp_path, label):
         config = write_small_corpus(tmp_path)
@@ -391,12 +412,32 @@ class TestOutputPaths:
         assert not list(tmp_path.glob(".attn-peaks-*"))
 
 
+def test_golden_run_never_falls_back_to_the_locale_encoding(golden_dir, tmp_path):
+    config = _golden_copy(golden_dir, tmp_path)
+    out = tmp_path / "out"
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    command = ["run", "--config", str(config), "--out-dir", str(out)]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "attn_peaks", *command],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "EncodingWarning" not in proc.stderr
+    for expected in sorted((golden_dir / "expected").iterdir()):
+        assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
+
 def test_golden_run_needs_no_numpy(golden_dir, tmp_path):
     config = _golden_copy(golden_dir, tmp_path)
     out = tmp_path / "out"
     command = ["run", "--config", str(config), "--out-dir", str(out)]
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, *command], capture_output=True, text=True
+        [sys.executable, "-c", _WITHOUT_NUMPY, *command],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0, proc.stderr
     for expected in sorted((golden_dir / "expected").iterdir()):

@@ -1,4 +1,5 @@
 import datetime
+import io
 import json
 import re
 
@@ -20,7 +21,7 @@ from attn_peaks import (
     run_pipeline,
     validate_config,
 )
-from attn_peaks.pipeline import _alignment_text
+from attn_peaks.pipeline import _write_alignment
 from support import make_series, oracle_alignment_json, write_small_corpus
 
 D = datetime.date
@@ -48,8 +49,8 @@ class TestConfig:
 
     def test_type_map_section_merges_over_defaults(self, tmp_path):
         config_path = write_small_corpus(tmp_path)
-        extra = config_path.read_text() + "\n[type_map]\nDeslizamentos = landslide\n"
-        config_path.write_text(extra, encoding="utf-8")
+        extra = "\n[type_map]\nDeslizamentos = landslide\n"
+        config_path.write_text(config_path.read_text(encoding="utf-8") + extra, encoding="utf-8")
         config = load_config(config_path)
         assert config.type_map["Deslizamentos"] == "landslide"
         assert config.type_map["Wildfire"] == "fire"
@@ -117,7 +118,7 @@ class TestEmitTimeseries:
     def test_all_zero_series(self, tmp_path):
         series = make_series([0, 0, 0])
         path = emit_timeseries(series, [], tmp_path / "ts.csv")
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "date,count,is_event_day,is_peak"
         assert lines[1:] == [
             "2000-01-01,0,0,0",
@@ -129,7 +130,7 @@ class TestEmitTimeseries:
         series = make_series([0, 1, 3, 1, 0])
         events = detect_events(series, PeakParams(2, 7))
         path = emit_timeseries(series, events, tmp_path / "ts.csv")
-        lines = path.read_text().splitlines()[1:]
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
         flagged = [line for line in lines if line.split(",")[2] == "1"]
         peaks = [line for line in lines if line.split(",")[3] == "1"]
         assert len(flagged) == 3
@@ -141,7 +142,7 @@ class TestEmitTimeseries:
         series = make_series([0] * 9132)
         assert series.end == D(2024, 12, 31)
         path = emit_timeseries(series, [], tmp_path / "ts.csv")
-        assert len(path.read_text().splitlines()) == 9133
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 9133
 
 
 class TestRunPipeline:
@@ -162,7 +163,7 @@ class TestRunPipeline:
         }
         events = [
             json.loads(line)
-            for line in artifacts.files["events.jsonl"].read_text().splitlines()
+            for line in artifacts.files["events.jsonl"].read_text(encoding="utf-8").splitlines()
         ]
         assert [(e["hazard"], e["peak_date"]) for e in events] == [
             ("landslide", "2020-01-11"),
@@ -173,14 +174,14 @@ class TestRunPipeline:
             {"date": "2020-01-11", "count": 3},
             {"date": "2020-01-12", "count": 1},
         ]
-        alignment = json.loads(artifacts.files["alignment.json"].read_text())
+        alignment = json.loads(artifacts.files["alignment.json"].read_text(encoding="utf-8"))
         assert [(p["event_id"], p["record_id"], p["lag_days"]) for p in alignment["pairs"]] == [
             ("landslide-2020-01-11", "EM-1", 1)
         ]
         assert alignment["unmatched_records"] == [
             {"source": "EMDAT", "record_id": "EM-2"}
         ]
-        report = json.loads(artifacts.files["report.json"].read_text())
+        report = json.loads(artifacts.files["report.json"].read_text(encoding="utf-8"))
         assert report["n_events"] == {"landslide": 1, "fire": 1}
         assert report["alignment"]["aligned_fraction"] == 0.5
         assert report["corpus"]["landslide"]["n_articles"] == 5
@@ -188,7 +189,7 @@ class TestRunPipeline:
     def test_measures_csv_content(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
         artifacts = run_pipeline(config, "run")
-        lines = artifacts.files["measures.csv"].read_text().splitlines()
+        lines = artifacts.files["measures.csv"].read_text(encoding="utf-8").splitlines()
         assert lines[0] == (
             "hazard,event_id,peak_date,n_at_peak,total_volume,duration_days,"
             "days_since_last,days_to_peak,days_to_fade,n_text_types,n_outlets,"
@@ -208,10 +209,10 @@ class TestRunPipeline:
         )
         artifacts = run_pipeline(config, "run")
         assert artifacts.events == {"landslide": [], "fire": []}
-        summaries = json.loads(artifacts.files["summaries.json"].read_text())
+        summaries = json.loads(artifacts.files["summaries.json"].read_text(encoding="utf-8"))
         assert summaries["landslide"]["n_events"] == 0
         assert summaries["landslide"]["measures"]["n_at_peak"] is None
-        report = json.loads(artifacts.files["report.json"].read_text())
+        report = json.loads(artifacts.files["report.json"].read_text(encoding="utf-8"))
         assert report["alignment"]["aligned_fraction"] is None
 
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -292,7 +293,7 @@ class TestRunPipeline:
     def test_manifest_contents_are_stable(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
         first = run_pipeline(config, "run")
-        manifest = json.loads(first.files["manifest.json"].read_text())
+        manifest = json.loads(first.files["manifest.json"].read_text(encoding="utf-8"))
         assert manifest["tool"] == "attn-peaks"
         assert manifest["command"] == "run"
         assert manifest["parameters"]["min_height"] == 2
@@ -341,7 +342,7 @@ _REGISTRY_LOADS = st.dictionaries(
 )
 
 
-class TestAlignmentText:
+class TestWriteAlignment:
     @settings(max_examples=300, deadline=None)
     @given(report=_REPORTS, registry_loads=_REGISTRY_LOADS)
     @example(report=AlignmentReport(window_days=5), registry_loads={})  # no registries configured
@@ -354,5 +355,7 @@ class TestAlignmentText:
         registry_loads={"EMDAT": RegistryLoad([None], 2, 0), "S2ID": RegistryLoad([], 0, 3)},
     )
     def test_equals_json_dumps_byte_for_byte(self, report, registry_loads):
-        want = oracle_alignment_json(report, registry_loads)
-        assert _alignment_text(report, registry_loads) == want
+        handle = io.StringIO()
+        _write_alignment(handle, report, registry_loads)
+        assert handle.getvalue() == oracle_alignment_json(report, registry_loads)
+
