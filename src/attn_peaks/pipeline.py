@@ -10,37 +10,10 @@ canonically ordered, no timestamps are embedded, and reruns on identical
 inputs reproduce every artifact exactly. Files are written to a temporary
 directory first and moved into place only when the whole run succeeded.
 
-Configuration is a flat INI file; every key has a default except the input
-paths, and every CLI flag overrides its config key::
-
-    [corpus]
-    documents = documents.csv
-    format = csv
-    hazards = landslide, fire
-
-    [range]
-    start = 2000-01-01
-    end = 2024-12-31
-
-    [gazetteer]
-    path =            ; empty -> packaged German country list
-    target = Brasilien
-
-    [peaks]
-    min_height = 2
-    min_distance = 7
-
-    [align]
-    window_days = 5
-    emdat = emdat.csv
-    s2id = s2id.csv
-    s2id_accept = recognised
-
-    [type_map]
-    Mass movement (wet) = landslide
-
-    [output]
-    dir = out
+Configuration is a flat INI file, laid out in README's "Config file";
+every key has a default except the input paths. :data:`SETTINGS` declares
+each key once, with the CLI flag that overrides it and the
+:class:`PipelineConfig` field it sets.
 """
 
 from __future__ import annotations
@@ -48,6 +21,7 @@ from __future__ import annotations
 import configparser
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -56,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 from . import align as align_mod
 from .align import DEFAULT_S2ID_ACCEPT, DEFAULT_TYPE_MAP, IGNORE, AlignmentReport, RegistryLoad
@@ -78,7 +52,17 @@ from .ingest import (
 from .measures import MEASURE_COLUMNS, MeasureSet, measure_events, summarize
 from .peaks import NewsEvent, PeakParams, detect_events
 
-COMMANDS = ("ingest", "detect", "measure", "align", "report", "run")
+# Each command runs the stages up to its own, in this order.
+COMMANDS = {
+    "ingest": "load and filter documents, write count series and corpus stats",
+    "detect": "detect peaks and segment news events",
+    "measure": "compute event measures and distribution summaries",
+    "align": "align events against disaster registries",
+    "report": "write the aggregated run report",
+    "run": "run every stage and write all artifacts plus the manifest",
+}
+
+_DOC_FORMATS = ("csv", "jsonl")
 
 _MEASURES_HEADER = ("hazard", "event_id", "peak_date") + MEASURE_COLUMNS
 
@@ -113,13 +97,66 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+class Setting(NamedTuple):
+    """One run parameter: its config-file key, its flag and the field it sets."""
+
+    section: str
+    key: str
+    flag: str | None  # None: set in the config file only
+    field: str  # of PipelineConfig
+    parse: Callable[[str], Any]  # ValueError for a bad value
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+SETTINGS = (
+    Setting("corpus", "documents", "--documents", "documents", Path,
+            "document CSV or JSON-lines file"),
+    Setting("corpus", "format", "--format", "doc_format", str,
+            "document file format", _DOC_FORMATS),
+    Setting("corpus", "hazards", None, "hazards", _split_list, "hazard vocabulary"),
+    Setting("range", "start", "--start", "start", parse_date, "first day of the series range"),
+    Setting("range", "end", "--end", "end", parse_date, "last day of the series range"),
+    Setting("gazetteer", "path", "--gazetteer", "gazetteer", Path, "country list file"),
+    Setting("gazetteer", "target", "--target", "target", str, "target country name"),
+    Setting("peaks", "min_height", "--min-height", "min_height", int,
+            "inclusive peak height threshold"),
+    Setting("peaks", "min_distance", "--min-distance", "min_distance", int,
+            "minimum days between peaks"),
+    Setting("align", "window_days", "--window-days", "window_days", int,
+            "alignment window in days"),
+    Setting("align", "emdat", "--emdat", "registries", Path, "EM-DAT style registry CSV"),
+    Setting("align", "s2id", "--s2id", "registries", Path, "S2iD style registry CSV"),
+    Setting("align", "s2id_accept", None, "s2id_accept", _split_list,
+            "recognition states kept for S2ID entries"),
+    Setting("output", "dir", "--out-dir", "out_dir", Path, "output directory"),
+)
+
+# How a config value is described that its setting's parser rejects.
+_INVALID = {int: "must be an integer", parse_date: "is not a date"}
+
+
+def apply_setting(config: PipelineConfig, setting: Setting, value: Any) -> None:
+    """Set a parsed value; a registry path adds or replaces the entry of its source."""
+    if setting.field == "registries":
+        registries = dict(config.registries)
+        registries[setting.key.upper()] = value
+        value = tuple(sorted(registries.items()))
+    setattr(config, setting.field, value)
+
+
 def load_config(path: Path | str) -> PipelineConfig:
-    """Parse an INI config file into a :class:`PipelineConfig`."""
+    """Parse an INI config file into a :class:`PipelineConfig`.
+
+    Relative paths resolve against the config file's directory. ``[type_map]``
+    takes any key; every other section and key is one of :data:`SETTINGS`.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
+    # A section name cannot be empty, so [DEFAULT] is an ordinary section, and unknown.
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=(";",)
+        interpolation=None, inline_comment_prefixes=(";",), default_section=""
     )
     parser.optionxform = str  # type: ignore[assignment]  # keep type-map key case
     try:
@@ -127,84 +164,34 @@ def load_config(path: Path | str) -> PipelineConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise InputError(f"config file {path} is malformed: {exc}") from None
 
-    config = PipelineConfig()
-    base = path.parent
-
-    def _path(raw: str) -> Path:
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
-
-    def _get(section: str, option: str) -> str | None:
-        value = parser.get(section, option, fallback=None)
-        return value.strip() if value is not None and value.strip() else None
-
-    def _get_int(section: str, option: str, current: int) -> int:
-        raw = _get(section, option)
-        if raw is None:
-            return current
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"config [{section}] {option} must be an integer: {raw!r}") from None
-
-    def _get_date(section: str, option: str, current: datetime.date) -> datetime.date:
-        raw = _get(section, option)
-        if raw is None:
-            return current
-        try:
-            return parse_date(raw)
-        except ValueError:
-            raise InputError(f"config [{section}] {option} is not a date: {raw!r}") from None
-
-    known = {
-        "corpus": {"documents", "format", "hazards"},
-        "range": {"start", "end"},
-        "gazetteer": {"path", "target"},
-        "peaks": {"min_height", "min_distance"},
-        "align": {"window_days", "emdat", "s2id", "s2id_accept"},
-        "type_map": None,
-        "output": {"dir"},
-    }
     for section in parser.sections():
-        if section not in known:
+        if section == "type_map":
+            continue
+        known = {setting.key for setting in SETTINGS if setting.section == section}
+        if not known:
             raise InputError(f"config file {path} has an unknown section [{section}]")
-        allowed = known[section]
-        if allowed is not None:
-            unknown = sorted(set(parser.options(section)) - allowed)
-            if unknown:
-                raise InputError(
-                    f"config [{section}] has an unknown key {unknown[0]!r}"
-                )
+        unknown = sorted(set(parser.options(section)) - known)
+        if unknown:
+            raise InputError(f"config [{section}] has an unknown key {unknown[0]!r}")
 
-    if raw := _get("corpus", "documents"):
-        config.documents = _path(raw)
-    if raw := _get("corpus", "format"):
-        if raw not in ("csv", "jsonl"):
-            raise InputError(f"config [corpus] format must be csv or jsonl: {raw!r}")
-        config.doc_format = raw
-    if raw := _get("corpus", "hazards"):
-        config.hazards = _split_list(raw)
-    config.start = _get_date("range", "start", config.start)
-    config.end = _get_date("range", "end", config.end)
-    if raw := _get("gazetteer", "path"):
-        config.gazetteer = _path(raw)
-    if raw := _get("gazetteer", "target"):
-        config.target = raw
-    config.min_height = _get_int("peaks", "min_height", config.min_height)
-    config.min_distance = _get_int("peaks", "min_distance", config.min_distance)
-    config.window_days = _get_int("align", "window_days", config.window_days)
-    registries = []
-    for source, option in (("EMDAT", "emdat"), ("S2ID", "s2id")):
-        if raw := _get("align", option):
-            registries.append((source, _path(raw)))
-    config.registries = tuple(registries)
-    if raw := _get("align", "s2id_accept"):
-        config.s2id_accept = _split_list(raw)
+    config = PipelineConfig()
+    for setting in SETTINGS:
+        raw = parser.get(setting.section, setting.key, fallback="").strip()
+        if not raw:
+            continue
+        where = f"config [{setting.section}] {setting.key}"
+        try:
+            value = setting.parse(raw)
+        except ValueError:
+            raise InputError(f"{where} {_INVALID[setting.parse]}: {raw!r}") from None
+        if setting.choices and value not in setting.choices:
+            raise InputError(f"{where} must be {' or '.join(setting.choices)}: {raw!r}")
+        if setting.parse is Path:
+            value = path.parent / value
+        apply_setting(config, setting, value)
     if parser.has_section("type_map"):
         for raw_type, hazard in parser.items("type_map"):
             config.type_map[raw_type] = hazard.strip()
-    if raw := _get("output", "dir"):
-        config.out_dir = _path(raw)
     return config
 
 
@@ -230,7 +217,7 @@ def validate_config(config: PipelineConfig) -> None:
             f"--hazard {unknown[0]!r} is not in the configured vocabulary "
             f"{', '.join(config.hazards)}"
         )
-    if config.doc_format not in ("csv", "jsonl"):
+    if config.doc_format not in _DOC_FORMATS:
         raise InputError(f"unknown document format {config.doc_format!r}")
     if config.documents is None:
         raise InputError("no documents file configured (set [corpus] documents or --documents)")
@@ -303,14 +290,13 @@ def emit_timeseries(series: CountSeries, events: list[NewsEvent], path: Path | s
     event_days = {day for event in events for day, _ in event.day_counts}
     peak_days = {event.peak_date for event in events}
     lines = ["date,count,is_event_day,is_peak"]
-    day = series.start
-    one_day = datetime.timedelta(days=1)
-    for count in series.counts:
+    # One step fewer than there are days: a step past the last day overflows at 9999-12-31.
+    steps = itertools.repeat(datetime.timedelta(days=1), len(series.counts) - 1)
+    for day, count in zip(itertools.accumulate(steps, initial=series.start), series.counts):
         lines.append(
             f"{day.isoformat()},{count},"
             f"{1 if day in event_days else 0},{1 if day in peak_days else 0}"
         )
-        day += one_day
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -466,7 +452,8 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     with _stage("config"):
         validate_config(config)
     hazards = config.active_hazards
-    want = COMMANDS.index(command)
+    stages = list(COMMANDS)
+    want = stages.index(command)
     run = RunArtifacts(out_dir=config.out_dir)
 
     with _stage("ingest"):
@@ -485,18 +472,18 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
             run.series[hazard] = series
             run.stats[hazard] = corpus_stats(docs, series)
 
-    if want >= COMMANDS.index("detect"):
+    if want >= stages.index("detect"):
         with _stage("detect"):
             params = PeakParams(min_height=config.min_height, min_distance=config.min_distance)
             for hazard in hazards:
                 run.events[hazard] = detect_events(run.series[hazard], params)
     all_events = [e for events in run.events.values() for e in events]
-    if want >= COMMANDS.index("measure"):
+    if want >= stages.index("measure"):
         with _stage("measure"):
             for hazard in hazards:
                 run.measures[hazard] = measure_events(run.events[hazard], docs_by_hazard[hazard])
             run.summaries = _summaries(run.measures)
-    if want >= COMMANDS.index("align"):
+    if want >= stages.index("align"):
         with _stage("align"):
             records = []
             for source, reg_path in config.registries:
@@ -506,7 +493,7 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
                 run.registry_loads[source] = load
                 records.extend(load.records)
             run.alignment = align_mod.align_events(all_events, records, config.window_days)
-    if want >= COMMANDS.index("report"):
+    if want >= stages.index("report"):
         with _stage("report"):
             run.report = {
                 "range": {"start": config.start.isoformat(), "end": config.end.isoformat()},
@@ -529,6 +516,8 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
     destination that is a directory; it is found before any file is moved.
     """
     out_dir = Path(config.out_dir)
+    if "\0" in str(out_dir):  # os calls raise ValueError for it, not OSError
+        raise InputError(f"cannot write output directory {out_dir}: embedded null byte")
     # Hashing the inputs reads them; an error there is not one of the output directory.
     manifest = _manifest(config, command) if command == "run" else None
     tmp = None

@@ -2,15 +2,24 @@ import codecs
 import csv
 import datetime
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attn_peaks import default_gazetteer_path
-from attn_peaks.cli import main
+from attn_peaks import PipelineConfig, default_gazetteer_path
+from attn_peaks.cli import _configure, build_parser, main
 from support import write_small_corpus
+
+REPO_DIR = Path(__file__).parents[1]
+GOLDEN_DIR = REPO_DIR / "tests" / "data" / "golden"
 
 
 class TestExitCodes:
@@ -126,6 +135,124 @@ class TestFlagOverrides:
         )
         assert code == 0
         assert (out / "events.jsonl").is_file()
+
+
+# Each flag with the config key it overrides and the PipelineConfig field both
+# set, as the hand-written parser had them: flag, section, key, field, value
+# given, value set. A path is set as given by the flag and relative to the
+# config file's directory by the key.
+_KEY_AND_FLAG = [
+    ("--documents", "corpus", "documents", "documents", "in/d.csv", Path("in/d.csv")),
+    ("--format", "corpus", "format", "doc_format", "jsonl", "jsonl"),
+    ("--start", "range", "start", "start", "2001-02-03", datetime.date(2001, 2, 3)),
+    ("--end", "range", "end", "end", "2030-01-02", datetime.date(2030, 1, 2)),
+    ("--gazetteer", "gazetteer", "path", "gazetteer", "g/c.txt", Path("g/c.txt")),
+    ("--target", "gazetteer", "target", "target", "Peru", "Peru"),
+    ("--min-height", "peaks", "min_height", "min_height", "3", 3),
+    ("--min-distance", "peaks", "min_distance", "min_distance", "9", 9),
+    ("--window-days", "align", "window_days", "window_days", "0", 0),
+    ("--emdat", "align", "emdat", "registries", "r/e.csv", (("EMDAT", Path("r/e.csv")),)),
+    ("--s2id", "align", "s2id", "registries", "r/s.csv", (("S2ID", Path("r/s.csv")),)),
+    ("--out-dir", "output", "dir", "out_dir", "o/x", Path("o/x")),
+]
+
+
+def _below(base: Path, value):
+    if isinstance(value, Path):
+        return base / value
+    if isinstance(value, tuple):
+        return tuple((source, base / path) for source, path in value)
+    return value
+
+
+def _flag_config(*argv: str) -> PipelineConfig:
+    return _configure(build_parser().parse_args(["run", *argv]))
+
+
+class TestSettings:
+    """The config keys and flags set the fields the hand-written parser set."""
+
+    @pytest.mark.parametrize("flag, section, key, field, raw, value", _KEY_AND_FLAG)
+    def test_key_and_flag_set_the_same_field(
+        self, tmp_path, flag, section, key, field, raw, value
+    ):
+        config = tmp_path / "c.ini"
+        config.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+        assert _flag_config("--config", str(config)) == PipelineConfig(
+            **{field: _below(tmp_path, value)}
+        )
+        assert _flag_config(flag, raw) == PipelineConfig(**{field: value})
+
+    def test_registries_are_in_emdat_s2id_order(self, tmp_path):
+        config = tmp_path / "c.ini"
+        config.write_text("[align]\ns2id = s.csv\nemdat = e.csv\n", encoding="utf-8")
+        both = (("EMDAT", tmp_path / "e.csv"), ("S2ID", tmp_path / "s.csv"))
+        assert _flag_config("--config", str(config)).registries == both
+        flags = (("EMDAT", Path("e")), ("S2ID", Path("s")))
+        assert _flag_config("--s2id", "s", "--emdat", "e").registries == flags
+        config.write_text("[align]\ns2id = s.csv\n", encoding="utf-8")
+        mixed = _flag_config("--config", str(config), "--emdat", "e").registries
+        assert mixed == (("EMDAT", Path("e")), ("S2ID", tmp_path / "s.csv"))
+
+    @pytest.mark.parametrize("command", ["ingest", "detect", "measure", "align", "report", "run"])
+    def test_help_lists_the_flags_readme_names(self, command, capsys):
+        readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"Flags override their config keys:(.*?)\n\n", readme, re.S)
+        named = set(re.findall(r"--[a-z0-9-]+", sentence.group(1)))
+        assert {flag for flag, *_ in _KEY_AND_FLAG} | {"--config", "--hazard"} == named
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == named | {"--help"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--min-height", "x"], "argument --min-height: invalid int value: 'x'"),
+            (["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            (["--end", "2020-13-01"], "argument --end: not a YYYY-MM-DD date: '2020-13-01'"),
+        ],
+    )
+    def test_argparse_messages(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "[--format {csv,jsonl}]" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nmin_height = 3\n",
+            "[DEFAULT]\nwindow_days = 9\n\n[align]\ns2id_accept = recognised\n",
+            "[DEFAULT]\nwindow_days = 9\n\n[peaks]\nmin_height = 2\n",
+            "[DEFAULT]\nFlood = fire\n\n[type_map]\nWildfire = fire\n",
+        ],
+        ids=["alone", "align", "peaks", "type_map"],
+    )
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys, text):
+        config = tmp_path / "c.ini"
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"config file {config} has an unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_series_may_end_on_the_last_representable_day(tmp_path, command):
+    documents = tmp_path / "documents.csv"
+    documents.write_text(
+        "id,date,outlet,text_type,hazard,text\n"
+        "L1,9999-12-30,Blatt 1,Bericht,landslide,Erdrutsch in Brasilien A\n"
+        "L2,9999-12-31,Blatt 2,Bericht,landslide,Erdrutsch in Brasilien B\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = [command, "--documents", str(documents), "--start", "9999-12-01", "--end", "9999-12-31"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    rows = (out / "timeseries_landslide.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + 31
+    assert rows[-2:] == ["9999-12-30,1,0,0", "9999-12-31,1,0,0"]
 
 
 def _basic(day: str) -> str:
@@ -395,6 +522,20 @@ class TestOutputPaths:
         assert after == before
         assert not list(tmp_path.glob(".attn-peaks-*"))
 
+    @pytest.mark.parametrize("out", ["o\0ut", "o\0/out"])
+    def test_nul_in_the_configured_out_dir_exits_two_and_leaves_nothing(
+        self, golden_dir, tmp_path, capsys, out
+    ):
+        config = _golden_copy(golden_dir, tmp_path)
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace("dir = out", f"dir = {out}"), encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 2
+        message = f"cannot write output directory {tmp_path / out}: embedded null byte"
+        assert message in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "config.ini", "documents.csv", "emdat.csv", "s2id.csv"
+        ]
+
     @pytest.mark.parametrize("label", ["a/b", "a\\b"])
     def test_hazard_label_with_a_path_separator_exits_two(self, tmp_path, label):
         config = write_small_corpus(tmp_path)
@@ -442,3 +583,72 @@ def test_golden_run_needs_no_numpy(golden_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     for expected in sorted((golden_dir / "expected").iterdir()):
         assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
+
+# Values a mutation may give a config key, besides those the golden file holds:
+# empty, NUL, non-ASCII digits, a negative and a huge count.
+_ODD_VALUES = ["", "\0", "out\0", "Brasi\0lien", "٣", "2000-01-0١", "-1", "9" * 30, "ignore"]
+_FAR_RANGE = {"start": "start = 9999-12-01", "end": "end = 9999-12-31"}
+_LINE = st.integers(0, 99)
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), _LINE),
+        st.tuples(st.just("repeat"), _LINE),
+        st.tuples(st.just("move"), _LINE, _LINE),
+        st.tuples(st.just("set"), _LINE, st.sampled_from(_ODD_VALUES)),
+        st.tuples(
+            st.just("insert"),
+            _LINE,
+            st.sampled_from(["[DEFAULT]", "[DEFAULT]\nmin_height = 3", "window_days = 9"]),
+        ),
+        # A range that ends on the last day a date can hold. From 2000 on it would
+        # be an 8,000-year series, too slow for one example, so it starts late and
+        # the golden documents fall outside it.
+        # test_series_may_end_on_the_last_representable_day writes such a series.
+        st.just(("range", 0)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(lines: list[str], mutations) -> list[str]:
+    lines = list(lines)
+    for kind, at, *arg in mutations:
+        i = at % len(lines)
+        key, has_value, value = lines[i].partition("=")
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "move" and has_value:
+            other = lines[arg[0] % len(lines)].partition("=")[2]
+            lines[i] = f"{key}={other}"
+        elif kind == "set":
+            lines[i] = f"{key}= {arg[0]}" if has_value else lines[i] + arg[0]
+        elif kind == "insert":
+            lines.insert(i, arg[0])
+        elif kind == "range":
+            lines = [_FAR_RANGE.get(line.partition("=")[0].strip(), line) for line in lines]
+    return lines
+
+
+@settings(max_examples=50, deadline=None)
+@given(_MUTATIONS)
+def test_mutated_golden_config_exits_zero_or_two(mutations):
+    lines = (GOLDEN_DIR / "config.ini").read_text(encoding="utf-8").splitlines()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("documents.csv", "emdat.csv", "s2id.csv"):
+            shutil.copy(GOLDEN_DIR / name, root / name)
+        config = root / "config.ini"
+        config.write_text("\n".join(_mutate(lines, mutations)) + "\n", encoding="utf-8")
+        # A dropped [output] dir writes to ./out: keep that inside the temporary directory.
+        os.chdir(root)
+        try:
+            code = main(["run", "--config", str(config)])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2)
+        assert not list(root.rglob(".attn-peaks-*"))
