@@ -20,7 +20,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import InputError
-from .ingest import csv_reader, parse_row_date, row_error, undecodable
+from .ingest import csv_reader, parse_row_date, path_repr, row_error, undecodable
 from .peaks import NewsEvent
 
 REGISTRY_COLUMNS = ("record_id", "source", "raw_type", "onset_date", "location", "status")
@@ -107,7 +107,7 @@ def load_registry(
         raise InputError("registry source must be a non-empty label")
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"registry file not found: {path}")
+        raise InputError(f"registry file not found: {path_repr(path)}")
     mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
     accepted_status = {s.strip().casefold() for s in status_accept}
 
@@ -126,11 +126,13 @@ def load_registry(
             try:
                 header = next(reader)
             except StopIteration:
-                raise InputError(f"registry file {path} is empty (header expected)") from None
+                raise InputError(
+                    f"registry file {path_repr(path)} is empty (header expected)"
+                ) from None
             row_number = 0
             if header != list(REGISTRY_COLUMNS):
                 raise InputError(
-                    f"unexpected registry header in {path}: {header!r} "
+                    f"unexpected registry header in {path_repr(path)}: {header!r} "
                     f"(expected {','.join(REGISTRY_COLUMNS)})"
                 )
             width = len(REGISTRY_COLUMNS)
@@ -183,7 +185,7 @@ def load_registry(
 
     if unmapped:
         raise InputError(
-            f"registry {path} has raw_type labels missing from the type map: "
+            f"registry {path_repr(path)} has raw_type labels missing from the type map: "
             + ", ".join(repr(u) for u in sorted(unmapped))
         )
     if first_error is not None:

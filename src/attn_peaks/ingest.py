@@ -30,6 +30,7 @@ All functions are pure; loaded corpora can be shared across threads.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime
 import hashlib
@@ -52,21 +53,55 @@ OPTIONAL_DOCUMENT_COLUMNS = ("text_key",)
 # Runs of Unicode letters; digits, underscore and punctuation all delimit.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
 
+# Each Latin-1 byte that is a token letter maps to itself, every other byte
+# to a space. ² ³ ¹ ¼ ½ ¾ are token letters but not alphabetic.
+_LATIN1_TOKEN_BYTES = bytes(b if _TOKEN_RE.fullmatch(chr(b)) else 0x20 for b in range(256))
+
+
+class _LetterOutsideLatin1(Exception):
+    """A token letter that Latin-1 cannot encode; the text takes the slow path."""
+
+
+def _blank_outside_latin1(exc: UnicodeEncodeError) -> tuple[str, int]:
+    """Encode error handler: a run of characters outside Latin-1 with no token letter is a space."""
+    if _TOKEN_RE.search(exc.object, exc.start, exc.end):
+        raise _LetterOutsideLatin1
+    return " ", exc.end
+
+
+codecs.register_error("attn_peaks.blank_outside_latin1", _blank_outside_latin1)
+
 
 def canonical_tokens(text: str) -> list[str]:
     """Casefolded letter tokens of NFC-normalized ``text``.
 
-    Equal to casefolding each match of ``_TOKEN_RE`` in turn. Whitespace is
-    never a token letter and every alphabetic character is one, so a
-    whitespace-delimited chunk that is all alphabetic is a whole token and
-    only the other chunks need the regex. ``str.casefold`` maps each
-    character on its own, so the tokens are casefolded in one call. They
-    are cut before casefolding, because casefolding can turn a letter into
-    a letter plus a combining mark that is not a token letter (U+0130
-    becomes "i" + U+0307).
+    Equal to casefolding each match of ``_TOKEN_RE`` in turn. Two paths:
+
+    - Fast, when every token letter of the text is in Latin-1, as in most
+      German news: the text is encoded to Latin-1, each run of other
+      characters (such as „ “ – … €) becoming a space, and one
+      ``bytes.translate`` turns every byte that is not a token letter into
+      a space. Decoding, casefolding and ``str.split`` then run in C too.
+    - Otherwise (ğ, ł, İ, Σ, ⅓): the text is split at whitespace, and
+      only the chunks that are not all alphabetic go through the regex.
+      Whitespace is never a token letter and every alphabetic character is
+      one. This path must stay: no byte table can hold letters outside
+      Latin-1, and the regex over the whole text is slower.
+
+    ``str.casefold`` maps each character on its own, so the tokens are
+    casefolded in one call. They are cut before casefolding, because
+    casefolding can turn a letter into a letter plus a combining mark that
+    is not a token letter (U+0130 becomes "i" + U+0307). No Latin-1 letter
+    casefolds to a space.
     """
+    text = unicodedata.normalize("NFC", text)
+    try:
+        latin1 = text.encode("latin-1", "attn_peaks.blank_outside_latin1")
+        return latin1.translate(_LATIN1_TOKEN_BYTES).decode("latin-1").casefold().split()
+    except _LetterOutsideLatin1:
+        pass
     raw: list[str] = []
-    for chunk in unicodedata.normalize("NFC", text).split():
+    for chunk in text.split():
         if chunk.isalpha():
             raw.append(chunk)
         else:
@@ -153,11 +188,11 @@ def load_gazetteer(path: Path | str | None = None, target: str = "Brasilien") ->
         path = default_gazetteer_path()
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"gazetteer file not found: {path}")
+        raise InputError(f"gazetteer file not found: {path_repr(path)}")
     try:
         lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
-        raise InputError(f"gazetteer file {path} is not valid UTF-8: {exc}") from None
+        raise InputError(f"gazetteer file {path_repr(path)} is not valid UTF-8: {exc}") from None
     entries = []
     for line in lines:
         line = line.strip()
@@ -254,10 +289,19 @@ def csv_reader(handle: TextIO) -> Iterator[list[str]]:
     return csv.reader(handle)
 
 
+def path_repr(path: Path | str) -> str:
+    """``path`` as an error message shows it: quoted, with control characters escaped.
+
+    A configured path can hold NUL, ESC or a newline; none reaches the
+    terminal raw.
+    """
+    return repr(str(path))
+
+
 def row_error(path: Path, row: int, reason: object) -> InputError:
     """InputError naming ``path`` and its row ``row`` (the CSV header is row 0)."""
     where = "the header" if row == 0 else f"row {row}"
-    return InputError(f"{where} of {path}: {reason}")
+    return InputError(f"{where} of {path_repr(path)}: {reason}")
 
 
 # Undecodable bytes read with errors="surrogateescape" become lone surrogates.
@@ -280,7 +324,7 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
                 if bad:
                     byte = ord(bad.group()) - 0xDC00
                     return row_error(path, row, f"byte 0x{byte:02x} is not valid UTF-8")
-    return InputError(f"{path} is not valid UTF-8")
+    return InputError(f"{path_repr(path)} is not valid UTF-8")
 
 
 def _read_documents(
@@ -350,11 +394,13 @@ def _load_documents_csv(path: Path, hazards: tuple[str, ...]) -> list[Document]:
             try:
                 header = next(reader)
             except StopIteration:
-                raise InputError(f"document file {path} is empty (header expected)") from None
+                raise InputError(
+                    f"document file {path_repr(path)} is empty (header expected)"
+                ) from None
             expected = list(DOCUMENT_COLUMNS)
             if header not in (expected, expected + list(OPTIONAL_DOCUMENT_COLUMNS)):
                 raise InputError(
-                    f"unexpected document header in {path}: {header!r} "
+                    f"unexpected document header in {path_repr(path)}: {header!r} "
                     f"(expected {','.join(expected)}[,text_key])"
                 )
             _read_documents(docs, path, enumerate(reader, start=1), len(header), hazards)
@@ -428,7 +474,7 @@ def load_documents(
     """
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"document file not found: {path}")
+        raise InputError(f"document file not found: {path_repr(path)}")
     if format == "csv":
         return _load_documents_csv(path, tuple(hazards))
     if format == "jsonl":

@@ -48,6 +48,7 @@ from .ingest import (
     load_documents,
     load_gazetteer,
     parse_date,
+    path_repr,
 )
 from .measures import MEASURE_COLUMNS, MeasureSet, measure_events, summarize
 from .peaks import NewsEvent, PeakParams, detect_events
@@ -153,7 +154,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     """
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path_repr(path)}")
     # A section name cannot be empty, so [DEFAULT] is an ordinary section, and unknown.
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";",), default_section=""
@@ -162,14 +163,16 @@ def load_config(path: Path | str) -> PipelineConfig:
     try:
         parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise InputError(f"config file {path} is malformed: {exc}") from None
+        raise InputError(f"config file {path_repr(path)} is malformed: {exc}") from None
 
     for section in parser.sections():
         if section == "type_map":
             continue
         known = {setting.key for setting in SETTINGS if setting.section == section}
         if not known:
-            raise InputError(f"config file {path} has an unknown section [{section}]")
+            raise InputError(
+                f"config file {path_repr(path)} has an unknown section [{section}]"
+            )
         unknown = sorted(set(parser.options(section)) - known)
         if unknown:
             raise InputError(f"config [{section}] has an unknown key {unknown[0]!r}")
@@ -222,12 +225,12 @@ def validate_config(config: PipelineConfig) -> None:
     if config.documents is None:
         raise InputError("no documents file configured (set [corpus] documents or --documents)")
     if not Path(config.documents).is_file():
-        raise InputError(f"documents file not found: {config.documents}")
+        raise InputError(f"documents file not found: {path_repr(config.documents)}")
     if config.gazetteer is not None and not Path(config.gazetteer).is_file():
-        raise InputError(f"gazetteer file not found: {config.gazetteer}")
+        raise InputError(f"gazetteer file not found: {path_repr(config.gazetteer)}")
     for source, reg_path in config.registries:
         if not Path(reg_path).is_file():
-            raise InputError(f"registry file not found ({source}): {reg_path}")
+            raise InputError(f"registry file not found ({source}): {path_repr(reg_path)}")
     bad = sorted(
         {v for v in config.type_map.values() if v != IGNORE and v not in config.hazards}
     )
@@ -289,46 +292,55 @@ def emit_timeseries(series: CountSeries, events: list[NewsEvent], path: Path | s
     path = Path(path)
     event_days = {day for event in events for day, _ in event.day_counts}
     peak_days = {event.peak_date for event in events}
-    lines = ["date,count,is_event_day,is_peak"]
     # One step fewer than there are days: a step past the last day overflows at 9999-12-31.
     steps = itertools.repeat(datetime.timedelta(days=1), len(series.counts) - 1)
-    for day, count in zip(itertools.accumulate(steps, initial=series.start), series.counts):
-        lines.append(
+    days = itertools.accumulate(steps, initial=series.start)
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write("date,count,is_event_day,is_peak\n")
+        handle.writelines(
             f"{day.isoformat()},{count},"
-            f"{1 if day in event_days else 0},{1 if day in peak_days else 0}"
+            f"{1 if day in event_days else 0},{1 if day in peak_days else 0}\n"
+            for day, count in zip(days, series.counts)
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def _write_events_jsonl(path: Path, events_by_hazard: dict[str, list[NewsEvent]]) -> None:
-    lines = []
-    for hazard, events in events_by_hazard.items():
-        for event in events:
-            record = {
-                "hazard": hazard,
-                "peak_date": event.peak_date.isoformat(),
-                "start_date": event.start_date.isoformat(),
-                "end_date": event.end_date.isoformat(),
-                "days": [
-                    {"date": day.isoformat(), "count": count}
-                    for day, count in event.day_counts
-                ],
-            }
-            lines.append(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(
+            json.dumps(
+                {
+                    "hazard": hazard,
+                    "peak_date": event.peak_date.isoformat(),
+                    "start_date": event.start_date.isoformat(),
+                    "end_date": event.end_date.isoformat(),
+                    "days": [
+                        {"date": day.isoformat(), "count": count}
+                        for day, count in event.day_counts
+                    ],
+                },
+                ensure_ascii=False,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for hazard, events in events_by_hazard.items()
+            for event in events
+        )
 
 
 def _write_measures_csv(path: Path, measures_by_hazard: dict[str, list[MeasureSet]]) -> None:
-    lines = [",".join(_MEASURES_HEADER)]
-    for hazard, measures in measures_by_hazard.items():
-        for m in measures:
-            row = [hazard, m.event_id, m.peak_date.isoformat()]
-            for column in MEASURE_COLUMNS:
-                value = getattr(m, column)
-                row.append("" if value is None else str(value))
-            lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def lines() -> Iterator[str]:
+        yield ",".join(_MEASURES_HEADER) + "\n"
+        for hazard, measures in measures_by_hazard.items():
+            for m in measures:
+                row = [hazard, m.event_id, m.peak_date.isoformat()]
+                for column in MEASURE_COLUMNS:
+                    value = getattr(m, column)
+                    row.append("" if value is None else str(value))
+                yield ",".join(row) + "\n"
+
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(lines())
 
 
 def _summaries(measures_by_hazard: dict[str, list[MeasureSet]]) -> dict:
@@ -517,7 +529,7 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
     """
     out_dir = Path(config.out_dir)
     if "\0" in str(out_dir):  # os calls raise ValueError for it, not OSError
-        raise InputError(f"cannot write output directory {out_dir}: embedded null byte")
+        raise InputError(f"cannot write output directory {path_repr(out_dir)}: embedded null byte")
     # Hashing the inputs reads them; an error there is not one of the output directory.
     manifest = _manifest(config, command) if command == "run" else None
     tmp = None
@@ -550,13 +562,13 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
         # A file cannot replace a directory: refuse before anything is moved.
         for final in files.values():
             if final.is_dir() and not final.is_symlink():
-                raise InputError(f"cannot write output file {final}: it is a directory")
+                raise InputError(f"cannot write output file {path_repr(final)}: it is a directory")
         for path in staged:
             os.replace(path, files[path.name])
         return files
     except OSError as exc:
         reason = exc.strerror or exc
-        raise InputError(f"cannot write output directory {out_dir}: {reason}") from None
+        raise InputError(f"cannot write output directory {path_repr(out_dir)}: {reason}") from None
     finally:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)

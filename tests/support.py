@@ -230,7 +230,7 @@ def oracle_load_registry(
         raise InputError("registry source must be a non-empty label")
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"registry file not found: {path}")
+        raise InputError(f"registry file not found: {str(path)!r}")
     mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
     columns = ["record_id", "source", "raw_type", "onset_date", "location", "status"]
     rows: list[tuple[int, dict]] = []
@@ -241,11 +241,13 @@ def oracle_load_registry(
             try:
                 header = next(reader)
             except StopIteration:
-                raise InputError(f"registry file {path} is empty (header expected)") from None
+                raise InputError(
+                    f"registry file {str(path)!r} is empty (header expected)"
+                ) from None
             row_number = 0
             if header != columns:
                 raise InputError(
-                    f"unexpected registry header in {path}: {header!r} "
+                    f"unexpected registry header in {str(path)!r}: {header!r} "
                     f"(expected {','.join(columns)})"
                 )
             for row_number, row in enumerate(reader, start=1):
@@ -264,7 +266,7 @@ def oracle_load_registry(
             missing.append(values["raw_type"])
     if missing:
         raise InputError(
-            f"registry {path} has raw_type labels missing from the type map: "
+            f"registry {str(path)!r} has raw_type labels missing from the type map: "
             + ", ".join(repr(label) for label in sorted(missing))
         )
 
@@ -401,12 +403,14 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
                 try:
                     header = next(reader)
                 except StopIteration:
-                    raise InputError(f"document file {path} is empty (header expected)") from None
+                    raise InputError(
+                        f"document file {str(path)!r} is empty (header expected)"
+                    ) from None
                 row_number = 0
                 expected = list(columns)
                 if header not in (expected, expected + ["text_key"]):
                     raise InputError(
-                        f"unexpected document header in {path}: {header!r} "
+                        f"unexpected document header in {str(path)!r}: {header!r} "
                         f"(expected {','.join(expected)}[,text_key])"
                     )
                 for row_number, row in enumerate(reader, start=1):

@@ -112,7 +112,7 @@ class TestLoadRegistry:
             "r1,EMDAT,Wildfire,2011-01-11,,\n"
             "r2,EMDAT,Wildfire,2011-13-40,,\n",
         )
-        message = f"row 2 of {path}: invalid date '2011-13-40'"
+        message = f"row 2 of {str(path)!r}: invalid date '2011-13-40'"
         with pytest.raises(InputError, match=re.escape(message)):
             load_registry(path, "EMDAT")
 
@@ -122,7 +122,7 @@ class TestLoadRegistry:
         path = write_registry(
             tmp_path, f"r1,EMDAT,Wildfire,2011-01-11,,\nr2,EMDAT,Wildfire,{onset},,\n"
         )
-        message = f"row 2 of {path}: invalid date '{onset}'"
+        message = f"row 2 of {str(path)!r}: invalid date '{onset}'"
         with pytest.raises(InputError, match=re.escape(message)):
             load_registry(path, "EMDAT")
 
@@ -158,7 +158,8 @@ class TestLoadRegistry:
 
     def test_source_mismatch_is_rejected(self, tmp_path):
         path = write_registry(tmp_path, "r1,S2ID,Wildfire,2011-01-11,,\n")
-        message = f"row 1 of {path}: declares source 'S2ID' but the file was loaded as 'EMDAT'"
+        reason = "declares source 'S2ID' but the file was loaded as 'EMDAT'"
+        message = f"row 1 of {str(path)!r}: {reason}"
         with pytest.raises(InputError, match=re.escape(message)):
             load_registry(path, "EMDAT")
 
@@ -171,7 +172,7 @@ class TestLoadRegistry:
             tmp_path,
             "r1,EMDAT,Wildfire,2011-01-11,,\nr1,EMDAT,Wildfire,2011-01-12,,\n",
         )
-        message = f"row 2 of {path}: duplicate record id 'r1'"
+        message = f"row 2 of {str(path)!r}: duplicate record id 'r1'"
         with pytest.raises(InputError, match=re.escape(message)):
             load_registry(path, "EMDAT")
 
@@ -183,7 +184,7 @@ class TestLoadRegistry:
         path = write_registry(
             tmp_path, 'r1,EMDAT,Wildfire,2011-01-11,,\nr2,EMDAT,Wildfire,2011-01-12,"a"b,\n'
         )
-        with pytest.raises(InputError, match=re.escape(f"row 2 of {path}: malformed CSV: ")):
+        with pytest.raises(InputError, match=re.escape(f"row 2 of {str(path)!r}: malformed CSV: ")):
             load_registry(path, "EMDAT")
 
     def test_unexpected_header_is_rejected(self, tmp_path):

@@ -235,7 +235,8 @@ class TestSettings:
         config = tmp_path / "c.ini"
         config.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(config)]) == 2
-        assert f"config file {config} has an unknown section [DEFAULT]" in capsys.readouterr().err
+        message = f"config file {str(config)!r} has an unknown section [DEFAULT]"
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["ingest", "run"])
@@ -281,13 +282,14 @@ class TestDatesMustBeYyyyMmDd:
         config = write_small_corpus(tmp_path)
         self._replace(tmp_path / "documents.csv", "L3,2020-01-11", f"L3,{spell('2020-01-11')}")
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
-        assert f"row 3 of {tmp_path / 'documents.csv'}: invalid date" in capsys.readouterr().err
+        message = f"row 3 of {str(tmp_path / 'documents.csv')!r}: invalid date"
+        assert message in capsys.readouterr().err
 
     def test_registry_onset_names_the_row(self, tmp_path, capsys, spell):
         config = write_small_corpus(tmp_path)
         self._replace(tmp_path / "emdat.csv", "2020-01-09", spell("2020-01-09"))
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
-        assert f"row 1 of {tmp_path / 'emdat.csv'}: invalid date" in capsys.readouterr().err
+        assert f"row 1 of {str(tmp_path / 'emdat.csv')!r}: invalid date" in capsys.readouterr().err
 
     def test_config_range_names_the_key(self, tmp_path, capsys, spell):
         config = write_small_corpus(tmp_path)
@@ -411,7 +413,7 @@ class TestUnreadableInput:
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        message = f"row 150 of {documents}: field 'text' holds an unpaired surrogate escape"
+        message = f"row 150 of {str(documents)!r}: field 'text' holds an unpaired surrogate escape"
         assert message in proc.stderr
         assert not (tmp_path / "out").exists()
 
@@ -502,7 +504,7 @@ class TestOutputPaths:
         proc = _run_cli("ingest", "--config", str(config), "--out-dir", str(out))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert f"cannot write output directory {out}" in proc.stderr
+        assert f"cannot write output directory {str(out)!r}" in proc.stderr
         assert blocker.read_text(encoding="utf-8") == "keep me\n"
         assert not list(tmp_path.glob(".attn-peaks-*"))
 
@@ -517,7 +519,7 @@ class TestOutputPaths:
         proc = _run_cli(*command)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert f"{out / 'timeseries_fire.csv'}: it is a directory" in proc.stderr
+        assert f"{str(out / 'timeseries_fire.csv')!r}: it is a directory" in proc.stderr
         after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
         assert after == before
         assert not list(tmp_path.glob(".attn-peaks-*"))
@@ -530,7 +532,7 @@ class TestOutputPaths:
         text = config.read_text(encoding="utf-8")
         config.write_text(text.replace("dir = out", f"dir = {out}"), encoding="utf-8")
         assert main(["ingest", "--config", str(config)]) == 2
-        message = f"cannot write output directory {tmp_path / out}: embedded null byte"
+        message = f"cannot write output directory {str(tmp_path / out)!r}: embedded null byte"
         assert message in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "config.ini", "documents.csv", "emdat.csv", "s2id.csv"
@@ -551,6 +553,41 @@ class TestOutputPaths:
         assert f"hazard label {label!r}" in proc.stderr
         assert not out.exists()
         assert not list(tmp_path.glob(".attn-peaks-*"))
+
+
+class TestPathsInMessages:
+    """A configured path is printed quoted and escaped: no control character reaches stderr."""
+
+    @pytest.mark.parametrize("name", ["a\0b", "a\x1b[2Jb", "a\nb", "a\x7fb", "a\x85b"])
+    @pytest.mark.parametrize(
+        "flag", ["--config", "--documents", "--gazetteer", "--emdat", "--out-dir"]
+    )
+    def test_control_character_in_a_path_exits_two_escaped(
+        self, golden_dir, tmp_path, capsys, flag, name
+    ):
+        config = _golden_copy(golden_dir, tmp_path)
+        path = tmp_path / name
+        if flag == "--out-dir":
+            # A directory below a regular file cannot be made, whatever its name.
+            (tmp_path / "blocker").write_text("", encoding="utf-8")
+            path = tmp_path / "blocker" / name
+        args = ["ingest", "--config", str(path if flag == "--config" else config)]
+        if flag != "--config":
+            args += [flag, str(path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert repr(str(path)) in err
+        assert err.endswith("\n")
+        assert err[:-1].isprintable()
+
+    def test_escape_in_a_path_never_reaches_stderr_raw(self, golden_dir, tmp_path):
+        config = _golden_copy(golden_dir, tmp_path)
+        documents = tmp_path / "docs\x1b[31m.csv"
+        proc = _run_cli("ingest", "--config", str(config), "--documents", str(documents))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"documents file not found: {str(documents)!r}" in proc.stderr
+        assert "\x1b" not in proc.stderr
 
 
 def test_golden_run_never_falls_back_to_the_locale_encoding(golden_dir, tmp_path):

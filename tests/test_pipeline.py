@@ -2,6 +2,7 @@ import datetime
 import io
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,6 +144,25 @@ class TestEmitTimeseries:
         assert series.end == D(2024, 12, 31)
         path = emit_timeseries(series, [], tmp_path / "ts.csv")
         assert len(path.read_text(encoding="utf-8").splitlines()) == 9133
+
+    def test_memory_does_not_grow_with_the_range(self, tmp_path):
+        # 200,000 days run from 2000 into 2547; the rows are written as they
+        # are made, so the peak is a few buffers, not the 3.4 MB file.
+        series = make_series([day % 5 for day in range(200_000)])
+        tracemalloc.start()
+        try:
+            path = emit_timeseries(series, [], tmp_path / "ts.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3_000_000
+        assert peak < 256 * 1024
+        with path.open(encoding="utf-8") as handle:
+            assert handle.readline() == "date,count,is_event_day,is_peak\n"
+            assert handle.readline() == "2000-01-01,0,0,0\n"
+            *_, last = handle
+        assert last == "2547-07-31,4,0,0\n"
 
 
 class TestRunPipeline:
