@@ -11,7 +11,6 @@ can align with several entries that occur concurrently.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import InputError
-from .ingest import csv_reader, parse_row_date, path_repr, row_error, undecodable
+from .ingest import csv_rows, parse_row_date, path_repr, row_error
 from .peaks import NewsEvent
 
 REGISTRY_COLUMNS = ("record_id", "source", "raw_type", "onset_date", "location", "status")
@@ -106,8 +105,6 @@ def load_registry(
     if not source:
         raise InputError("registry source must be a non-empty label")
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"registry file not found: {path_repr(path)}")
     mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
     accepted_status = {s.strip().casefold() for s in status_accept}
 
@@ -119,69 +116,50 @@ def load_registry(
     onsets: dict[str, datetime.date] = {}
     shared: dict[str, str] = {}
     first_error: InputError | None = None
-    row_number = -1  # the last row read; the header is row 0
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv_reader(handle)
+    width = len(REGISTRY_COLUMNS)
+    with csv_rows(path, f"{source} registry", "registry", REGISTRY_COLUMNS) as (_, rows):
+        for row_number, row in rows:
+            if len(row) != width:
+                raise row_error(path, row_number, f"expected {width} fields, got {len(row)}")
+            record_id, declared, raw_type, onset_text, location, status = row
+            if raw_type not in mapping:
+                unmapped.add(raw_type)
+                continue
+            if first_error is not None:
+                continue
             try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(
-                    f"registry file {path_repr(path)} is empty (header expected)"
-                ) from None
-            row_number = 0
-            if header != list(REGISTRY_COLUMNS):
-                raise InputError(
-                    f"unexpected registry header in {path_repr(path)}: {header!r} "
-                    f"(expected {','.join(REGISTRY_COLUMNS)})"
+                if declared and declared != source:
+                    reason = f"declares source {declared!r} but the file was loaded as"
+                    raise row_error(path, row_number, f"{reason} {source!r}")
+                if not record_id:
+                    raise row_error(path, row_number, "empty field 'record_id'")
+                if record_id in seen_ids:
+                    raise row_error(path, row_number, f"duplicate record id {record_id!r}")
+                seen_ids.add(record_id)
+                hazard = mapping[raw_type]
+                if hazard == IGNORE:
+                    n_ignored += 1
+                    continue
+                if check_status and status.strip().casefold() not in accepted_status:
+                    n_dropped += 1
+                    continue
+                onset = onsets.get(onset_text)
+                if onset is None:
+                    onset = onsets[onset_text] = parse_row_date(onset_text, path, row_number)
+            except InputError as exc:
+                first_error = exc
+                continue
+            records.append(
+                DisasterRecord(
+                    record_id,
+                    source,
+                    hazard,
+                    onset,
+                    location,
+                    shared.setdefault(raw_type, raw_type),
+                    shared.setdefault(status, status),
                 )
-            width = len(REGISTRY_COLUMNS)
-            for row_number, row in enumerate(reader, start=1):
-                if len(row) != width:
-                    raise row_error(path, row_number, f"expected {width} fields, got {len(row)}")
-                record_id, declared, raw_type, onset_text, location, status = row
-                if raw_type not in mapping:
-                    unmapped.add(raw_type)
-                    continue
-                if first_error is not None:
-                    continue
-                try:
-                    if declared and declared != source:
-                        reason = f"declares source {declared!r} but the file was loaded as"
-                        raise row_error(path, row_number, f"{reason} {source!r}")
-                    if not record_id:
-                        raise row_error(path, row_number, "empty field 'record_id'")
-                    if record_id in seen_ids:
-                        raise row_error(path, row_number, f"duplicate record id {record_id!r}")
-                    seen_ids.add(record_id)
-                    hazard = mapping[raw_type]
-                    if hazard == IGNORE:
-                        n_ignored += 1
-                        continue
-                    if check_status and status.strip().casefold() not in accepted_status:
-                        n_dropped += 1
-                        continue
-                    onset = onsets.get(onset_text)
-                    if onset is None:
-                        onset = onsets[onset_text] = parse_row_date(onset_text, path, row_number)
-                except InputError as exc:
-                    first_error = exc
-                    continue
-                records.append(
-                    DisasterRecord(
-                        record_id,
-                        source,
-                        hazard,
-                        onset,
-                        location,
-                        shared.setdefault(raw_type, raw_type),
-                        shared.setdefault(status, status),
-                    )
-                )
-    except UnicodeDecodeError:
-        raise undecodable(path) from None
-    except csv.Error as exc:
-        raise row_error(path, row_number + 1, f"malformed CSV: {exc}") from None
+            )
 
     if unmapped:
         raise InputError(
@@ -223,6 +201,12 @@ class AlignmentReport:
 _record_key = attrgetter("source", "record_id")
 
 
+def check_window(window_days: int) -> None:
+    """ValueError unless ``window_days`` is at least 0."""
+    if window_days < 0:
+        raise ValueError(f"window_days must be >= 0, got {window_days}")
+
+
 def align_events(
     events: list[NewsEvent],
     records: list[DisasterRecord],
@@ -242,8 +226,7 @@ def align_events(
     day; each event binary-searches the onsets in its window and sorts the
     few ranks there, so the cost is O((E + R) log R) plus the pairs emitted.
     """
-    if window_days < 0:
-        raise ValueError(f"window_days must be >= 0, got {window_days}")
+    check_window(window_days)
     # Sorting is stable, so records with equal keys keep record order.
     ranked = sorted(records, key=_record_key)
     keys = list(map(_record_key, ranked))

@@ -28,8 +28,8 @@ from .pipeline import (
 def _date(value: str) -> datetime.date:
     try:
         return parse_date(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {value!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

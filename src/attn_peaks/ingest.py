@@ -34,19 +34,25 @@ import codecs
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import math
+import os
 import re
+import stat
 import unicodedata
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator, TextIO
 
 from .errors import ConsistencyError, InputError
 
 DEFAULT_HAZARDS = ("landslide", "fire")
+DEFAULT_TARGET = "Brasilien"
 
+DOC_FORMATS = ("csv", "jsonl")
 DOCUMENT_COLUMNS = ("id", "date", "outlet", "text_type", "hazard", "text")
 OPTIONAL_DOCUMENT_COLUMNS = ("text_key",)
 
@@ -178,19 +184,16 @@ def default_gazetteer_path() -> Path:
     return Path(str(resources.files("attn_peaks").joinpath("data/countries_de.txt")))
 
 
-def load_gazetteer(path: Path | str | None = None, target: str = "Brasilien") -> Gazetteer:
+def load_gazetteer(path: Path | str | None = None, target: str = DEFAULT_TARGET) -> Gazetteer:
     """Load a gazetteer file (default: the shipped German exonym list).
 
     One country name per line; blank lines and lines starting with ``#``
     are skipped.
     """
-    if path is None:
-        path = default_gazetteer_path()
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"gazetteer file not found: {path_repr(path)}")
+    path = Path(default_gazetteer_path() if path is None else path)
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        with open_input(path, "gazetteer") as handle:
+            lines = handle.read().splitlines()
     except UnicodeDecodeError as exc:
         raise InputError(f"gazetteer file {path_repr(path)} is not valid UTF-8: {exc}") from None
     entries = []
@@ -264,11 +267,12 @@ def parse_date(value: str) -> datetime.date:
 
     ``date.fromisoformat`` alone accepts more from Python 3.11 on
     (``20240101``, ``2024-W01-1``); checking the shape first gives every
-    Python version the same rule.
+    Python version the same rule. Every rejected value gets one message.
     """
-    if not _ISO_DATE.fullmatch(value):
-        raise ValueError(f"not a YYYY-MM-DD date: {value!r}")
-    return datetime.date.fromisoformat(value)
+    if _ISO_DATE.fullmatch(value):
+        with suppress(ValueError):
+            return datetime.date.fromisoformat(value)
+    raise ValueError(f"not a YYYY-MM-DD date: {value!r}")
 
 
 def parse_row_date(value: str, path: Path, row: int) -> datetime.date:
@@ -298,6 +302,55 @@ def path_repr(path: Path | str) -> str:
     return repr(str(path))
 
 
+def _open_regular_file(name: str, flags: int) -> int:
+    # Without O_NONBLOCK, a FIFO would wait for a writer before it could be refused.
+    fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError("not a regular file")
+    return fd
+
+
+def open_input(path: Path | str, role: str, mode: str = "r", **kwargs) -> IO:
+    """``open(path, mode, **kwargs)`` for an input file; text is UTF-8, a BOM allowed.
+
+    A path that is missing, not a regular file, unreadable, too long or
+    holding NUL is an InputError that names the ``role`` file and quotes it.
+    """
+    encoding = None if "b" in mode else "utf-8-sig"
+    try:
+        return open(path, mode, encoding=encoding, opener=_open_regular_file, **kwargs)
+    except FileNotFoundError:
+        raise InputError(f"{role} file not found: {path_repr(path)}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot open {role} file {path_repr(path)}: {reason}") from None
+
+
+@contextmanager
+def csv_rows(path: Path, role: str, kind: str, columns: tuple[str, ...], optional=()):
+    """Yield the header (row 0) and the numbered rows of the CSV input file ``path``.
+
+    The header is ``columns`` or ``columns + optional``; a decode or CSV error names its row.
+    """
+    numbers = itertools.count(1)  # one ahead of the last row read
+    try:
+        with open_input(path, role, newline="") as handle:
+            reader = csv_reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{kind} file {path_repr(path)} is empty (header expected)")
+            if header not in (list(columns), list(columns + optional)):
+                expected = ",".join(columns) + "".join(f"[,{column}]" for column in optional)
+                found = f"unexpected {kind} header in {path_repr(path)}: {header!r}"
+                raise InputError(f"{found} (expected {expected})")
+            yield header, zip(numbers, reader)
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+    except csv.Error as exc:
+        raise row_error(path, next(numbers) - 1, f"malformed CSV: {exc}") from None
+
+
 def row_error(path: Path, row: int, reason: object) -> InputError:
     """InputError naming ``path`` and its row ``row`` (the CSV header is row 0)."""
     where = "the header" if row == 0 else f"row {row}"
@@ -316,7 +369,7 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
     UnicodeDecodeError surfaces at whichever row reached the bad chunk; this
     reads the file again with each undecodable byte kept as a surrogate.
     """
-    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+    with open_input(path, "input", newline="", errors="surrogateescape") as handle:
         rows = enumerate(([line] for line in handle), 1) if jsonl else enumerate(csv_reader(handle))
         for row, fields in rows:
             for value in fields:
@@ -385,34 +438,6 @@ def _read_documents(
         )
 
 
-def _load_documents_csv(path: Path, hazards: tuple[str, ...]) -> list[Document]:
-    docs: list[Document] = []
-    header = None
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv_reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(
-                    f"document file {path_repr(path)} is empty (header expected)"
-                ) from None
-            expected = list(DOCUMENT_COLUMNS)
-            if header not in (expected, expected + list(OPTIONAL_DOCUMENT_COLUMNS)):
-                raise InputError(
-                    f"unexpected document header in {path_repr(path)}: {header!r} "
-                    f"(expected {','.join(expected)}[,text_key])"
-                )
-            _read_documents(docs, path, enumerate(reader, start=1), len(header), hazards)
-    except UnicodeDecodeError:
-        raise undecodable(path) from None
-    except csv.Error as exc:
-        # The header is row 0 and every row read after it became a document.
-        row = 0 if header is None else len(docs) + 1
-        raise row_error(path, row, f"malformed CSV: {exc}") from None
-    return docs
-
-
 _JSONL_FIELDS = DOCUMENT_COLUMNS + OPTIONAL_DOCUMENT_COLUMNS
 # A JSON \uD800-\uDFFF escape that is not half of a pair decodes to a lone
 # surrogate, which is not text: it cannot be encoded, digested or written.
@@ -451,35 +476,33 @@ def _jsonl_rows(handle: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
         yield row, fields
 
 
-def _load_documents_jsonl(path: Path, hazards: tuple[str, ...]) -> list[Document]:
-    docs: list[Document] = []
-    try:
-        with path.open(encoding="utf-8-sig") as handle:
-            _read_documents(docs, path, _jsonl_rows(handle, path), len(_JSONL_FIELDS), hazards)
-    except UnicodeDecodeError:
-        raise undecodable(path, jsonl=True) from None
-    return docs
-
-
 def load_documents(
     path: Path | str,
     format: str = "csv",
     hazards: tuple[str, ...] = DEFAULT_HAZARDS,
 ) -> list[Document]:
-    """Load document records from a CSV or JSON-lines file.
+    """Load document records from a file in one of :data:`DOC_FORMATS`.
 
     Rows are numbered from 1, excluding the CSV header. Every well-formed
     record is returned in file order; a malformed row, a duplicate ``id``
     or an unknown hazard label raises :class:`InputError`.
     """
+    if format not in DOC_FORMATS:
+        expected = " or ".join(DOC_FORMATS)
+        raise InputError(f"unknown document format {format!r} (expected {expected})")
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"document file not found: {path_repr(path)}")
+    docs: list[Document] = []
     if format == "csv":
-        return _load_documents_csv(path, tuple(hazards))
-    if format == "jsonl":
-        return _load_documents_jsonl(path, tuple(hazards))
-    raise InputError(f"unknown document format {format!r} (expected csv or jsonl)")
+        optional = OPTIONAL_DOCUMENT_COLUMNS
+        with csv_rows(path, "documents", "document", DOCUMENT_COLUMNS, optional) as (header, rows):
+            _read_documents(docs, path, rows, len(header), hazards)
+        return docs
+    try:
+        with open_input(path, "documents") as handle:
+            _read_documents(docs, path, _jsonl_rows(handle, path), len(_JSONL_FIELDS), hazards)
+    except UnicodeDecodeError:
+        raise undecodable(path, jsonl=True) from None
+    return docs
 
 
 @dataclass(slots=True)
@@ -496,8 +519,7 @@ class CountSeries:
     hazard: str
 
     def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise InputError(f"series range is not well-ordered: {self.start} > {self.end}")
+        self.check_range(self.start, self.end)
         expected = (self.end - self.start).days + 1
         if len(self.counts) != expected:
             raise ConsistencyError(
@@ -505,6 +527,12 @@ class CountSeries:
             )
         if min(self.counts) < 0:
             raise ConsistencyError("counts must be non-negative")
+
+    @staticmethod
+    def check_range(start: datetime.date, end: datetime.date) -> None:
+        """InputError unless ``start`` is on or before ``end``."""
+        if start > end:
+            raise InputError(f"date range is not well-ordered: {start} > {end}")
 
     @property
     def n_days(self) -> int:
@@ -534,10 +562,8 @@ def build_count_series(
     Any document dated outside the range is a hard error; silent truncation
     would corrupt the counts.
     """
-    if start > end:
-        raise InputError(f"series range is not well-ordered: {start} > {end}")
-    n_days = (end - start).days + 1
-    counts = [0] * n_days
+    counts = [0] * ((end - start).days + 1)
+    series = CountSeries(start=start, end=end, counts=counts, hazard=hazard)  # checks the range
     for doc in docs:
         date = doc[DOC_DATE]
         if date < start or date > end:
@@ -547,7 +573,7 @@ def build_count_series(
             )
         if doc[DOC_HAZARD] == hazard:
             counts[(date - start).days] += 1
-    return CountSeries(start=start, end=end, counts=counts, hazard=hazard)
+    return series
 
 
 @dataclass

@@ -183,5 +183,4 @@ def _make_event(series: CountSeries, peak: int, start: int, end: int) -> NewsEve
 
 def detect_events(series: CountSeries, params: PeakParams | None = None) -> list[NewsEvent]:
     """Full detection: constrained peaks segmented into news events."""
-    params = params or PeakParams()
     return segment_events(series, detect_peaks(series, params))

@@ -37,6 +37,8 @@ from .align import DEFAULT_S2ID_ACCEPT, DEFAULT_TYPE_MAP, IGNORE, AlignmentRepor
 from .errors import AttnPeaksError, ConsistencyError, InputError
 from .ingest import (
     DEFAULT_HAZARDS,
+    DEFAULT_TARGET,
+    DOC_FORMATS,
     DOC_HAZARD,
     CorpusStats,
     CountSeries,
@@ -47,6 +49,7 @@ from .ingest import (
     filter_single_country,
     load_documents,
     load_gazetteer,
+    open_input,
     parse_date,
     path_repr,
 )
@@ -63,8 +66,6 @@ COMMANDS = {
     "run": "run every stage and write all artifacts plus the manifest",
 }
 
-_DOC_FORMATS = ("csv", "jsonl")
-
 _MEASURES_HEADER = ("hazard", "event_id", "peak_date") + MEASURE_COLUMNS
 
 
@@ -79,10 +80,10 @@ class PipelineConfig:
     hazards: tuple[str, ...] = DEFAULT_HAZARDS
     run_hazards: tuple[str, ...] = ()  # empty -> all of `hazards`
     gazetteer: Path | None = None  # None -> packaged default list
-    target: str = "Brasilien"
-    min_height: int = 2
-    min_distance: int = 7
-    window_days: int = 5
+    target: str = DEFAULT_TARGET
+    min_height: int = PeakParams.min_height
+    min_distance: int = PeakParams.min_distance
+    window_days: int = align_mod.DEFAULT_WINDOW_DAYS
     registries: tuple[tuple[str, Path], ...] = ()
     type_map: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_TYPE_MAP))
     s2id_accept: tuple[str, ...] = DEFAULT_S2ID_ACCEPT
@@ -114,7 +115,7 @@ SETTINGS = (
     Setting("corpus", "documents", "--documents", "documents", Path,
             "document CSV or JSON-lines file"),
     Setting("corpus", "format", "--format", "doc_format", str,
-            "document file format", _DOC_FORMATS),
+            "document file format", DOC_FORMATS),
     Setting("corpus", "hazards", None, "hazards", _split_list, "hazard vocabulary"),
     Setting("range", "start", "--start", "start", parse_date, "first day of the series range"),
     Setting("range", "end", "--end", "end", parse_date, "last day of the series range"),
@@ -153,17 +154,17 @@ def load_config(path: Path | str) -> PipelineConfig:
     takes any key; every other section and key is one of :data:`SETTINGS`.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"config file not found: {path_repr(path)}")
     # A section name cannot be empty, so [DEFAULT] is an ordinary section, and unknown.
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";",), default_section=""
     )
     parser.optionxform = str  # type: ignore[assignment]  # keep type-map key case
-    try:
-        parser.read(path, encoding="utf-8-sig")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise InputError(f"config file {path_repr(path)} is malformed: {exc}") from None
+    # ConfigParser.read would skip a file it cannot open without a word.
+    with open_input(path, "config") as handle:
+        try:
+            parser.read_file(handle, source=str(path))
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"config file {path_repr(path)} is malformed: {exc}") from None
 
     for section in parser.sections():
         if section == "type_map":
@@ -199,15 +200,16 @@ def load_config(path: Path | str) -> PipelineConfig:
 
 
 def validate_config(config: PipelineConfig) -> None:
-    """Check ranges, labels and referenced files before any stage runs."""
-    if config.start > config.end:
-        raise InputError(f"date range is not well-ordered: {config.start} > {config.end}")
-    if config.min_height < 1:
-        raise InputError(f"min_height must be >= 1, got {config.min_height}")
-    if config.min_distance < 1:
-        raise InputError(f"min_distance must be >= 1, got {config.min_distance}")
-    if config.window_days < 0:
-        raise InputError(f"window_days must be >= 0, got {config.window_days}")
+    """Check parameters and labels with the rules the stages apply, before any stage runs.
+
+    Of the input files, only the registries are opened here: the align stage reads them last.
+    """
+    CountSeries.check_range(config.start, config.end)
+    try:
+        PeakParams(min_height=config.min_height, min_distance=config.min_distance)
+        align_mod.check_window(config.window_days)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if not config.hazards:
         raise InputError("no hazards configured")
     for hazard in config.hazards:
@@ -220,17 +222,8 @@ def validate_config(config: PipelineConfig) -> None:
             f"--hazard {unknown[0]!r} is not in the configured vocabulary "
             f"{', '.join(config.hazards)}"
         )
-    if config.doc_format not in _DOC_FORMATS:
-        raise InputError(f"unknown document format {config.doc_format!r}")
     if config.documents is None:
         raise InputError("no documents file configured (set [corpus] documents or --documents)")
-    if not Path(config.documents).is_file():
-        raise InputError(f"documents file not found: {path_repr(config.documents)}")
-    if config.gazetteer is not None and not Path(config.gazetteer).is_file():
-        raise InputError(f"gazetteer file not found: {path_repr(config.gazetteer)}")
-    for source, reg_path in config.registries:
-        if not Path(reg_path).is_file():
-            raise InputError(f"registry file not found ({source}): {path_repr(reg_path)}")
     bad = sorted(
         {v for v in config.type_map.values() if v != IGNORE and v not in config.hazards}
     )
@@ -238,6 +231,8 @@ def validate_config(config: PipelineConfig) -> None:
         raise InputError(
             f"type map target {bad[0]!r} is neither a configured hazard nor {IGNORE!r}"
         )
+    for source, reg_path in config.registries:
+        open_input(reg_path, f"{source} registry", "rb").close()
 
 
 @dataclass
@@ -268,9 +263,9 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path, role: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
+    with open_input(path, role, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -422,16 +417,12 @@ def _write_alignment(
 def _manifest(config: PipelineConfig, command: str) -> dict:
     from . import __version__
 
-    inputs: dict[str, dict] = {}
-
-    def _add(role: str, path: Path | None) -> None:
-        if path is not None:
-            inputs[role] = {"path": str(path), "sha256": _sha256(Path(path))}
-
-    _add("documents", config.documents)
-    _add("gazetteer", config.gazetteer or default_gazetteer_path())
-    for source, reg_path in config.registries:
-        _add(f"registry_{source}", reg_path)
+    files = [
+        ("documents", "documents", config.documents),
+        ("gazetteer", "gazetteer", config.gazetteer or default_gazetteer_path()),
+    ]
+    files += [(f"registry_{source}", f"{source} registry", p) for source, p in config.registries]
+    inputs = {key: {"path": str(p), "sha256": _sha256(p, role)} for key, role, p in files}
     return {
         "tool": "attn-peaks",
         "version": __version__,

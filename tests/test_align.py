@@ -178,8 +178,9 @@ class TestLoadRegistry:
 
     def test_csv_parse_error_names_the_row(self, tmp_path, monkeypatch):
         # A strict reader turns the stray quote in row 2 into a csv.Error.
+        # The registry is read through ingest.csv_rows, so its reader is patched there.
         monkeypatch.setattr(
-            attn_peaks.align, "csv_reader", lambda handle: csv.reader(handle, strict=True)
+            attn_peaks.ingest, "csv_reader", lambda handle: csv.reader(handle, strict=True)
         )
         path = write_registry(
             tmp_path, 'r1,EMDAT,Wildfire,2011-01-11,,\nr2,EMDAT,Wildfire,2011-01-12,"a"b,\n'

@@ -1,6 +1,9 @@
+import builtins
 import codecs
 import csv
 import datetime
+import errno
+import io
 import json
 import os
 import re
@@ -14,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attn_peaks import PipelineConfig, default_gazetteer_path
+from attn_peaks import PipelineConfig, default_gazetteer_path, load_config, pipeline
 from attn_peaks.cli import _configure, build_parser, main
+from attn_peaks.pipeline import SETTINGS
 from support import write_small_corpus
 
 REPO_DIR = Path(__file__).parents[1]
@@ -328,11 +332,13 @@ def test_module_entry_point_smoke(tmp_path):
 
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    # A run that hangs, such as on a FIFO that waits for a writer, fails the test.
     return subprocess.run(
         [sys.executable, "-m", "attn_peaks", *args],
         capture_output=True,
         text=True,
         encoding="utf-8",
+        timeout=60,
     )
 
 
@@ -558,9 +564,12 @@ class TestOutputPaths:
 class TestPathsInMessages:
     """A configured path is printed quoted and escaped: no control character reaches stderr."""
 
-    @pytest.mark.parametrize("name", ["a\0b", "a\x1b[2Jb", "a\nb", "a\x7fb", "a\x85b"])
     @pytest.mark.parametrize(
-        "flag", ["--config", "--documents", "--gazetteer", "--emdat", "--out-dir"]
+        "name",
+        ["a\0b", "a\x1b[2Jb", "a\nb", "a\x7fb", "a\x85b", pytest.param("a" * 300, id="a*300")],
+    )
+    @pytest.mark.parametrize(
+        "flag", ["--config", "--documents", "--gazetteer", "--emdat", "--s2id", "--out-dir"]
     )
     def test_control_character_in_a_path_exits_two_escaped(
         self, golden_dir, tmp_path, capsys, flag, name
@@ -588,6 +597,107 @@ class TestPathsInMessages:
         assert "Traceback" not in proc.stderr
         assert f"documents file not found: {str(documents)!r}" in proc.stderr
         assert "\x1b" not in proc.stderr
+
+
+_INPUT_FLAGS = ["--config", "--documents", "--gazetteer", "--emdat"]
+
+
+def _golden_input(golden_dir, tmp_path, flag):
+    """The golden config copied to ``tmp_path`` and the copied input that ``flag`` names."""
+    config = _golden_copy(golden_dir, tmp_path)
+    gazetteer = tmp_path / "countries.txt"
+    shutil.copy(default_gazetteer_path(), gazetteer)
+    inputs = {
+        "--config": config,
+        "--documents": tmp_path / "documents.csv",
+        "--gazetteer": gazetteer,
+        "--emdat": tmp_path / "emdat.csv",
+    }
+    return config, inputs[flag]
+
+
+def _argv(config, flag, path, out) -> list[str]:
+    """``run`` on ``config`` with the input of ``flag`` at ``path``."""
+    if flag == "--config":
+        return ["run", "--config", str(path), "--out-dir", str(out)]
+    return ["run", "--config", str(config), flag, str(path), "--out-dir", str(out)]
+
+
+class TestInputFiles:
+    """An input file that cannot be opened as a regular file is exit 2, naming it."""
+
+    @pytest.mark.parametrize("how", ["patched open", "chmod 0"])
+    @pytest.mark.parametrize("flag", _INPUT_FLAGS)
+    def test_unreadable_input_exits_two_naming_it(
+        self, golden_dir, tmp_path, capsys, monkeypatch, flag, how
+    ):
+        config, path = _golden_input(golden_dir, tmp_path, flag)
+        if how == "chmod 0":
+            if os.geteuid() == 0:
+                pytest.skip("root reads a file whatever its mode bits")
+            path.chmod(0)
+        else:
+            real_open = io.open
+
+            def denied(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+                return real_open(file, *args, **kwargs)
+
+            monkeypatch.setattr(io, "open", denied)
+            monkeypatch.setattr(builtins, "open", denied)
+        out = tmp_path / "out"
+        assert main(_argv(config, flag, path, out)) == 2
+        err = capsys.readouterr().err
+        assert f"file {str(path)!r}: {os.strerror(errno.EACCES)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("flag", _INPUT_FLAGS)
+    def test_fifo_input_exits_two_without_waiting(self, golden_dir, tmp_path, flag):
+        # Opening a FIFO for reading waits for a writer; the run must refuse it at once.
+        config, path = _golden_input(golden_dir, tmp_path, flag)
+        path.unlink()
+        os.mkfifo(path)
+        out = tmp_path / "out"
+        proc = _run_cli(*_argv(config, flag, path, out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"file {str(path)!r}: not a regular file" in proc.stderr
+        assert not out.exists()
+
+    def test_documents_that_vanish_mid_run_exit_two(
+        self, golden_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The manifest hashes every input after the stages have run.
+        config = _golden_copy(golden_dir, tmp_path)
+        documents = tmp_path / "documents.csv"
+        real_filter = pipeline.filter_single_country
+
+        def filter_then_unlink(docs, gazetteer):
+            documents.unlink()
+            return real_filter(docs, gazetteer)
+
+        monkeypatch.setattr(pipeline, "filter_single_country", filter_then_unlink)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert f"documents file not found: {str(documents)!r}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob(".attn-peaks-*"))
+
+
+def test_readme_config_block_holds_the_defaults(tmp_path):
+    readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config file\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    config = tmp_path / "config.ini"
+    config.write_text(block, encoding="utf-8")
+    loaded, defaults = load_config(config), PipelineConfig()
+    for setting in SETTINGS:
+        if setting.parse is Path:
+            continue
+        assert re.search(rf"^{setting.key} = \S", block, re.M), setting.key
+        assert getattr(loaded, setting.field) == getattr(defaults, setting.field), setting.key
 
 
 def test_golden_run_never_falls_back_to_the_locale_encoding(golden_dir, tmp_path):
