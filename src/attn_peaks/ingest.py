@@ -333,7 +333,7 @@ def csv_rows(path: Path, role: str, kind: str, columns: tuple[str, ...], optiona
 
     The header is ``columns`` or ``columns + optional``; a decode or CSV error names its row.
     """
-    numbers = itertools.count(1)  # one ahead of the last row read
+    numbers = itertools.count(1)  # zip draws a row's number before reading the row
     try:
         with open_input(path, role, newline="") as handle:
             reader = csv_reader(handle)

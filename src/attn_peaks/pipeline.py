@@ -200,10 +200,7 @@ def load_config(path: Path | str) -> PipelineConfig:
 
 
 def validate_config(config: PipelineConfig) -> None:
-    """Check parameters and labels with the rules the stages apply, before any stage runs.
-
-    Of the input files, only the registries are opened here: the align stage reads them last.
-    """
+    """Check parameters and labels with the stages' own rules, and open each registry."""
     CountSeries.check_range(config.start, config.end)
     try:
         PeakParams(min_height=config.min_height, min_distance=config.min_distance)
@@ -231,6 +228,7 @@ def validate_config(config: PipelineConfig) -> None:
         raise InputError(
             f"type map target {bad[0]!r} is neither a configured hazard nor {IGNORE!r}"
         )
+    # The other inputs are read at once by the ingest stage; the registries only at the end.
     for source, reg_path in config.registries:
         open_input(reg_path, f"{source} registry", "rb").close()
 
