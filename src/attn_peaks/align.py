@@ -14,8 +14,8 @@ import bisect
 import datetime
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, ne
 from pathlib import Path
 
 from .errors import InputError
@@ -223,57 +223,50 @@ def align_events(
     Pairs are sorted by ``(event_id, source, record_id)``; equal keys keep
     event order, then record order. The records are ranked once by
     ``(source, record_id)``, and each hazard's ranks are sorted once by onset
-    day; each event binary-searches the onsets in its window and sorts the
-    few ranks there, so the cost is O((E + R) log R) plus the pairs emitted.
+    day; each event binary-searches the onsets in its window. Each pair gets
+    one int sort key and the P pairs are sorted once, so the cost is
+    O((E + R) log R + P log P).
     """
     check_window(window_days)
     # Sorting is stable, so records with equal keys keep record order.
     ranked = sorted(records, key=_record_key)
     keys = list(map(_record_key, ranked))
+    # Dense key ranks: the keys are in order, so the rank rises where the key changes.
+    key_ranks = list(accumulate(map(ne, keys[1:], keys), initial=0))
     onset_days = [record.onset_date.toordinal() for record in ranked]
-    hazards = [record.hazard for record in ranked]
-    # Stable, so the records of one onset day stay in rank order.
-    by_onset = sorted(range(len(ranked)), key=onset_days.__getitem__)
     # hazard -> (sorted onset days, the ranks of their records in the same order)
     index: dict[str, tuple[list[int], list[int]]] = {}
-    for hazard in dict.fromkeys(hazards):
-        ranks = [rank for rank in by_onset if hazards[rank] == hazard]
-        index[hazard] = ([onset_days[rank] for rank in ranks], ranks)
+    # Stable, so the records of one onset day stay in rank order.
+    for rank in sorted(range(len(ranked)), key=onset_days.__getitem__):
+        onsets, ranks = index.setdefault(ranked[rank].hazard, ([], []))
+        onsets.append(onset_days[rank])
+        ranks.append(rank)
+
+    ids = [event.event_id for event in events]
+    id_ranks = {event_id: n for n, event_id in enumerate(sorted(set(ids)))}
+    starts = [event.start_date.toordinal() for event in events]
+    n_records, scale = len(ranked), len(events) * len(ranked)
+    # One int per pair: ((id rank * R + dense key rank) * E + event position) * R + record rank.
+    pair_keys: list[int] = []
+    for i, event in enumerate(events):
+        onsets, ranks = index.get(event.hazard, ((), ()))
+        lo = bisect.bisect_left(onsets, starts[i] - window_days)
+        hi = bisect.bisect_right(onsets, starts[i])
+        base = id_ranks[ids[i]] * n_records * scale + i * n_records
+        pair_keys += [base + key_ranks[rank] * scale + rank for rank in ranks[lo:hi]]
+    pair_keys.sort()
 
     pairs: list[AlignmentPair] = []
-    matched_events: set[str] = set()
     matched_records: set[tuple[str, str]] = set()
     aligned: set[tuple[str, str, str]] = set()  # (source, hazard, event_id)
-    ids = [event.event_id for event in events]
-    # Stable, so events that share an id keep event order.
-    order = sorted(range(len(events)), key=ids.__getitem__)
-    for event_id, same_id in groupby(order, key=ids.__getitem__):
-        first = len(pairs)
-        n_aligned = 0
-        for i in same_id:
-            event = events[i]
-            hazard = event.hazard
-            if hazard not in index:
-                continue
-            onsets, ranks = index[hazard]
-            start = event.start_date.toordinal()
-            lo = bisect.bisect_left(onsets, start - window_days)
-            hi = bisect.bisect_right(onsets, start)
-            if lo == hi:
-                continue
-            n_aligned += 1
-            for rank in sorted(ranks[lo:hi]):
-                source, record_id = key = keys[rank]
-                pairs.append(
-                    AlignmentPair(event_id, record_id, source, hazard, start - onset_days[rank])
-                )
-                matched_records.add(key)
-                aligned.add((source, hazard, event_id))
-        if n_aligned:
-            matched_events.add(event_id)
-        if n_aligned > 1:
-            # Events that share an id: merge their pairs by key; equal keys keep event order.
-            pairs[first:] = sorted(pairs[first:], key=lambda p: (p.source, p.record_id))
+    for pair_key in pair_keys:
+        i, rank = divmod(pair_key % scale, n_records)
+        source, record_id = key = keys[rank]
+        hazard = events[i].hazard
+        pairs.append(AlignmentPair(ids[i], record_id, source, hazard, starts[i] - onset_days[rank]))
+        matched_records.add(key)
+        aligned.add((source, hazard, ids[i]))
+    matched_events = {event_id for _, _, event_id in aligned}
     aligned_by_source: dict[str, dict[str, int]] = {}
     for (source, hazard), n in sorted(Counter(t[:2] for t in aligned).items()):
         aligned_by_source.setdefault(source, {})[hazard] = n
@@ -281,7 +274,7 @@ def align_events(
         window_days=window_days,
         pairs=pairs,
         aligned_by_source=aligned_by_source,
-        unmatched_events=[ids[i] for i in order if ids[i] not in matched_events],
+        unmatched_events=[event_id for event_id in sorted(ids) if event_id not in matched_events],
         unmatched_records=[key for key in keys if key not in matched_records],
     )
 

@@ -25,7 +25,9 @@ Matches are leftmost-longest and do not overlap: "Guinea-Bissau" is one
 mention of Guinea-Bissau, not also one of Guinea. Declined or adjectival
 forms ("brasilianisch") are not matched.
 
-All functions are pure; loaded corpora can be shared across threads.
+The loaders read files, and :func:`csv_reader` raises the process-wide
+csv field size limit; every other function is pure. Loaded corpora can
+be shared across threads.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ _LATIN1_TOKEN_BYTES = bytes(b if _TOKEN_RE.fullmatch(chr(b)) else 0x20 for b in 
 
 
 class _LetterOutsideLatin1(Exception):
-    """A token letter that Latin-1 cannot encode; the text takes the slow path."""
+    """A token letter that Latin-1 cannot encode; the text goes through the regex."""
 
 
 def _blank_outside_latin1(exc: UnicodeEncodeError) -> tuple[str, int]:
@@ -81,21 +83,17 @@ codecs.register_error("attn_peaks.blank_outside_latin1", _blank_outside_latin1)
 def canonical_tokens(text: str) -> list[str]:
     """Casefolded letter tokens of NFC-normalized ``text``.
 
-    Equal to casefolding each match of ``_TOKEN_RE`` in turn. Two paths:
+    Equal to casefolding each match of ``_TOKEN_RE`` in turn. When every
+    token letter of the text is in Latin-1, as in most German news, the
+    tokens are cut in C: the text is encoded to Latin-1, each run of other
+    characters (such as „ “ – … €) becoming a space, and one
+    ``bytes.translate`` turns every byte that is not a token letter into a
+    space; decoding, casefolding and ``str.split`` follow. No byte table
+    can hold a letter outside Latin-1 (ğ, ł, İ, Σ, ⅓), so such a text goes
+    through the regex.
 
-    - Fast, when every token letter of the text is in Latin-1, as in most
-      German news: the text is encoded to Latin-1, each run of other
-      characters (such as „ “ – … €) becoming a space, and one
-      ``bytes.translate`` turns every byte that is not a token letter into
-      a space. Decoding, casefolding and ``str.split`` then run in C too.
-    - Otherwise (ğ, ł, İ, Σ, ⅓): the text is split at whitespace, and
-      only the chunks that are not all alphabetic go through the regex.
-      Whitespace is never a token letter and every alphabetic character is
-      one. This path must stay: no byte table can hold letters outside
-      Latin-1, and the regex over the whole text is slower.
-
-    ``str.casefold`` maps each character on its own, so the tokens are
-    casefolded in one call. They are cut before casefolding, because
+    ``str.casefold`` maps each character on its own, so the Latin-1 tokens
+    are casefolded in one call. Tokens are cut before casefolding, because
     casefolding can turn a letter into a letter plus a combining mark that
     is not a token letter (U+0130 becomes "i" + U+0307). No Latin-1 letter
     casefolds to a space.
@@ -105,14 +103,7 @@ def canonical_tokens(text: str) -> list[str]:
         latin1 = text.encode("latin-1", "attn_peaks.blank_outside_latin1")
         return latin1.translate(_LATIN1_TOKEN_BYTES).decode("latin-1").casefold().split()
     except _LetterOutsideLatin1:
-        pass
-    raw: list[str] = []
-    for chunk in text.split():
-        if chunk.isalpha():
-            raw.append(chunk)
-        else:
-            raw += _TOKEN_RE.findall(chunk)
-    return " ".join(raw).casefold().split(" ") if raw else []
+        return [token.casefold() for token in _TOKEN_RE.findall(text)]
 
 
 def text_digest(text: str) -> str:
@@ -144,7 +135,8 @@ class Gazetteer:
     _index: dict = field(init=False, repr=False)
     # first tokens that start an entry of two or more tokens
     _multi_starts: frozenset = field(init=False, repr=False)
-    _target_entry: str = field(init=False, repr=False)
+    # the stored entry spelling that the target canonicalizes to
+    target_entry: str = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -171,12 +163,7 @@ class Gazetteer:
         target_tokens = tuple(canonical_tokens(self.target))
         if target_tokens not in by_tokens:
             raise InputError(f"gazetteer target {self.target!r} is not a gazetteer entry")
-        self._target_entry = by_tokens[target_tokens]
-
-    @property
-    def target_entry(self) -> str:
-        """The stored entry spelling that the target canonicalizes to."""
-        return self._target_entry
+        self.target_entry = by_tokens[target_tokens]
 
 
 def default_gazetteer_path() -> Path:
@@ -381,21 +368,16 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
 
 
 def _read_documents(
-    docs: list[Document],
-    path: Path,
-    rows: Iterable[tuple[int, list[str]]],
-    width: int,
-    hazards: tuple[str, ...],
-) -> None:
-    """Check each numbered row of ``width`` fields and append its document to ``docs``.
+    path: Path, rows: Iterable[tuple[int, list[str]]], width: int, hazards: tuple[str, ...]
+) -> list[Document]:
+    """The documents of the numbered rows of ``width`` fields, each row checked.
 
     Both file formats feed this loop, so every row is checked the same way.
     Rows are unpacked into locals; each distinct date string is parsed
     once, each distinct text without a ``text_key`` is digested once, and
-    equal outlet, genre, hazard and text strings share one object. A row that
-    fails raises before anything of it is appended, so ``len(docs)`` is
-    the number of rows read without error.
+    equal outlet, genre, hazard and text strings share one object.
     """
+    docs: list[Document] = []
     seen_ids: set[str] = set()
     known_hazards = {hazard: hazard for hazard in hazards}
     shared: dict[str, str] = {}
@@ -436,6 +418,7 @@ def _read_documents(
                 key,
             )
         )
+    return docs
 
 
 _JSONL_FIELDS = DOCUMENT_COLUMNS + OPTIONAL_DOCUMENT_COLUMNS
@@ -491,18 +474,15 @@ def load_documents(
         expected = " or ".join(DOC_FORMATS)
         raise InputError(f"unknown document format {format!r} (expected {expected})")
     path = Path(path)
-    docs: list[Document] = []
     if format == "csv":
         optional = OPTIONAL_DOCUMENT_COLUMNS
         with csv_rows(path, "documents", "document", DOCUMENT_COLUMNS, optional) as (header, rows):
-            _read_documents(docs, path, rows, len(header), hazards)
-        return docs
+            return _read_documents(path, rows, len(header), hazards)
     try:
         with open_input(path, "documents") as handle:
-            _read_documents(docs, path, _jsonl_rows(handle, path), len(_JSONL_FIELDS), hazards)
+            return _read_documents(path, _jsonl_rows(handle, path), len(_JSONL_FIELDS), hazards)
     except UnicodeDecodeError:
         raise undecodable(path, jsonl=True) from None
-    return docs
 
 
 @dataclass(slots=True)

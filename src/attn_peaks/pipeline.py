@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 from . import align as align_mod
 from .align import DEFAULT_S2ID_ACCEPT, DEFAULT_TYPE_MAP, IGNORE, AlignmentReport, RegistryLoad
-from .errors import AttnPeaksError, ConsistencyError, InputError
+from .errors import AttnPeaksError, InputError
 from .ingest import (
     DEFAULT_HAZARDS,
     DEFAULT_TARGET,
@@ -221,6 +221,9 @@ def validate_config(config: PipelineConfig) -> None:
         )
     if config.documents is None:
         raise InputError("no documents file configured (set [corpus] documents or --documents)")
+    if "\0" in str(config.out_dir):  # os calls raise ValueError for it, not OSError
+        shown = path_repr(config.out_dir)
+        raise InputError(f"cannot write output directory {shown}: embedded null byte")
     bad = sorted(
         {v for v in config.type_map.values() if v != IGNORE and v not in config.hazards}
     )
@@ -240,7 +243,6 @@ class RunArtifacts:
     Each stage fills in its fields; those of stages not run stay empty.
     """
 
-    out_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
     series: dict[str, CountSeries] = field(default_factory=dict)
     stats: dict[str, CorpusStats] = field(default_factory=dict)
@@ -455,7 +457,7 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     hazards = config.active_hazards
     stages = list(COMMANDS)
     want = stages.index(command)
-    run = RunArtifacts(out_dir=config.out_dir)
+    run = RunArtifacts()
 
     with _stage("ingest"):
         gazetteer = load_gazetteer(config.gazetteer, target=config.target)
@@ -517,8 +519,6 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
     destination that is a directory; it is found before any file is moved.
     """
     out_dir = Path(config.out_dir)
-    if "\0" in str(out_dir):  # os calls raise ValueError for it, not OSError
-        raise InputError(f"cannot write output directory {path_repr(out_dir)}: embedded null byte")
     # Hashing the inputs reads them; an error there is not one of the output directory.
     manifest = _manifest(config, command) if command == "run" else None
     tmp = None

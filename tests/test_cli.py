@@ -538,8 +538,9 @@ class TestOutputPaths:
         text = config.read_text(encoding="utf-8")
         config.write_text(text.replace("dir = out", f"dir = {out}"), encoding="utf-8")
         assert main(["ingest", "--config", str(config)]) == 2
+        # Refused while the configuration is checked, before any input is read.
         message = f"cannot write output directory {str(tmp_path / out)!r}: embedded null byte"
-        assert message in capsys.readouterr().err
+        assert f"attn-peaks: config: {message}" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "config.ini", "documents.csv", "emdat.csv", "s2id.csv"
         ]
@@ -799,3 +800,74 @@ def test_mutated_golden_config_exits_zero_or_two(mutations):
             os.chdir(cwd)
         assert code in (0, 2)
         assert not list(root.rglob(".attn-peaks-*"))
+
+
+# Bytes a mutation may splice into an input line: CSV quote and separator, bytes
+# that are not UTF-8 (a stray byte, a lead byte without its continuation), NUL,
+# CR, a BOM, a JSON lone-surrogate escape, an impossible and the last date, a
+# hazard outside the vocabulary and a second country name.
+_SPLICES = [
+    b'"', b",", b"\xff", b"\xc3", b"\0", b"\r", codecs.BOM_UTF8, b"\\ud800",
+    b"2020-02-30", b"9999-12-31", b"flood", b"Peru",
+]
+_INPUT_LINE = st.integers(0, 299)
+_INPUT_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), _INPUT_LINE),
+        st.tuples(st.just("repeat"), _INPUT_LINE),
+        st.tuples(st.just("swap"), _INPUT_LINE, _INPUT_LINE),
+        st.tuples(st.just("splice"), _INPUT_LINE, st.integers(0, 199), st.sampled_from(_SPLICES)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate_lines(lines: list[bytes], mutations) -> list[bytes]:
+    lines = list(lines)
+    for kind, at, *arg in mutations:
+        i = at % len(lines)
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = arg[0] % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "splice":
+            at_byte = arg[0] % (len(lines[i]) + 1)
+            lines[i] = lines[i][:at_byte] + arg[1] + lines[i][at_byte:]
+    return lines
+
+
+def _documents_as_jsonl(csv_path: Path) -> Path:
+    """Write the documents of ``csv_path`` as JSON lines beside it, same keys, same order."""
+    with csv_path.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    path = csv_path.with_suffix(".jsonl")
+    lines = [json.dumps(row, ensure_ascii=False) + "\n" for row in rows]
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["documents.csv", "documents.jsonl", "emdat.csv", "s2id.csv"]),
+    _INPUT_MUTATIONS,
+)
+def test_mutated_golden_inputs_exit_zero_or_two(name, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = _golden_copy(GOLDEN_DIR, root)
+        out = root / "out"
+        command = ["run", "--config", str(config), "--out-dir", str(out)]
+        if name == "documents.jsonl":
+            documents = _documents_as_jsonl(root / "documents.csv")
+            command += ["--documents", str(documents), "--format", "jsonl"]
+        path = root / name
+        path.write_bytes(b"\n".join(_mutate_lines(path.read_bytes().split(b"\n"), mutations)))
+        code = main(command)
+        assert code in (0, 2)
+        assert not list(root.rglob(".attn-peaks-*"))
+        if code == 2:
+            assert not out.exists()
