@@ -286,15 +286,15 @@ def alignment_summary(report: AlignmentReport, n_events_total: int) -> dict:
     is None when there are no events at all.
     """
     aligned_any = {p.event_id for p in report.pairs}
+    unmatched = Counter(source for source, _ in report.unmatched_records)
     by_source: dict[str, dict] = {}
-    sources = set(report.aligned_by_source) | {s for s, _ in report.unmatched_records}
-    sources |= {p.source for p in report.pairs}
-    for source in sorted(sources):
+    # Every pair's source is a key of aligned_by_source.
+    for source in sorted(report.aligned_by_source.keys() | unmatched.keys()):
         per_hazard = report.aligned_by_source.get(source, {})
         by_source[source] = {
             "aligned_events_by_hazard": dict(sorted(per_hazard.items())),
             "aligned_events_total": sum(per_hazard.values()),
-            "unmatched_records": sum(1 for s, _ in report.unmatched_records if s == source),
+            "unmatched_records": unmatched[source],
         }
     return {
         "window_days": report.window_days,

@@ -14,36 +14,24 @@ import bisect
 import datetime
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConsistencyError
 from .ingest import DOC_DATE, DOC_HAZARD, DOC_OUTLET, DOC_TEXT_KEY, DOC_TEXT_TYPE, Document
 from .peaks import NewsEvent
 
-# Per-event measure columns, in emission order. days_since_last_peak is a
-# secondary variant of days_since_last (peak-to-peak instead of gap between
-# events); n_genres counts genre labels where n_text_types counts
-# deduplicated text content.
-MEASURE_COLUMNS = (
-    "n_at_peak",
-    "total_volume",
-    "duration_days",
-    "days_since_last",
-    "days_to_peak",
-    "days_to_fade",
-    "n_text_types",
-    "n_outlets",
-    "n_genres",
-    "days_since_last_peak",
-)
-
-
 @dataclass
 class MeasureSet:
-    """The measures of one news event."""
+    """The measures of one news event, its fields in ``measures.csv`` column order.
 
-    event_id: str
+    The event's hazard, id and peak date come first, then the measures.
+    days_since_last_peak is a secondary variant of days_since_last
+    (peak-to-peak instead of gap between events); n_genres counts genre
+    labels where n_text_types counts deduplicated text content.
+    """
+
     hazard: str
+    event_id: str
     peak_date: datetime.date
     n_at_peak: int
     total_volume: int
@@ -55,6 +43,10 @@ class MeasureSet:
     n_outlets: int
     n_genres: int
     days_since_last_peak: int | None
+
+
+# The per-event measure columns, in emission order.
+MEASURE_COLUMNS = tuple(f.name for f in fields(MeasureSet))[3:]
 
 
 @dataclass

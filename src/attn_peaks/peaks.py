@@ -124,38 +124,34 @@ def detect_peaks(series: CountSeries, params: PeakParams | None = None) -> list[
 def segment_events(series: CountSeries, peaks: list[int]) -> list[NewsEvent]:
     """Grow each surviving peak into a news event over its active run.
 
-    A peak is extended left and right over consecutive days with count > 0,
-    stopping at the first zero-count day. When one contiguous run holds
-    several peaks, it is split between consecutive peaks at the day with the
-    minimum count strictly between them (earliest such day on ties); that
-    day belongs to the earlier event. Events are disjoint and every event
-    day is active.
+    ``peaks`` are ascending indices of active days, as :func:`detect_peaks`
+    returns them. A peak is extended left and right over consecutive days
+    with count > 0, stopping at the first zero-count day. When one run holds
+    several peaks, it is split between each two neighbouring peaks at the
+    earliest day with the smallest count strictly between them (the left
+    peak when they are adjacent); that day belongs to the earlier event.
+    Events are disjoint and every event day is active.
     """
     x = series.counts
     n = len(x)
     events: list[NewsEvent] = []
-    k = 0
-    while k < len(peaks):
-        peak = peaks[k]
-        run_start = peak
-        while run_start > 0 and x[run_start - 1] > 0:
-            run_start -= 1
-        run_end = peak
-        while run_end < n - 1 and x[run_end + 1] > 0:
-            run_end += 1
-        group = [peak]
-        k += 1
-        while k < len(peaks) and peaks[k] <= run_end:
-            group.append(peaks[k])
-            k += 1
-        segment_start = run_start
-        for g, peak_index in enumerate(group):
-            if g + 1 < len(group):
-                cut = _interior_minimum(x, peak_index, group[g + 1])
-            else:
-                cut = run_end
-            events.append(_make_event(series, peak_index, segment_start, cut))
-            segment_start = cut + 1
+    # One walk: a run's left edge is found for its first peak only, and the
+    # right edge stops at the next peak, where a shared run is cut.
+    start = None  # first day of the current event; None before a new run
+    for k, peak in enumerate(peaks):
+        if start is None:
+            start = peak
+            while start > 0 and x[start - 1] > 0:
+                start -= 1
+        next_peak = peaks[k + 1] if k + 1 < len(peaks) else n
+        end = peak
+        while end + 1 < next_peak and x[end + 1] > 0:
+            end += 1
+        shared = end + 1 == next_peak < n  # the run goes on into the next peak
+        if shared:
+            end = _interior_minimum(x, peak, next_peak)
+        events.append(_make_event(series, peak, start, end))
+        start = end + 1 if shared else None
     return events
 
 

@@ -27,8 +27,9 @@ import os
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
@@ -66,7 +67,7 @@ COMMANDS = {
     "run": "run every stage and write all artifacts plus the manifest",
 }
 
-_MEASURES_HEADER = ("hazard", "event_id", "peak_date") + MEASURE_COLUMNS
+_MEASURES_HEADER = tuple(f.name for f in fields(MeasureSet))
 
 
 @dataclass
@@ -324,18 +325,14 @@ def _write_events_jsonl(path: Path, events_by_hazard: dict[str, list[NewsEvent]]
 
 
 def _write_measures_csv(path: Path, measures_by_hazard: dict[str, list[MeasureSet]]) -> None:
-    def lines() -> Iterator[str]:
-        yield ",".join(_MEASURES_HEADER) + "\n"
-        for hazard, measures in measures_by_hazard.items():
-            for m in measures:
-                row = [hazard, m.event_id, m.peak_date.isoformat()]
-                for column in MEASURE_COLUMNS:
-                    value = getattr(m, column)
-                    row.append("" if value is None else str(value))
-                yield ",".join(row) + "\n"
-
+    row = attrgetter(*_MEASURES_HEADER)
     with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(lines())
+        handle.write(",".join(_MEASURES_HEADER) + "\n")
+        handle.writelines(
+            ",".join("" if value is None else str(value) for value in row(m)) + "\n"
+            for measures in measures_by_hazard.values()
+            for m in measures
+        )
 
 
 def _summaries(measures_by_hazard: dict[str, list[MeasureSet]]) -> dict:
@@ -494,7 +491,8 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
                     reg_path, source, config.type_map, config.s2id_accept
                 )
                 run.registry_loads[source] = load
-                records.extend(load.records)
+                # The records of a hazard this run leaves out are not unmatched.
+                records += [record for record in load.records if record.hazard in hazards]
             run.alignment = align_mod.align_events(all_events, records, config.window_days)
     if want >= stages.index("report"):
         with _stage("report"):

@@ -112,6 +112,39 @@ def oracle_peaks(values, min_height: int, min_distance: int) -> list[int]:
     return sorted(kept)
 
 
+def oracle_segments(counts, peaks) -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
+    """Brute-force segmentation oracle: ``(peak, start, end, day_counts)`` per peak.
+
+    README's rule, each peak on its own: find the peak's maximal active run
+    and every peak in it; the run is cut between two neighbouring peaks at
+    the earliest smallest count strictly between them (the left peak when
+    they are adjacent), and the cut day belongs to the earlier event. Days
+    are indices and ``day_counts`` pairs each index with its count.
+    """
+    x = [int(v) for v in counts]
+
+    def cut(left: int, right: int) -> int:
+        between = range(left + 1, right)
+        if not between:
+            return left
+        smallest = min(x[i] for i in between)
+        return [i for i in between if x[i] == smallest][0]
+
+    segments = []
+    for peak in peaks:
+        lo = hi = peak
+        while lo > 0 and x[lo - 1] > 0:
+            lo -= 1
+        while hi < len(x) - 1 and x[hi + 1] > 0:
+            hi += 1
+        in_run = sorted(p for p in peaks if lo <= p <= hi)
+        pos = in_run.index(peak)
+        start = lo if pos == 0 else cut(in_run[pos - 1], peak) + 1
+        end = hi if pos == len(in_run) - 1 else cut(peak, in_run[pos + 1])
+        segments.append((peak, start, end, tuple((i, x[i]) for i in range(start, end + 1))))
+    return segments
+
+
 def oracle_summarize(values) -> BoxStats:
     """:func:`attn_peaks.summarize` computed with numpy, as it was before the stdlib rewrite."""
     arr = np.asarray(values, dtype=float)

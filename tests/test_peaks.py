@@ -12,7 +12,7 @@ from attn_peaks import (
     local_maxima,
     segment_events,
 )
-from support import make_series, oracle_peaks, random_series
+from support import make_series, oracle_peaks, oracle_segments, random_series
 
 D = datetime.date
 
@@ -225,3 +225,41 @@ class TestEventProperties:
             for event in events:
                 assert event.start_date <= event.peak_date <= event.end_date
                 assert event.peak_count >= params.min_height
+
+
+class TestSegmentAgainstOracle:
+    """Every event exactly as the brute-force oracle cuts it, shared runs included."""
+
+    @staticmethod
+    def _segments(series, peaks):
+        return [
+            (
+                series.index_of(event.peak_date),
+                series.index_of(event.start_date),
+                series.index_of(event.end_date),
+                tuple((series.index_of(day), count) for day, count in event.day_counts),
+            )
+            for event in segment_events(series, peaks)
+        ]
+
+    def test_detected_peaks(self):
+        rng = np.random.default_rng(14)
+        for _ in range(400):
+            series = random_series(rng, max_value=int(rng.integers(1, 12)))
+            params = PeakParams(
+                min_height=int(rng.integers(1, 5)),
+                min_distance=int(rng.integers(1, 15)),
+            )
+            peaks = detect_peaks(series, params)
+            assert self._segments(series, peaks) == oracle_segments(series.counts, peaks)
+
+    def test_any_sorted_active_days(self):
+        # Denser peaks than detect_peaks leaves: adjacent peaks, several to a run.
+        # A zero-count peak is outside segment_events' input contract.
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            series = random_series(rng, max_value=int(rng.integers(1, 12)))
+            active = [i for i, count in enumerate(series.counts) if count > 0]
+            size = int(rng.integers(0, len(active) + 1))
+            peaks = sorted(int(i) for i in rng.choice(active, size=size, replace=False))
+            assert self._segments(series, peaks) == oracle_segments(series.counts, peaks)

@@ -310,6 +310,19 @@ class TestRunPipeline:
         assert set(artifacts.events) == {"fire"}
         assert "timeseries_landslide.csv" not in artifacts.files
 
+    def test_hazard_subset_leaves_out_the_records_of_other_hazards(self, golden_dir, tmp_path):
+        config = load_config(golden_dir / "config.ini")
+        config.run_hazards = ("fire",)
+        config.out_dir = tmp_path / "out"
+        artifacts = run_pipeline(config, "run")
+        alignment = json.loads(artifacts.files["alignment.json"].read_text(encoding="utf-8"))
+        assert alignment["unmatched_records"] == [{"record_id": "S2-0010", "source": "S2ID"}]
+        # The registry tallies still describe the whole file.
+        full = json.loads((golden_dir / "expected" / "alignment.json").read_text(encoding="utf-8"))
+        assert alignment["registries"] == full["registries"]
+        by_source = artifacts.report["alignment"]["by_source"]
+        assert {s: v["unmatched_records"] for s, v in by_source.items()} == {"EMDAT": 0, "S2ID": 1}
+
     def test_manifest_contents_are_stable(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
         first = run_pipeline(config, "run")
@@ -333,6 +346,20 @@ class TestRunPipeline:
         config.start = D(2020, 1, 11)  # L1 on the 10th now falls outside
         with pytest.raises(InputError, match="^ingest: .*'L1'"):
             run_pipeline(config, "run")
+
+    def test_out_of_range_document_the_filter_drops_is_not_checked(self, tmp_path):
+        config_path = write_small_corpus(tmp_path)
+        with (tmp_path / "documents.csv").open("a", encoding="utf-8") as handle:
+            handle.write("FX,2030-01-01,Blatt 1,Bericht,fire,Feuer in Peru\n")
+        artifacts = run_pipeline(load_config(config_path), "run")
+        assert artifacts.stats["fire"].n_articles == 2
+
+    def test_out_of_range_document_of_an_unprocessed_hazard_is_not_checked(self, tmp_path):
+        config = load_config(write_small_corpus(tmp_path))
+        config.start = D(2020, 1, 11)  # landslide L1 on the 10th falls outside
+        config.run_hazards = ("fire",)
+        artifacts = run_pipeline(config, "run")
+        assert list(artifacts.series) == ["fire"]
 
 
 # Ids with what json must escape or may keep: quotes, backslashes, control
