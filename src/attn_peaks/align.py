@@ -14,8 +14,7 @@ import bisect
 import datetime
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import attrgetter, ne
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import InputError
@@ -221,51 +220,42 @@ def align_events(
     emitted, so one event may align with several records.
 
     Pairs are sorted by ``(event_id, source, record_id)``; equal keys keep
-    event order, then record order. The records are ranked once by
-    ``(source, record_id)``, and each hazard's ranks are sorted once by onset
-    day; each event binary-searches the onsets in its window. Each pair gets
-    one int sort key and the P pairs are sorted once, so the cost is
-    O((E + R) log R + P log P).
+    event order, then record order. Each hazard's record positions are
+    sorted once by onset day; each event binary-searches the onsets in its
+    window. Each pair found is a tuple ``(event_id, source, record_id, event
+    position, record position)``, and one sort of those P tuples gives the
+    final order, so the cost is O((E + R) log R + P log P).
     """
     check_window(window_days)
-    # Sorting is stable, so records with equal keys keep record order.
-    ranked = sorted(records, key=_record_key)
-    keys = list(map(_record_key, ranked))
-    # Dense key ranks: the keys are in order, so the rank rises where the key changes.
-    key_ranks = list(accumulate(map(ne, keys[1:], keys), initial=0))
-    onset_days = [record.onset_date.toordinal() for record in ranked]
-    # hazard -> (sorted onset days, the ranks of their records in the same order)
+    onset_days = [record.onset_date.toordinal() for record in records]
+    # hazard -> (sorted onset days, the positions of their records in the same order)
     index: dict[str, tuple[list[int], list[int]]] = {}
-    # Stable, so the records of one onset day stay in rank order.
-    for rank in sorted(range(len(ranked)), key=onset_days.__getitem__):
-        onsets, ranks = index.setdefault(ranked[rank].hazard, ([], []))
-        onsets.append(onset_days[rank])
-        ranks.append(rank)
+    # Stable, so the records of one onset day stay in record order.
+    for r in sorted(range(len(records)), key=onset_days.__getitem__):
+        onsets, positions = index.setdefault(records[r].hazard, ([], []))
+        onsets.append(onset_days[r])
+        positions.append(r)
 
     ids = [event.event_id for event in events]
-    id_ranks = {event_id: n for n, event_id in enumerate(sorted(set(ids)))}
     starts = [event.start_date.toordinal() for event in events]
-    n_records, scale = len(ranked), len(events) * len(ranked)
-    # One int per pair: ((id rank * R + dense key rank) * E + event position) * R + record rank.
-    pair_keys: list[int] = []
+    found: list[tuple[str, str, str, int, int]] = []
     for i, event in enumerate(events):
-        onsets, ranks = index.get(event.hazard, ((), ()))
+        onsets, positions = index.get(event.hazard, ((), ()))
         lo = bisect.bisect_left(onsets, starts[i] - window_days)
         hi = bisect.bisect_right(onsets, starts[i])
-        base = id_ranks[ids[i]] * n_records * scale + i * n_records
-        pair_keys += [base + key_ranks[rank] * scale + rank for rank in ranks[lo:hi]]
-    pair_keys.sort()
+        found += [
+            (ids[i], records[r].source, records[r].record_id, i, r) for r in positions[lo:hi]
+        ]
+    found.sort()
 
     pairs: list[AlignmentPair] = []
     matched_records: set[tuple[str, str]] = set()
     aligned: set[tuple[str, str, str]] = set()  # (source, hazard, event_id)
-    for pair_key in pair_keys:
-        i, rank = divmod(pair_key % scale, n_records)
-        source, record_id = key = keys[rank]
+    for event_id, source, record_id, i, r in found:
         hazard = events[i].hazard
-        pairs.append(AlignmentPair(ids[i], record_id, source, hazard, starts[i] - onset_days[rank]))
-        matched_records.add(key)
-        aligned.add((source, hazard, ids[i]))
+        pairs.append(AlignmentPair(event_id, record_id, source, hazard, starts[i] - onset_days[r]))
+        matched_records.add((source, record_id))
+        aligned.add((source, hazard, event_id))
     matched_events = {event_id for _, _, event_id in aligned}
     aligned_by_source: dict[str, dict[str, int]] = {}
     for (source, hazard), n in sorted(Counter(t[:2] for t in aligned).items()):
@@ -275,7 +265,9 @@ def align_events(
         pairs=pairs,
         aligned_by_source=aligned_by_source,
         unmatched_events=[event_id for event_id in sorted(ids) if event_id not in matched_events],
-        unmatched_records=[key for key in keys if key not in matched_records],
+        unmatched_records=sorted(
+            key for key in map(_record_key, records) if key not in matched_records
+        ),
     )
 
 

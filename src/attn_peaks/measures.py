@@ -67,19 +67,30 @@ class BoxStats:
     n: int
 
 
-def gaps(events: list[NewsEvent]) -> list[int | None]:
-    """Days since the previous event, per event; None for the first.
+def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[MeasureSet]:
+    """Measures of a hazard's event sequence, gap measures included.
 
-    Measured from the end of the previous event to the start of the current
-    one, so adjacent events have a gap of 1. Events must be sorted by start
-    date, share one hazard and not overlap.
+    ``events`` must be the sorted, non-overlapping output of the detection
+    stage for one hazard; ``docs`` the documents the series was built from
+    (documents of other hazards are ignored). ``days_since_last`` runs from
+    the end of the previous event to the start of this one, so adjacent
+    events have a gap of 1; ``days_since_last_peak`` runs peak to peak. Both
+    are None for the first event. Events of two hazards, or events that
+    overlap or are unsorted, raise :class:`ConsistencyError`, as does an
+    event day not backed by exactly as many documents as the series counted
+    there. Each event's gap is checked before its days.
     """
-    out: list[int | None] = []
-    previous: NewsEvent | None = None
-    for event in events:
-        if previous is None:
-            out.append(None)
-        else:
+    if not events:
+        return []
+    hazard = events[0].hazard
+    by_day: dict[datetime.date, list[Document]] = defaultdict(list)
+    for doc in docs:
+        if doc[DOC_HAZARD] == hazard:
+            by_day[doc[DOC_DATE]].append(doc)
+    measures = []
+    for previous, event in zip([None, *events], events):
+        gap = peak_gap = None
+        if previous is not None:
             if event.hazard != previous.hazard:
                 raise ConsistencyError(
                     f"gap between different hazards: {previous.hazard} vs {event.hazard}"
@@ -90,39 +101,7 @@ def gaps(events: list[NewsEvent]) -> list[int | None]:
                     f"events {previous.event_id} and {event.event_id} overlap "
                     "or are unsorted"
                 )
-            out.append(gap)
-        previous = event
-    return out
-
-
-def peak_gaps(events: list[NewsEvent]) -> list[int | None]:
-    """Peak-to-peak variant of :func:`gaps`."""
-    out: list[int | None] = []
-    previous: NewsEvent | None = None
-    for event in events:
-        out.append(None if previous is None else (event.peak_date - previous.peak_date).days)
-        previous = event
-    return out
-
-
-def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[MeasureSet]:
-    """Measures of a hazard's event sequence, gap measures included.
-
-    ``events`` must be the sorted, non-overlapping output of the detection
-    stage for one hazard; ``docs`` the documents the series was built from
-    (documents of other hazards are ignored). Every event day must be backed
-    by exactly as many documents as the series counted there; a mismatch
-    raises :class:`ConsistencyError`.
-    """
-    if not events:
-        return []
-    hazard = events[0].hazard
-    by_day: dict[datetime.date, list[Document]] = defaultdict(list)
-    for doc in docs:
-        if doc[DOC_HAZARD] == hazard:
-            by_day[doc[DOC_DATE]].append(doc)
-    measures = []
-    for event, gap, peak_gap in zip(events, gaps(events), peak_gaps(events)):
+            peak_gap = (event.peak_date - previous.peak_date).days
         text_keys: set[str] = set()
         outlets: set[str] = set()
         genres: set[str] = set()

@@ -26,7 +26,7 @@ import json
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring
 from operator import attrgetter
@@ -512,17 +512,23 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
 def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) -> dict[str, Path]:
     """Write the files of ``command`` into a temporary directory, then move them all into place.
 
+    The temporary directory is made inside the output directory, so only
+    that directory must be writable and every move stays on one filesystem.
     An OSError from creating or filling the output directory, such as a
     path that is or runs through a regular file, is an InputError. So is a
     destination that is a directory; it is found before any file is moved.
+    An output directory this call created is removed again if it fails.
     """
     out_dir = Path(config.out_dir)
     # Hashing the inputs reads them; an error there is not one of the output directory.
     manifest = _manifest(config, command) if command == "run" else None
     tmp = None
+    created = False
     try:
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(prefix=".attn-peaks-", dir=out_dir.parent))
+        with suppress(FileExistsError):
+            out_dir.mkdir(parents=True)
+            created = True
+        tmp = Path(tempfile.mkdtemp(prefix=".attn-peaks-", dir=out_dir))
         if command in ("ingest", "run"):
             _write_json(
                 tmp / "corpus_stats.json", {hazard: asdict(s) for hazard, s in run.stats.items()}
@@ -543,7 +549,6 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
             _write_json(tmp / "report.json", run.report)
         if manifest is not None:
             _write_json(tmp / "manifest.json", manifest)
-        out_dir.mkdir(parents=True, exist_ok=True)
         staged = sorted(tmp.iterdir())
         files = {path.name: out_dir / path.name for path in staged}
         # A file cannot replace a directory: refuse before anything is moved.
@@ -552,6 +557,7 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
                 raise InputError(f"cannot write output file {path_repr(final)}: it is a directory")
         for path in staged:
             os.replace(path, files[path.name])
+        created = False  # the run succeeded: keep the directory
         return files
     except OSError as exc:
         reason = exc.strerror or exc
@@ -559,3 +565,7 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
     finally:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
+        if created:
+            # rmdir never deletes content: a directory that a failed move filled stays.
+            with suppress(OSError):
+                out_dir.rmdir()

@@ -463,6 +463,20 @@ class TestAlignmentOracle:
         records=[make_record("r1", "landslide", _day(i)) for i in (SPAN_DAYS, 0, 20)],
         window=10**6,
     )
+    @example(  # records out of (source, record_id) order; one unmatched key given twice
+        events=[make_event("fire", _day(10)), make_event("landslide", _day(12))],
+        records=[
+            make_record("r9", "fire", _day(8), "S2ID"),
+            make_record("r4", "fire", _day(30)),  # matches nothing
+            make_record("r7", "landslide", _day(12)),
+            make_record("r1", "fire", _day(6), "S2ID"),
+            make_record("r4", "fire", _day(40)),  # the same key, matches nothing again
+            make_record("r8", "fire", _day(10)),
+            make_record("r2", "landslide", _day(9), "S2ID"),
+            make_record("r0", "fire", _day(2)),  # matches nothing
+        ],
+        window=5,
+    )
     def test_report_equals_all_pairs_oracle(self, events, records, window):
         assert align_events(events, records, window) == oracle_alignment_report(
             events, records, window

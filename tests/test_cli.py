@@ -512,7 +512,7 @@ class TestOutputPaths:
         assert "Traceback" not in proc.stderr
         assert f"cannot write output directory {str(out)!r}" in proc.stderr
         assert blocker.read_text(encoding="utf-8") == "keep me\n"
-        assert not list(tmp_path.glob(".attn-peaks-*"))
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
 
     def test_directory_in_place_of_an_output_file_replaces_nothing(self, golden_dir, tmp_path):
         config = _golden_copy(golden_dir, tmp_path)
@@ -528,7 +528,7 @@ class TestOutputPaths:
         assert f"{str(out / 'timeseries_fire.csv')!r}: it is a directory" in proc.stderr
         after = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
         assert after == before
-        assert not list(tmp_path.glob(".attn-peaks-*"))
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
 
     @pytest.mark.parametrize("out", ["o\0ut", "o\0/out"])
     def test_nul_in_the_configured_out_dir_exits_two_and_leaves_nothing(
@@ -559,7 +559,61 @@ class TestOutputPaths:
         assert "Traceback" not in proc.stderr
         assert f"hazard label {label!r}" in proc.stderr
         assert not out.exists()
-        assert not list(tmp_path.glob(".attn-peaks-*"))
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
+
+    def test_staging_directory_is_made_inside_the_out_dir(
+        self, golden_dir, tmp_path, capsys, monkeypatch
+    ):
+        # Staging beside the output directory needs a writable parent and can cross filesystems.
+        config = _golden_copy(golden_dir, tmp_path)
+        out = tmp_path / "out"
+        real_mkdtemp = tempfile.mkdtemp
+
+        def inside_out_only(*args, dir=None, **kwargs):
+            if dir is None or Path(dir) != out:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(dir))
+            return real_mkdtemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", inside_out_only)
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0, (
+            capsys.readouterr().err
+        )
+        for expected in (golden_dir / "expected").iterdir():
+            assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
+
+    def test_writable_out_dir_under_a_read_only_parent_is_written(self, golden_dir, tmp_path):
+        if os.geteuid() == 0:
+            pytest.skip("root writes into a directory whatever its mode bits")
+        config = _golden_copy(golden_dir, tmp_path)
+        parent = tmp_path / "read-only"
+        out = parent / "out"
+        out.mkdir(parents=True)
+        parent.chmod(0o555)
+        try:
+            proc = _run_cli("run", "--config", str(config), "--out-dir", str(out))
+        finally:
+            parent.chmod(0o755)
+        assert proc.returncode == 0, proc.stderr
+        for expected in (golden_dir / "expected").iterdir():
+            assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
+
+    def test_write_error_removes_the_out_dir_it_made(
+        self, golden_dir, tmp_path, capsys, monkeypatch
+    ):
+        config = _golden_copy(golden_dir, tmp_path)
+        out = tmp_path / "out"
+
+        def disk_full(path, measures):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(pipeline, "_write_measures_csv", disk_full)
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write output directory {str(out)!r}: {os.strerror(errno.ENOSPC)}" in err
+        assert not out.exists()
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
 
 
 class TestPathsInMessages:
@@ -685,7 +739,7 @@ class TestInputFiles:
         assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
         assert f"documents file not found: {str(documents)!r}" in capsys.readouterr().err
         assert not out.exists()
-        assert not list(tmp_path.glob(".attn-peaks-*"))
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
 
 
 def test_readme_config_block_holds_the_defaults(tmp_path):

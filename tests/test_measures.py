@@ -12,9 +12,7 @@ from attn_peaks import (
     NewsEvent,
     PeakParams,
     detect_events,
-    gaps,
     measure_events,
-    peak_gaps,
     summarize,
 )
 from support import docs_matching_series, make_doc, make_series, oracle_summarize, random_series
@@ -98,10 +96,21 @@ class TestCharacterize:
             measure_events([ev], [make_doc("a", d)])[0]
 
 
+def gap_measures(events):
+    """``(days_since_last, days_since_last_peak)`` per event; one document per counted unit."""
+    docs = [
+        make_doc(f"{e.event_id}-{day}-{n}", day, hazard=e.hazard)
+        for e in events
+        for day, count in e.day_counts
+        for n in range(count)
+    ]
+    return [(m.days_since_last, m.days_since_last_peak) for m in measure_events(events, docs)]
+
+
 class TestGaps:
     def test_single_event_has_no_gap(self):
         ev = event("fire", D(2020, 1, 5), D(2020, 1, 5), D(2020, 1, 5), [(D(2020, 1, 5), 2)])
-        assert gaps([ev]) == [None]
+        assert gap_measures([ev]) == [(None, None)]
 
     def test_gap_is_end_to_start(self):
         first = event(
@@ -110,7 +119,7 @@ class TestGaps:
         second = event(
             "fire", D(2020, 1, 17), D(2020, 1, 17), D(2020, 1, 18), [(D(2020, 1, 17), 2)]
         )
-        assert gaps([first, second]) == [None, 7]
+        assert [gap for gap, _ in gap_measures([first, second])] == [None, 7]
 
     def test_adjacent_events_have_gap_one(self):
         first = event(
@@ -119,7 +128,7 @@ class TestGaps:
         second = event(
             "fire", D(2020, 1, 11), D(2020, 1, 11), D(2020, 1, 12), [(D(2020, 1, 11), 2)]
         )
-        assert gaps([first, second]) == [None, 1]
+        assert [gap for gap, _ in gap_measures([first, second])] == [None, 1]
 
     def test_overlapping_events_are_rejected(self):
         first = event(
@@ -129,7 +138,7 @@ class TestGaps:
             "fire", D(2020, 1, 11), D(2020, 1, 11), D(2020, 1, 14), [(D(2020, 1, 11), 2)]
         )
         with pytest.raises(ConsistencyError, match="overlap"):
-            gaps([first, second])
+            gap_measures([first, second])
 
     def test_peak_gaps_variant(self):
         first = event(
@@ -138,7 +147,17 @@ class TestGaps:
         second = event(
             "fire", D(2020, 1, 17), D(2020, 1, 17), D(2020, 1, 18), [(D(2020, 1, 17), 2)]
         )
-        assert peak_gaps([first, second]) == [None, 8]
+        assert [peak_gap for _, peak_gap in gap_measures([first, second])] == [None, 8]
+
+    def test_events_of_two_hazards_are_rejected(self):
+        first = event(
+            "fire", D(2020, 1, 9), D(2020, 1, 8), D(2020, 1, 10), [(D(2020, 1, 9), 2)]
+        )
+        second = event(
+            "landslide", D(2020, 1, 17), D(2020, 1, 17), D(2020, 1, 18), [(D(2020, 1, 17), 2)]
+        )
+        with pytest.raises(ConsistencyError, match="gap between different hazards"):
+            gap_measures([first, second])
 
 
 class TestSummarize:

@@ -255,7 +255,7 @@ class TestRunPipeline:
         with pytest.raises(InputError, match="^align: "):
             run_pipeline(config, "run")
         assert not (tmp_path / "out").exists()
-        assert not list(tmp_path.glob(".attn-peaks-*"))
+        assert not list(tmp_path.rglob(".attn-peaks-*"))
 
     def test_stage_subcommands_write_their_artifacts(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
