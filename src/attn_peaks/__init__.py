@@ -1,21 +1,13 @@
 """attn-peaks: daily news-attention series, news-event segmentation, measures,
-and temporal alignment against disaster registries."""
+and temporal alignment against disaster registries.
 
-from .align import (
-    DEFAULT_S2ID_ACCEPT,
-    DEFAULT_TYPE_MAP,
-    DEFAULT_WINDOW_DAYS,
-    AlignmentPair,
-    AlignmentReport,
-    DisasterRecord,
-    RegistryLoad,
-    align_events,
-    alignment_summary,
-    load_registry,
-)
+The root exports the library contract that README's "Library use" lists;
+every other name lives in its module.
+"""
+
+from .align import DisasterRecord, align_events, alignment_summary
 from .errors import AttnPeaksError, ConsistencyError, InputError
 from .ingest import (
-    DEFAULT_HAZARDS,
     DOC_DATE,
     DOC_HAZARD,
     DOC_ID,
@@ -23,58 +15,28 @@ from .ingest import (
     DOC_TEXT,
     DOC_TEXT_KEY,
     DOC_TEXT_TYPE,
-    CorpusStats,
     CountSeries,
     Document,
-    Gazetteer,
     build_count_series,
-    corpus_stats,
-    default_gazetteer_path,
-    extract_country_mentions,
-    filter_single_country,
     load_documents,
-    load_gazetteer,
-    text_digest,
 )
-from .measures import (
-    MEASURE_COLUMNS,
-    BoxStats,
-    MeasureSet,
-    measure_events,
-    summarize,
-)
+from .measures import measure_events, summarize
 from .peaks import (
     NewsEvent,
     PeakParams,
     detect_events,
-    detect_peaks,
     enforce_constraints,
     local_maxima,
     segment_events,
 )
-from .pipeline import (
-    PipelineConfig,
-    RunArtifacts,
-    emit_timeseries,
-    load_config,
-    run_pipeline,
-    validate_config,
-)
+from .pipeline import PipelineConfig, load_config, run_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentPair",
-    "AlignmentReport",
     "AttnPeaksError",
-    "BoxStats",
     "ConsistencyError",
-    "CorpusStats",
     "CountSeries",
-    "DEFAULT_HAZARDS",
-    "DEFAULT_S2ID_ACCEPT",
-    "DEFAULT_TYPE_MAP",
-    "DEFAULT_WINDOW_DAYS",
     "DOC_DATE",
     "DOC_HAZARD",
     "DOC_ID",
@@ -84,35 +46,20 @@ __all__ = [
     "DOC_TEXT_TYPE",
     "DisasterRecord",
     "Document",
-    "Gazetteer",
     "InputError",
-    "MEASURE_COLUMNS",
-    "MeasureSet",
     "NewsEvent",
     "PeakParams",
     "PipelineConfig",
-    "RegistryLoad",
-    "RunArtifacts",
     "align_events",
     "alignment_summary",
     "build_count_series",
-    "corpus_stats",
-    "default_gazetteer_path",
     "detect_events",
-    "detect_peaks",
-    "emit_timeseries",
     "enforce_constraints",
-    "extract_country_mentions",
-    "filter_single_country",
     "load_config",
     "load_documents",
-    "load_gazetteer",
-    "load_registry",
     "local_maxima",
     "measure_events",
     "run_pipeline",
     "segment_events",
     "summarize",
-    "text_digest",
-    "validate_config",
 ]

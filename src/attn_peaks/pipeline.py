@@ -419,6 +419,12 @@ def _manifest(config: PipelineConfig, command: str) -> dict:
         ("gazetteer", "gazetteer", config.gazetteer or default_gazetteer_path()),
     ]
     files += [(f"registry_{source}", f"{source} registry", p) for source, p in config.registries]
+    for _, role, p in files:
+        try:
+            str(p).encode("utf-8")
+        except UnicodeEncodeError:
+            where = f"the {role} path {path_repr(p)} in manifest.json"
+            raise InputError(f"cannot record {where}: it is not valid UTF-8") from None
     inputs = {key: {"path": str(p), "sha256": _sha256(p, role)} for key, role, p in files}
     return {
         "tool": "attn-peaks",
@@ -517,17 +523,19 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
     An OSError from creating or filling the output directory, such as a
     path that is or runs through a regular file, is an InputError. So is a
     destination that is a directory; it is found before any file is moved.
-    An output directory this call created is removed again if it fails.
+    The output directory and the parents this call created are removed
+    again if it fails.
     """
     out_dir = Path(config.out_dir)
     # Hashing the inputs reads them; an error there is not one of the output directory.
     manifest = _manifest(config, command) if command == "run" else None
     tmp = None
-    created = False
+    created: list[Path] = []
     try:
+        # Innermost first, as they are removed again.
+        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         with suppress(FileExistsError):
             out_dir.mkdir(parents=True)
-            created = True
         tmp = Path(tempfile.mkdtemp(prefix=".attn-peaks-", dir=out_dir))
         if command in ("ingest", "run"):
             _write_json(
@@ -557,7 +565,7 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
                 raise InputError(f"cannot write output file {path_repr(final)}: it is a directory")
         for path in staged:
             os.replace(path, files[path.name])
-        created = False  # the run succeeded: keep the directory
+        created = []  # the run succeeded: keep the directories
         return files
     except OSError as exc:
         reason = exc.strerror or exc
@@ -565,7 +573,7 @@ def _write_artifacts(config: PipelineConfig, command: str, run: RunArtifacts) ->
     finally:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
-        if created:
-            # rmdir never deletes content: a directory that a failed move filled stays.
+        # rmdir never deletes content: a directory that a failed move filled stays.
+        for directory in created:
             with suppress(OSError):
-                out_dir.rmdir()
+                directory.rmdir()

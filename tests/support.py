@@ -19,23 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from attn_peaks import (
-    DEFAULT_S2ID_ACCEPT,
-    DEFAULT_TYPE_MAP,
     DOC_ID,
     DOC_TEXT,
-    AlignmentPair,
-    AlignmentReport,
-    BoxStats,
     CountSeries,
     DisasterRecord,
     Document,
-    Gazetteer,
     InputError,
     NewsEvent,
-    RegistryLoad,
-    text_digest,
 )
-from attn_peaks.ingest import csv_reader, row_error, undecodable
+from attn_peaks.align import (
+    DEFAULT_S2ID_ACCEPT,
+    DEFAULT_TYPE_MAP,
+    AlignmentPair,
+    AlignmentReport,
+    RegistryLoad,
+)
+from attn_peaks.ingest import Gazetteer, csv_reader, row_error, text_digest, undecodable
+from attn_peaks.measures import BoxStats
 
 DAY0 = datetime.date(2000, 1, 1)
 

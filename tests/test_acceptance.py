@@ -24,14 +24,13 @@ from attn_peaks import (
     align_events,
     build_count_series,
     detect_events,
-    detect_peaks,
-    filter_single_country,
     load_config,
     load_documents,
-    load_gazetteer,
     measure_events,
     run_pipeline,
 )
+from attn_peaks.ingest import filter_single_country, load_gazetteer
+from attn_peaks.peaks import detect_peaks
 from support import docs_matching_series, make_doc, make_series, oracle_peaks, random_series
 
 D = datetime.date

@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 
 import attn_peaks.align
 
-from attn_peaks import (
-    DisasterRecord,
-    InputError,
-    NewsEvent,
-    align_events,
-    alignment_summary,
-    load_registry,
-)
+from attn_peaks import DisasterRecord, InputError, NewsEvent, align_events, alignment_summary
+from attn_peaks.align import load_registry
 from support import oracle_alignment_pairs, oracle_alignment_report, oracle_load_registry
 
 D = datetime.date

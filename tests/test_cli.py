@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attn_peaks import PipelineConfig, default_gazetteer_path, load_config, pipeline
+from attn_peaks import PipelineConfig, load_config, pipeline
 from attn_peaks.cli import _configure, build_parser, main
+from attn_peaks.ingest import default_gazetteer_path
 from attn_peaks.pipeline import SETTINGS
 from support import write_small_corpus
 
@@ -599,11 +600,13 @@ class TestOutputPaths:
             assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
         assert not list(tmp_path.rglob(".attn-peaks-*"))
 
+    @pytest.mark.parametrize("out_dir", ["out", "a/b/out"])
     def test_write_error_removes_the_out_dir_it_made(
-        self, golden_dir, tmp_path, capsys, monkeypatch
+        self, golden_dir, tmp_path, capsys, monkeypatch, out_dir
     ):
         config = _golden_copy(golden_dir, tmp_path)
-        out = tmp_path / "out"
+        before = set(tmp_path.rglob("*"))
+        out = tmp_path / out_dir
 
         def disk_full(path, measures):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
@@ -612,8 +615,30 @@ class TestOutputPaths:
         assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"cannot write output directory {str(out)!r}: {os.strerror(errno.ENOSPC)}" in err
-        assert not out.exists()
-        assert not list(tmp_path.rglob(".attn-peaks-*"))
+        assert set(tmp_path.rglob("*")) == before
+
+    def test_input_path_that_is_not_utf8_is_refused_by_run_only(
+        self, golden_dir, tmp_path, capsys
+    ):
+        config = _golden_copy(golden_dir, tmp_path)
+        documents = tmp_path / os.fsdecode(b"docs\xff.csv")
+        try:
+            shutil.copy(tmp_path / "documents.csv", documents)
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        before = set(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        args = ["--config", str(config), "--documents", str(documents), "--out-dir", str(out)]
+        assert main(["run", *args]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"the documents path {str(documents)!r} in manifest.json" in err
+        assert "not valid UTF-8" in err
+        assert set(tmp_path.rglob("*")) == before
+        assert main(["ingest", *args]) == 0, capsys.readouterr().err
+        assert (out / "corpus_stats.json").read_bytes() == (
+            golden_dir / "expected" / "corpus_stats.json"
+        ).read_bytes()
 
 
 class TestPathsInMessages:

@@ -26,17 +26,20 @@ from attn_peaks import (
     DOC_TEXT_TYPE,
     ConsistencyError,
     CountSeries,
-    Gazetteer,
     InputError,
     build_count_series,
+    load_documents,
+)
+from attn_peaks.ingest import (
+    Gazetteer,
+    _pairwise_sum,
+    canonical_tokens,
     corpus_stats,
     extract_country_mentions,
     filter_single_country,
-    load_documents,
     load_gazetteer,
     text_digest,
 )
-from attn_peaks.ingest import _pairwise_sum, canonical_tokens
 from support import (
     make_doc,
     make_series,

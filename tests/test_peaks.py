@@ -7,11 +7,11 @@ from attn_peaks import (
     NewsEvent,
     PeakParams,
     detect_events,
-    detect_peaks,
     enforce_constraints,
     local_maxima,
     segment_events,
 )
+from attn_peaks.peaks import detect_peaks
 from support import make_series, oracle_peaks, oracle_segments, random_series
 
 D = datetime.date

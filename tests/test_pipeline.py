@@ -3,29 +3,45 @@ import io
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attn_peaks import (
-    AlignmentPair,
-    AlignmentReport,
     InputError,
     NewsEvent,
     PeakParams,
     PipelineConfig,
-    RegistryLoad,
     detect_events,
-    emit_timeseries,
     load_config,
     run_pipeline,
-    validate_config,
 )
-from attn_peaks.pipeline import _write_alignment
+from attn_peaks.align import AlignmentPair, AlignmentReport, RegistryLoad
+from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
 from support import make_series, oracle_alignment_json, write_small_corpus
 
 D = datetime.date
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_command_table(hazards) -> dict[str, set[str]]:
+    """README's command table: the files each command writes, ``<hazard>`` expanded.
+
+    A row names its files in backticks. The ``run`` row writes all of the
+    rows above it plus the files it names.
+    """
+    text = README.read_text(encoding="utf-8")
+    rows = re.search(r"^\| command \| writes \|\n\| --- \| --- \|\n((?:\|.*\n)+)", text, re.M)
+    writes = {}
+    for row in rows.group(1).splitlines():
+        command, cell = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+        names = re.findall(r"`([^`]+)`", cell)
+        writes[command] = {name.replace("<hazard>", h) for name in names for h in hazards}
+    assert re.fullmatch(r"\| `run` \| all of the above plus `[^`]+` \|", row), row
+    writes["run"] |= set().union(*writes.values())
+    return writes
 
 
 class TestConfig:
@@ -259,38 +275,17 @@ class TestRunPipeline:
 
     def test_stage_subcommands_write_their_artifacts(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
-        assert set(run_pipeline(config, "ingest").files) == {
-            "corpus_stats.json",
-            "timeseries_landslide.csv",
-            "timeseries_fire.csv",
-        }
-        assert set(run_pipeline(config, "detect").files) == {
-            "timeseries_landslide.csv",
-            "timeseries_fire.csv",
-            "events.jsonl",
-        }
-        assert set(run_pipeline(config, "measure").files) == {
-            "measures.csv",
-            "summaries.json",
-        }
-        assert set(run_pipeline(config, "align").files) == {"alignment.json"}
-        assert set(run_pipeline(config, "report").files) == {"report.json"}
+        writes = readme_command_table(config.active_hazards)
+        assert list(writes) == list(COMMANDS)
+        for command, names in writes.items():
+            assert set(run_pipeline(config, command).files) == names, command
 
-    @pytest.mark.parametrize(
-        "command, names",
-        [
-            ("ingest", ["corpus_stats.json", "timeseries_fire.csv", "timeseries_landslide.csv"]),
-            ("detect", ["events.jsonl", "timeseries_fire.csv", "timeseries_landslide.csv"]),
-            ("measure", ["measures.csv", "summaries.json"]),
-            ("align", ["alignment.json"]),
-            ("report", ["report.json"]),
-        ],
-    )
-    def test_stage_subcommands_write_the_golden_bytes(self, golden_dir, tmp_path, command, names):
+    @pytest.mark.parametrize("command", [command for command in COMMANDS if command != "run"])
+    def test_stage_subcommands_write_the_golden_bytes(self, golden_dir, tmp_path, command):
         config = load_config(golden_dir / "config.ini")
         config.out_dir = tmp_path / "out"
         files = run_pipeline(config, command).files
-        assert sorted(files) == names
+        assert set(files) == readme_command_table(config.active_hazards)[command]
         for name, path in files.items():
             got, want = path.read_bytes(), (golden_dir / "expected" / name).read_bytes()
             if command == "ingest" and name.startswith("timeseries_"):
