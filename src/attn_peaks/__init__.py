@@ -18,7 +18,9 @@ from .ingest import (
     CountSeries,
     Document,
     build_count_series,
+    filter_single_country,
     load_documents,
+    load_gazetteer,
 )
 from .measures import measure_events, summarize
 from .peaks import (
@@ -55,8 +57,10 @@ __all__ = [
     "build_count_series",
     "detect_events",
     "enforce_constraints",
+    "filter_single_country",
     "load_config",
     "load_documents",
+    "load_gazetteer",
     "local_maxima",
     "measure_events",
     "run_pipeline",

@@ -206,8 +206,6 @@ def extract_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
     tokens = canonical_tokens(text)
     index = gazetteer._index
     hits = index.keys() & tokens
-    if not hits:
-        return set()
     if hits.isdisjoint(gazetteer._multi_starts):
         # Every hit starts only its own one-token entry.
         return {index[token][0][1] for token in hits}

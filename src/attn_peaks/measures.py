@@ -80,9 +80,7 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
     event day not backed by exactly as many documents as the series counted
     there. Each event's gap is checked before its days.
     """
-    if not events:
-        return []
-    hazard = events[0].hazard
+    hazard = events[0].hazard if events else None
     by_day: dict[datetime.date, list[Document]] = defaultdict(list)
     for doc in docs:
         if doc[DOC_HAZARD] == hazard:
@@ -98,29 +96,17 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
             gap = (event.start_date - previous.end_date).days
             if gap <= 0:
                 raise ConsistencyError(
-                    f"events {previous.event_id} and {event.event_id} overlap "
-                    "or are unsorted"
+                    f"events {previous.event_id} and {event.event_id} overlap or are unsorted"
                 )
             peak_gap = (event.peak_date - previous.peak_date).days
-        text_keys: set[str] = set()
-        outlets: set[str] = set()
-        genres: set[str] = set()
         for day, count in event.day_counts:
             day_docs = by_day.get(day, ())
-            if not day_docs:
-                raise ConsistencyError(
-                    f"event {event.event_id} day {day} has no documents "
-                    "(corpus/series mismatch)"
-                )
             if len(day_docs) != count:
                 raise ConsistencyError(
-                    f"event {event.event_id} day {day} has {len(day_docs)} documents "
+                    f"event {event.event_id} day {day} has {len(day_docs) or 'no'} documents "
                     f"but the series counts {count} (corpus/series mismatch)"
                 )
-            for doc in day_docs:
-                text_keys.add(doc[DOC_TEXT_KEY])
-                outlets.add(doc[DOC_OUTLET])
-                genres.add(doc[DOC_TEXT_TYPE])
+        event_docs = [doc for day, _ in event.day_counts for doc in by_day.get(day, ())]
         measures.append(
             MeasureSet(
                 event_id=event.event_id,
@@ -132,9 +118,9 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
                 days_since_last=gap,
                 days_to_peak=(event.peak_date - event.start_date).days,
                 days_to_fade=(event.end_date - event.peak_date).days,
-                n_text_types=len(text_keys),
-                n_outlets=len(outlets),
-                n_genres=len(genres),
+                n_text_types=len({doc[DOC_TEXT_KEY] for doc in event_docs}),
+                n_outlets=len({doc[DOC_OUTLET] for doc in event_docs}),
+                n_genres=len({doc[DOC_TEXT_TYPE] for doc in event_docs}),
                 days_since_last_peak=peak_gap,
             )
         )
@@ -160,7 +146,7 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 
 def summarize(values: list[float]) -> BoxStats:
-    """Box-plot statistics of a non-empty list of numbers.
+    """Box-plot statistics of a non-empty list of finite numbers.
 
     Nulls must be excluded beforehand. The summary is permutation-invariant,
     down to the sign of a zero, and scales with the data.
@@ -170,6 +156,8 @@ def summarize(values: list[float]) -> BoxStats:
     ordered = sorted(map(float, values))
     if any(map(math.isnan, ordered)):
         raise ValueError("null values must be excluded before summarizing")
+    if math.isinf(ordered[0]) or math.isinf(ordered[-1]):
+        raise ValueError("infinite values cannot be summarized")
     # -0.0 == 0.0, so the sort keeps signed zeros in input order; put -0.0 first.
     zeros = slice(bisect.bisect_left(ordered, 0.0), bisect.bisect_right(ordered, 0.0))
     ordered[zeros] = sorted(ordered[zeros], key=lambda v: math.copysign(1.0, v))

@@ -13,6 +13,7 @@ import json
 import re
 import sys
 import unicodedata
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 from attn_peaks import (
     DOC_ID,
     DOC_TEXT,
+    ConsistencyError,
     CountSeries,
     DisasterRecord,
     Document,
@@ -35,7 +37,7 @@ from attn_peaks.align import (
     RegistryLoad,
 )
 from attn_peaks.ingest import Gazetteer, csv_reader, row_error, text_digest, undecodable
-from attn_peaks.measures import BoxStats
+from attn_peaks.measures import BoxStats, MeasureSet
 
 DAY0 = datetime.date(2000, 1, 1)
 
@@ -143,6 +145,68 @@ def oracle_segments(counts, peaks) -> list[tuple[int, int, int, tuple[tuple[int,
         end = hi if pos == len(in_run) - 1 else cut(peak, in_run[pos + 1])
         segments.append((peak, start, end, tuple((i, x[i]) for i in range(start, end + 1))))
     return segments
+
+
+def oracle_count_series(docs, hazard: str, start: datetime.date, end: datetime.date) -> Counter:
+    """Day offsets from ``start`` of the ``hazard`` documents, counted; zero days are absent.
+
+    Every document's date is checked against the range first, whatever its
+    hazard, and one outside it raises InputError. Documents are unpacked
+    in README's field order.
+    """
+    for doc_id, date, *_ in docs:
+        if date < start or date > end:
+            raise InputError(f"document {doc_id!r} dated {date} is outside {start}..{end}")
+    return Counter((date - start).days for _, date, _, _, h, _, _ in docs if h == hazard)
+
+
+def oracle_measures(events: list[NewsEvent], docs) -> list[MeasureSet]:
+    """Each event's measures from a scan of the whole corpus per event day.
+
+    For each ``(day, count)`` of an event, the documents of the event's
+    hazard dated that day are found by comparing every document; fewer or
+    more than ``count`` raise ConsistencyError. The volume, the peak count
+    and the distinct text keys, outlets and genres come from those
+    documents, the duration from the event's dates. The gap runs from the
+    previous event's end to this one's start, the peak gap peak to peak.
+    Events are taken as :func:`detect_events` gives them: one hazard, sorted.
+    """
+    measures = []
+    previous = None
+    for event in events:
+        found = []  # (date, outlet, text_type, text_key) of each of the event's documents
+        for day, count in event.day_counts:
+            on_day = [
+                (date, outlet, text_type, text_key)
+                for _, date, outlet, text_type, hazard, _, text_key in docs
+                if hazard == event.hazard and date == day
+            ]
+            if len(on_day) != count:
+                raise ConsistencyError(f"{event.event_id} {day}: {len(on_day)} != {count}")
+            found += on_day
+        gap = peak_gap = None
+        if previous is not None:
+            gap = (event.start_date - previous.end_date).days
+            peak_gap = (event.peak_date - previous.peak_date).days
+        measures.append(
+            MeasureSet(
+                hazard=event.hazard,
+                event_id=event.event_id,
+                peak_date=event.peak_date,
+                n_at_peak=sum(date == event.peak_date for date, *_ in found),
+                total_volume=len(found),
+                duration_days=(event.end_date - event.start_date).days + 1,
+                days_since_last=gap,
+                days_to_peak=(event.peak_date - event.start_date).days,
+                days_to_fade=(event.end_date - event.peak_date).days,
+                n_text_types=len({key for *_, key in found}),
+                n_outlets=len({outlet for _, outlet, _, _ in found}),
+                n_genres=len({genre for _, _, genre, _ in found}),
+                days_since_last_peak=peak_gap,
+            )
+        )
+        previous = event
+    return measures
 
 
 def oracle_summarize(values) -> BoxStats:
@@ -546,3 +610,30 @@ def random_series(rng: np.random.Generator, max_len: int = 400, max_value: int =
     mask = rng.random(length) < 0.55
     values[mask] = 0
     return make_series(values)
+
+
+def random_corpus(rng: np.random.Generator, series: CountSeries):
+    """Documents behind ``series`` plus up to 30 fire documents in its range, shuffled.
+
+    Text keys, outlets and genres come from small pools, so they repeat
+    within a day and across an event's days; the fire documents have
+    outlets of their own.
+    """
+    docs = []
+    for offset, count in enumerate(series.counts):
+        day = series.start + datetime.timedelta(days=offset)
+        for _ in range(count):
+            docs.append(
+                make_doc(
+                    f"L{len(docs)}",
+                    day,
+                    hazard=series.hazard,
+                    outlet=f"Blatt {rng.integers(4)}",
+                    text_type=f"Genre {rng.integers(3)}",
+                    text_key=f"key-{rng.integers(6)}",
+                )
+            )
+    for _ in range(int(rng.integers(0, 31))):
+        day = series.start + datetime.timedelta(days=int(rng.integers(len(series.counts))))
+        docs.append(make_doc(f"F{len(docs)}", day, hazard="fire", outlet="Feuerblatt"))
+    return [docs[i] for i in rng.permutation(len(docs))]

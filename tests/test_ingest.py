@@ -43,10 +43,13 @@ from attn_peaks.ingest import (
 from support import (
     make_doc,
     make_series,
+    oracle_count_series,
     oracle_country_mentions,
     oracle_filter_ids,
     oracle_load_documents,
     oracle_tokens,
+    random_corpus,
+    random_series,
 )
 
 D = datetime.date
@@ -750,6 +753,34 @@ class TestCountSeries:
         b = build_count_series(shuffled, "landslide", D(2020, 1, 1), D(2020, 2, 15))
         assert a == b
         assert corpus_stats(docs, a) == corpus_stats(shuffled, b)
+
+
+class TestCountSeriesOracle:
+    def test_counts_equal_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            series = random_series(rng, max_len=150, max_value=6)
+            docs = random_corpus(rng, series)
+            for hazard in ("landslide", "fire"):
+                built = build_count_series(docs, hazard, series.start, series.end)
+                nonzero = {offset: count for offset, count in enumerate(built.counts) if count}
+                assert nonzero == oracle_count_series(docs, hazard, series.start, series.end)
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_document_outside_the_range_raises_on_both_sides(self, side):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            series = random_series(rng, max_len=150, max_value=6)
+            docs = random_corpus(rng, series)
+            if side == "before":
+                stray = series.start - datetime.timedelta(days=1)
+            else:
+                stray = series.end + datetime.timedelta(days=1)
+            docs.insert(int(rng.integers(len(docs) + 1)), make_doc("stray", stray, hazard="fire"))
+            with pytest.raises(InputError, match="'stray'"):
+                build_count_series(docs, "landslide", series.start, series.end)
+            with pytest.raises(InputError, match="'stray'"):
+                oracle_count_series(docs, "landslide", series.start, series.end)
 
 
 class TestCorpusStats:

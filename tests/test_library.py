@@ -1,5 +1,6 @@
 """The library contract README's "Library use" states, held against the package root."""
 
+import json
 import re
 import types
 from pathlib import Path
@@ -35,5 +36,8 @@ def test_readme_library_block_runs(golden_dir, monkeypatch):
     monkeypatch.chdir(golden_dir)
     scope = {"start": config.start, "end": config.end}
     exec(compile(block, "README.md", "exec"), scope)
-    assert scope["events"]
+    lines = (golden_dir / "expected" / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    expected = [e["peak_date"] for e in map(json.loads, lines) if e["hazard"] == "landslide"]
+    assert len(expected) == 4
+    assert [str(e.peak_date) for e in scope["events"]] == expected
     assert len(scope["measures"]) == len(scope["events"])

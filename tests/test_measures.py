@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attn_peaks import (
+    DOC_DATE,
+    DOC_HAZARD,
     ConsistencyError,
     NewsEvent,
     PeakParams,
@@ -15,7 +17,15 @@ from attn_peaks import (
     measure_events,
     summarize,
 )
-from support import docs_matching_series, make_doc, make_series, oracle_summarize, random_series
+from support import (
+    docs_matching_series,
+    make_doc,
+    make_series,
+    oracle_measures,
+    oracle_summarize,
+    random_corpus,
+    random_series,
+)
 
 D = datetime.date
 
@@ -94,6 +104,14 @@ class TestCharacterize:
         ev = event("landslide", d, d, d, [(d, 2)])
         with pytest.raises(ConsistencyError, match="corpus/series mismatch"):
             measure_events([ev], [make_doc("a", d)])[0]
+
+    def test_day_counted_zero_without_documents_is_consistent(self):
+        # segment_events never makes such a day; a hand-built event may hold one.
+        d = D(2020, 3, 10)
+        after = d + datetime.timedelta(days=1)
+        ev = event("landslide", d, d, after, [(d, 1), (after, 0)])
+        m = measure_events([ev], [make_doc("a", d)])[0]
+        assert (m.total_volume, m.duration_days, m.n_outlets) == (1, 2, 1)
 
 
 def gap_measures(events):
@@ -192,6 +210,15 @@ class TestSummarize:
     def test_nan_is_rejected(self):
         with pytest.raises(ValueError, match="excluded"):
             summarize([1.0, float("nan")])
+
+    @pytest.mark.parametrize(
+        "values",
+        [[float("inf")], [-float("inf")], [1.0, float("inf")]],
+        ids=["inf", "-inf", "1,inf"],
+    )
+    def test_infinity_is_rejected(self, values):
+        with pytest.raises(ValueError, match="infinite"):
+            summarize(values)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -313,3 +340,44 @@ class TestMeasureEvents:
                     assert m.days_since_last > 0
                 checked += 1
         assert checked > 50
+
+
+def _random_events(rng):
+    series = random_series(rng, max_len=150, max_value=6)
+    params = PeakParams(min_height=int(rng.integers(1, 4)), min_distance=int(rng.integers(1, 10)))
+    return series, detect_events(series, params)
+
+
+class TestMeasuresAgainstOracle:
+    def test_equal_oracle_on_random_series(self):
+        rng = np.random.default_rng(17)
+        n_events = 0
+        for _ in range(80):
+            series, events = _random_events(rng)
+            docs = random_corpus(rng, series)
+            assert measure_events(events, docs) == oracle_measures(events, docs)
+            n_events += len(events)
+        assert n_events > 500
+
+    def test_mismatched_corpus_raises_on_both_sides(self):
+        rng = np.random.default_rng(18)
+        checked = 0
+        while checked < 40:
+            series, events = _random_events(rng)
+            if not events:
+                continue
+            docs = random_corpus(rng, series)
+            # One document more, or one fewer, on a random day of a random event.
+            target = events[int(rng.integers(len(events)))]
+            day = target.day_counts[int(rng.integers(len(target.day_counts)))][0]
+            if rng.random() < 0.5:
+                docs.append(make_doc("extra", day))
+            else:
+                docs.remove(
+                    next(d for d in docs if d[DOC_DATE] == day and d[DOC_HAZARD] == "landslide")
+                )
+            with pytest.raises(ConsistencyError):
+                measure_events(events, docs)
+            with pytest.raises(ConsistencyError):
+                oracle_measures(events, docs)
+            checked += 1
