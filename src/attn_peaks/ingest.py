@@ -32,7 +32,6 @@ be shared across threads.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import datetime
 import hashlib
@@ -65,19 +64,8 @@ _TOKEN_RE = re.compile(r"[^\W\d_]+")
 # to a space. ² ³ ¹ ¼ ½ ¾ are token letters but not alphabetic.
 _LATIN1_TOKEN_BYTES = bytes(b if _TOKEN_RE.fullmatch(chr(b)) else 0x20 for b in range(256))
 
-
-class _LetterOutsideLatin1(Exception):
-    """A token letter that Latin-1 cannot encode; the text goes through the regex."""
-
-
-def _blank_outside_latin1(exc: UnicodeEncodeError) -> tuple[str, int]:
-    """Encode error handler: a run of characters outside Latin-1 with no token letter is a space."""
-    if _TOKEN_RE.search(exc.object, exc.start, exc.end):
-        raise _LetterOutsideLatin1
-    return " ", exc.end
-
-
-codecs.register_error("attn_peaks.blank_outside_latin1", _blank_outside_latin1)
+# A token letter that Latin-1 cannot encode.
+_LETTER_OUTSIDE_LATIN1 = re.compile(r"[^\W\d_\x00-\xff]")
 
 
 def canonical_tokens(text: str) -> list[str]:
@@ -85,12 +73,13 @@ def canonical_tokens(text: str) -> list[str]:
 
     Equal to casefolding each match of ``_TOKEN_RE`` in turn. When every
     token letter of the text is in Latin-1, as in most German news, the
-    tokens are cut in C: the text is encoded to Latin-1, each run of other
-    characters (such as „ “ – … €) becoming a space, and one
+    tokens are cut in C: the text is encoded to Latin-1, each other
+    character (such as „ “ – … €) replaced by "?", and one
     ``bytes.translate`` turns every byte that is not a token letter into a
     space; decoding, casefolding and ``str.split`` follow. No byte table
-    can hold a letter outside Latin-1 (ğ, ł, İ, Σ, ⅓), so such a text goes
-    through the regex.
+    can hold a letter outside Latin-1 (ğ, ł, İ, Σ, ⅓), so a text with one
+    goes through the regex. Only a text that the strict encode refuses is
+    searched for such a letter.
 
     ``str.casefold`` maps each character on its own, so the Latin-1 tokens
     are casefolded in one call. Tokens are cut before casefolding, because
@@ -100,10 +89,12 @@ def canonical_tokens(text: str) -> list[str]:
     """
     text = unicodedata.normalize("NFC", text)
     try:
-        latin1 = text.encode("latin-1", "attn_peaks.blank_outside_latin1")
-        return latin1.translate(_LATIN1_TOKEN_BYTES).decode("latin-1").casefold().split()
-    except _LetterOutsideLatin1:
-        return [token.casefold() for token in _TOKEN_RE.findall(text)]
+        latin1 = text.encode("latin-1")
+    except UnicodeEncodeError:
+        if _LETTER_OUTSIDE_LATIN1.search(text):
+            return [token.casefold() for token in _TOKEN_RE.findall(text)]
+        latin1 = text.encode("latin-1", "replace")
+    return latin1.translate(_LATIN1_TOKEN_BYTES).decode("latin-1").casefold().split()
 
 
 def text_digest(text: str) -> str:
@@ -436,7 +427,7 @@ def _jsonl_rows(handle: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep, or too many digits for an int
             raise row_error(path, row, f"malformed JSON: {exc}") from None
         if not isinstance(record, dict):
             raise row_error(path, row, "expected a JSON object")

@@ -233,7 +233,11 @@ def validate_config(config: PipelineConfig) -> None:
             f"type map target {bad[0]!r} is neither a configured hazard nor {IGNORE!r}"
         )
     # The other inputs are read at once by the ingest stage; the registries only at the end.
+    sources: set[str] = set()
     for source, reg_path in config.registries:
+        if source in sources:  # its records would be aligned twice
+            raise InputError(f"registry source {source!r} is configured twice")
+        sources.add(source)
         open_input(reg_path, f"{source} registry", "rb").close()
 
 
@@ -419,12 +423,14 @@ def _manifest(config: PipelineConfig, command: str) -> dict:
         ("gazetteer", "gazetteer", config.gazetteer or default_gazetteer_path()),
     ]
     files += [(f"registry_{source}", f"{source} registry", p) for source, p in config.registries]
-    for _, role, p in files:
+    recorded = [(f"the {role} path {path_repr(p)}", str(p)) for _, role, p in files]
+    recorded.append((f"the target {config.target!r}", config.target))
+    for what, text in recorded:
         try:
-            str(p).encode("utf-8")
+            text.encode("utf-8")
         except UnicodeEncodeError:
-            where = f"the {role} path {path_repr(p)} in manifest.json"
-            raise InputError(f"cannot record {where}: it is not valid UTF-8") from None
+            reason = "it is not valid UTF-8"
+            raise InputError(f"cannot record {what} in manifest.json: {reason}") from None
     inputs = {key: {"path": str(p), "sha256": _sha256(p, role)} for key, role, p in files}
     return {
         "tool": "attn-peaks",

@@ -485,8 +485,9 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
     nondeterministic: dates are exactly ASCII ``YYYY-MM-DD`` (checked by
     hand here, not by ``date.fromisoformat``, which accepts more from Python
     3.11 on), a JSON-lines file may start with a UTF-8 BOM, the first
-    non-string JSON field is named in column order, and a JSON field that
-    holds a lone surrogate is an error.
+    non-string JSON field is named in column order, a JSON field that
+    holds a lone surrogate is an error, and so is a line that the JSON
+    parser gives up on (too deep, or a number with too many digits).
     """
     path = Path(path)
     columns = ("id", "date", "outlet", "text_type", "hazard", "text")
@@ -530,7 +531,7 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise row_error(path, row_number, f"malformed JSON: {exc}") from None
                 if not isinstance(record, dict):
                     raise row_error(path, row_number, "expected a JSON object")

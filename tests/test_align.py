@@ -161,6 +161,11 @@ class TestLoadRegistry:
         path = write_registry(tmp_path, "r1,,Wildfire,2011-01-11,,\n")
         assert load_registry(path, "EMDAT").records[0].source == "EMDAT"
 
+    def test_empty_source_label_is_refused(self, tmp_path):
+        path = write_registry(tmp_path, "r1,,Wildfire,2011-01-11,,\n")
+        with pytest.raises(InputError, match="registry source must be a non-empty label"):
+            load_registry(path, "")
+
     def test_duplicate_record_id_is_rejected(self, tmp_path):
         path = write_registry(
             tmp_path,

@@ -14,10 +14,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attn_peaks import PipelineConfig, load_config, pipeline
+from attn_peaks import ConsistencyError, PipelineConfig, load_config, pipeline
 from attn_peaks.cli import _configure, build_parser, main
 from attn_peaks.ingest import default_gazetteer_path
 from attn_peaks.pipeline import SETTINGS
@@ -66,6 +66,17 @@ class TestExitCodes:
         code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "align:" in capsys.readouterr().err
+
+    def test_broken_invariant_exits_three_with_the_stage(self, tmp_path, capsys, monkeypatch):
+        def broken(series, params):
+            raise ConsistencyError("peak outside its event")
+
+        monkeypatch.setattr(pipeline, "detect_events", broken)
+        config = write_small_corpus(tmp_path)
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert "attn-peaks: detect: peak outside its event" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestFlagOverrides:
@@ -225,6 +236,22 @@ class TestSettings:
         err = capsys.readouterr().err
         assert message in err
         assert "[--format {csv,jsonl}]" in err
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ("", ["--min-height", "0"], "config: min_height must be >= 1, got 0"),
+            ("", ["--window-days", "-1"], "config: window_days must be >= 0, got -1"),
+            ("hazards = ,\n", [], "config: no hazards configured"),
+            ("format = xml\n", [], "config [corpus] format must be csv or jsonl: 'xml'"),
+        ],
+    )
+    def test_values_the_config_check_refuses(self, tmp_path, capsys, text, argv, message):
+        config = tmp_path / "c.ini"
+        config.write_text("[corpus]\ndocuments = d.csv\n" + text, encoding="utf-8")
+        assert main(["run", "--config", str(config), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize(
         "text",
@@ -423,6 +450,37 @@ class TestUnreadableInput:
         message = f"row 150 of {str(documents)!r}: field 'text' holds an unpaired surrogate escape"
         assert message in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["nesting", "digits", "array"])
+    def test_jsonl_row_that_is_no_document_exits_two_naming_the_row(
+        self, golden_dir, tmp_path, capsys, kind
+    ):
+        # The parser gives up on deep nesting and, where Python limits the
+        # digits of an int conversion, on a number that long.
+        record = dict(date="2011-01-12", outlet="o", text_type="t", hazard="fire", text="x")
+        line = {
+            "nesting": "[" * 100_000 + "]" * 100_000,
+            "digits": json.dumps(record).replace("{", '{"id": ' + "9" * 5000 + ", ", 1),
+            "array": "[1]",
+        }[kind]
+        limited = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+        reason = {
+            "nesting": "malformed JSON: ",
+            "digits": "malformed JSON: " if limited else "field 'id' must be a string",
+            "array": "expected a JSON object",
+        }[kind]
+        config = _golden_copy(golden_dir, tmp_path)
+        documents = tmp_path / "documents.jsonl"
+        documents.write_text(line + "\n", encoding="utf-8")
+        before = set(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--config", str(config), "--documents", str(documents),
+             "--format", "jsonl", "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert f"ingest: row 1 of {str(documents)!r}: {reason}" in capsys.readouterr().err
+        assert set(tmp_path.rglob("*")) == before
 
     def test_invalid_utf8_in_gazetteer_exits_two(self, golden_dir, tmp_path):
         config = _golden_copy(golden_dir, tmp_path)
@@ -634,6 +692,24 @@ class TestOutputPaths:
         assert "Traceback" not in err
         assert f"the documents path {str(documents)!r} in manifest.json" in err
         assert "not valid UTF-8" in err
+        assert set(tmp_path.rglob("*")) == before
+        assert main(["ingest", *args]) == 0, capsys.readouterr().err
+        assert (out / "corpus_stats.json").read_bytes() == (
+            golden_dir / "expected" / "corpus_stats.json"
+        ).read_bytes()
+
+
+    def test_target_that_is_not_utf8_is_refused_by_run_only(self, golden_dir, tmp_path, capsys):
+        # A command-line byte that is not UTF-8 reaches Python as a lone surrogate.
+        # The target still matches Brasilien, so every stage runs before the manifest.
+        config = _golden_copy(golden_dir, tmp_path)
+        target = os.fsdecode(b"Brasilien\xff")
+        before = set(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        args = ["--config", str(config), "--target", target, "--out-dir", str(out)]
+        assert main(["run", *args]) == 2
+        message = f"cannot record the target {target!r} in manifest.json: it is not valid UTF-8"
+        assert message in capsys.readouterr().err
         assert set(tmp_path.rglob("*")) == before
         assert main(["ingest", *args]) == 0, capsys.readouterr().err
         assert (out / "corpus_stats.json").read_bytes() == (
@@ -934,6 +1010,10 @@ def _documents_as_jsonl(csv_path: Path) -> Path:
     st.sampled_from(["documents.csv", "documents.jsonl", "emdat.csv", "s2id.csv"]),
     _INPUT_MUTATIONS,
 )
+# A first row that nests too deeply for the JSON parser, and one whose number
+# has more digits than Python converts to an int by default.
+@example("documents.jsonl", [("splice", 0, 0, b"[" * 100_000 + b"]" * 100_000 + b"\n")])
+@example("documents.jsonl", [("splice", 0, 0, b'{"id": ' + b"9" * 5000 + b"}\n")])
 def test_mutated_golden_inputs_exit_zero_or_two(name, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -73,6 +73,12 @@ class TestLoadDocuments:
         path = write_csv(tmp_path, "")
         assert load_documents(path) == []
 
+    def test_empty_file_is_refused(self, tmp_path):
+        path = write_csv(tmp_path, "", header="")
+        message = f"document file {str(path)!r} is empty (header expected)"
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_documents(path)
+
     def test_three_row_fixture_parsed_field_by_field(self, tmp_path):
         path = write_csv(
             tmp_path,
@@ -398,6 +404,8 @@ class TestLoaderOracle:
 
     @settings(max_examples=400, deadline=None)
     @given(file=_document_files())
+    @example(file=(b"[" * 100_000 + b"]" * 100_000 + b"\n", "jsonl"))
+    @example(file=(b'{"id": ' + b"9" * 5000 + b"}\n", "jsonl"))
     def test_documents_or_error_equal_oracle(self, file):
         data, fmt = file
         with tempfile.TemporaryDirectory() as tmp:
@@ -480,6 +488,14 @@ class TestCountryMentions:
     def test_target_must_be_an_entry(self):
         with pytest.raises(InputError, match="not a gazetteer entry"):
             Gazetteer(entries=("Peru",), target="Brasilien")
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [((), "gazetteer has no entries"), (("Peru", "123"), "entry '123' contains no letters")],
+    )
+    def test_every_entry_needs_a_letter(self, entries, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Gazetteer(entries=entries, target="Peru")
 
     def test_default_gazetteer_loads(self):
         gaz = load_gazetteer()
@@ -656,6 +672,25 @@ class TestCountryFilterOracle:
     @example(text="„Erdoğan“ in Brasilien")
     def test_latin1_path_tokens_equal_oracle(self, text):
         assert canonical_tokens(text) == oracle_tokens(text)
+
+    def test_tokens_equal_oracle_for_every_code_point(self):
+        # Every code point sits between two ASCII letters, so one that the
+        # tokenizer drops instead of blanking, or blanks instead of keeping,
+        # joins or splits a token. A code point that is, or composes with
+        # "a" into, a token letter outside Latin-1 sends its text to the
+        # regex, so it gets a text of its own; the rest are packed 500 to a
+        # text, and no text holds two such letters.
+        outside_latin1 = re.compile(r"[^\W\d_\x00-\xff]")
+        letters, others = [], []
+        for point in range(0x110000):
+            c = chr(point)
+            in_context = unicodedata.normalize("NFC", f"a{c}a")
+            (letters if outside_latin1.search(in_context) else others).append(c)
+        texts = [f"a{c}b {c}" for c in letters]
+        for i in range(0, len(others), 500):
+            texts.append("".join(f"a{c}" for c in others[i : i + 500]) + "a")
+        assert len(texts) > 130_000
+        assert [t for t in texts if canonical_tokens(t) != oracle_tokens(t)] == []
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
@@ -877,3 +912,13 @@ class TestCountSeriesType:
     def test_negative_counts_rejected(self):
         with pytest.raises(ConsistencyError, match="non-negative"):
             CountSeries(D(2020, 1, 1), D(2020, 1, 2), np.array([1, -1]), "fire")
+
+    def test_day_and_index_outside_the_range_raise(self):
+        series = CountSeries(D(2020, 1, 1), D(2020, 1, 3), [1, 0, 2], "fire")
+        assert (series.index_of(D(2020, 1, 3)), series.day_at(0)) == (2, D(2020, 1, 1))
+        for day in (D(2019, 12, 31), D(2020, 1, 4)):
+            with pytest.raises(IndexError, match="outside series range 2020-01-01..2020-01-03"):
+                series.index_of(day)
+        for index in (-1, 3):
+            with pytest.raises(IndexError, match=f"index {index} outside series of 3 days"):
+                series.day_at(index)

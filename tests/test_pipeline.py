@@ -123,6 +123,14 @@ class TestConfig:
         with pytest.raises(InputError, match="'flood'"):
             validate_config(config)
 
+    def test_registry_source_named_twice_rejected(self, golden_dir):
+        # Only the library can do this; a config key or flag keeps one path per source.
+        config = load_config(golden_dir / "config.ini")
+        emdat = dict(config.registries)["EMDAT"]
+        config.registries = (("EMDAT", emdat), ("EMDAT", emdat))
+        with pytest.raises(InputError, match="registry source 'EMDAT' is configured twice"):
+            validate_config(config)
+
     @pytest.mark.parametrize("label", ["a/b", "a\\b", "a\0b", "/"])
     def test_hazard_label_with_a_path_separator_or_nul_rejected(self, tmp_path, label):
         config = load_config(write_small_corpus(tmp_path))
@@ -272,6 +280,12 @@ class TestRunPipeline:
             run_pipeline(config, "run")
         assert not (tmp_path / "out").exists()
         assert not list(tmp_path.rglob(".attn-peaks-*"))
+
+    def test_unknown_command_is_refused(self, tmp_path):
+        config = load_config(write_small_corpus(tmp_path))
+        with pytest.raises(InputError, match="unknown command 'bogus'"):
+            run_pipeline(config, "bogus")
+        assert not (tmp_path / "out").exists()
 
     def test_stage_subcommands_write_their_artifacts(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
