@@ -2,19 +2,18 @@
 
 Every pipeline stage is a subcommand; ``run`` executes all of them. Flags
 override the corresponding config-file keys; both come from
-:data:`attn_peaks.pipeline.SETTINGS`. Exit codes: 0 success, 2
+:data:`attn_peaks.pipeline.SETTINGS`, and both are parsed by
+:func:`attn_peaks.pipeline.apply_setting`. Exit codes: 0 success, 2
 input or configuration error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import sys
 from pathlib import Path
 
 from .errors import ConsistencyError, InputError
-from .ingest import parse_date
 from .pipeline import (
     COMMANDS,
     SETTINGS,
@@ -23,13 +22,6 @@ from .pipeline import (
     load_config,
     run_pipeline,
 )
-
-
-def _date(value: str) -> datetime.date:
-    try:
-        return parse_date(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         default = getattr(defaults, setting.field)
         common.add_argument(
             setting.flag,
-            type=_date if setting.parse is parse_date else setting.parse,
-            choices=setting.choices,
             help=setting.help if default in (None, ()) else f"{setting.help} (default {default})",
         )
     common.add_argument(
@@ -69,9 +59,9 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
     for setting in SETTINGS:
         if setting.flag is None:
             continue
-        value = getattr(args, setting.flag[2:].replace("-", "_"))  # argparse's dest
-        if value is not None:
-            apply_setting(config, setting, value)
+        raw = getattr(args, setting.flag[2:].replace("-", "_"))  # argparse's dest
+        if raw is not None:
+            apply_setting(config, setting, raw, setting.flag)
     if args.hazard:
         config.run_hazards = tuple(args.hazard)
     return config

@@ -44,7 +44,6 @@ import stat
 import unicodedata
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, TextIO
 
@@ -159,7 +158,7 @@ class Gazetteer:
 
 def default_gazetteer_path() -> Path:
     """Path of the German country-exonym list shipped with the package."""
-    return Path(str(resources.files("attn_peaks").joinpath("data/countries_de.txt")))
+    return Path(__file__).with_name("data") / "countries_de.txt"
 
 
 def load_gazetteer(path: Path | str | None = None, target: str = DEFAULT_TARGET) -> Gazetteer:
@@ -448,6 +447,13 @@ def _jsonl_rows(handle: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
         yield row, fields
 
 
+def check_format(format: str) -> None:
+    """InputError unless ``format`` is one of :data:`DOC_FORMATS`."""
+    if format not in DOC_FORMATS:
+        expected = " or ".join(DOC_FORMATS)
+        raise InputError(f"unknown document format {format!r} (expected {expected})")
+
+
 def load_documents(
     path: Path | str,
     format: str = "csv",
@@ -459,9 +465,7 @@ def load_documents(
     record is returned in file order; a malformed row, a duplicate ``id``
     or an unknown hazard label raises :class:`InputError`.
     """
-    if format not in DOC_FORMATS:
-        expected = " or ".join(DOC_FORMATS)
-        raise InputError(f"unknown document format {format!r} (expected {expected})")
+    check_format(format)
     path = Path(path)
     if format == "csv":
         optional = OPTIONAL_DOCUMENT_COLUMNS

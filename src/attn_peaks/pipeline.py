@@ -45,6 +45,7 @@ from .ingest import (
     CountSeries,
     Document,
     build_count_series,
+    check_format,
     corpus_stats,
     default_gazetteer_path,
     filter_single_country,
@@ -109,14 +110,13 @@ class Setting(NamedTuple):
     field: str  # of PipelineConfig
     parse: Callable[[str], Any]  # ValueError for a bad value
     help: str
-    choices: tuple[str, ...] | None = None
 
 
 SETTINGS = (
     Setting("corpus", "documents", "--documents", "documents", Path,
             "document CSV or JSON-lines file"),
     Setting("corpus", "format", "--format", "doc_format", str,
-            "document file format", DOC_FORMATS),
+            f"document file format, {' or '.join(DOC_FORMATS)}"),
     Setting("corpus", "hazards", None, "hazards", _split_list, "hazard vocabulary"),
     Setting("range", "start", "--start", "start", parse_date, "first day of the series range"),
     Setting("range", "end", "--end", "end", parse_date, "last day of the series range"),
@@ -135,12 +135,19 @@ SETTINGS = (
     Setting("output", "dir", "--out-dir", "out_dir", Path, "output directory"),
 )
 
-# How a config value is described that its setting's parser rejects.
+# How a value is described that its setting's parser rejects.
 _INVALID = {int: "must be an integer", parse_date: "is not a date"}
 
 
-def apply_setting(config: PipelineConfig, setting: Setting, value: Any) -> None:
-    """Set a parsed value; a registry path adds or replaces the entry of its source."""
+def apply_setting(config: PipelineConfig, setting: Setting, raw: str, where: str) -> None:
+    """Parse a key's or flag's text into its field; ``where`` names the key or flag.
+
+    A registry path adds or replaces the entry of its source.
+    """
+    try:
+        value = setting.parse(raw)
+    except ValueError:
+        raise InputError(f"{where} {_INVALID[setting.parse]}: {raw!r}") from None
     if setting.field == "registries":
         registries = dict(config.registries)
         registries[setting.key.upper()] = value
@@ -184,16 +191,9 @@ def load_config(path: Path | str) -> PipelineConfig:
         raw = parser.get(setting.section, setting.key, fallback="").strip()
         if not raw:
             continue
-        where = f"config [{setting.section}] {setting.key}"
-        try:
-            value = setting.parse(raw)
-        except ValueError:
-            raise InputError(f"{where} {_INVALID[setting.parse]}: {raw!r}") from None
-        if setting.choices and value not in setting.choices:
-            raise InputError(f"{where} must be {' or '.join(setting.choices)}: {raw!r}")
         if setting.parse is Path:
-            value = path.parent / value
-        apply_setting(config, setting, value)
+            raw = str(path.parent / raw)
+        apply_setting(config, setting, raw, f"config [{setting.section}] {setting.key}")
     if parser.has_section("type_map"):
         for raw_type, hazard in parser.items("type_map"):
             config.type_map[raw_type] = hazard.strip()
@@ -203,6 +203,7 @@ def load_config(path: Path | str) -> PipelineConfig:
 def validate_config(config: PipelineConfig) -> None:
     """Check parameters and labels with the stages' own rules, and open each registry."""
     CountSeries.check_range(config.start, config.end)
+    check_format(config.doc_format)
     try:
         PeakParams(min_height=config.min_height, min_distance=config.min_distance)
         align_mod.check_window(config.window_days)
@@ -225,9 +226,9 @@ def validate_config(config: PipelineConfig) -> None:
     if "\0" in str(config.out_dir):  # os calls raise ValueError for it, not OSError
         shown = path_repr(config.out_dir)
         raise InputError(f"cannot write output directory {shown}: embedded null byte")
-    bad = sorted(
-        {v for v in config.type_map.values() if v != IGNORE and v not in config.hazards}
-    )
+    # A shipped entry may name a hazard left out of the vocabulary: its records are scoped out.
+    targets = {h for t, h in config.type_map.items() if h != DEFAULT_TYPE_MAP.get(t)}
+    bad = sorted(targets - {IGNORE, *config.hazards})
     if bad:
         raise InputError(
             f"type map target {bad[0]!r} is neither a configured hazard nor {IGNORE!r}"

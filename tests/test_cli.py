@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from attn_peaks import ConsistencyError, PipelineConfig, load_config, pipeline
 from attn_peaks.cli import _configure, build_parser, main
-from attn_peaks.ingest import default_gazetteer_path
+from attn_peaks.ingest import default_gazetteer_path, parse_date
 from attn_peaks.pipeline import SETTINGS
 from support import write_small_corpus
 
@@ -122,6 +122,38 @@ class TestFlagOverrides:
         manifest = json.loads((twice / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["parameters"]["hazards"] == ["fire"]
 
+    def test_vocabulary_without_a_shipped_hazard_scopes_its_records_out(
+        self, golden_dir, tmp_path, capsys
+    ):
+        # The shipped type map sends EM-DAT mass movements to landslide.
+        config = _golden_copy(golden_dir, tmp_path)
+        text = config.read_text(encoding="utf-8")
+        text = text.replace("Deslizamentos = landslide", "Deslizamentos = ignore")
+        config.write_text(text, encoding="utf-8")
+        scoped, fire_only = tmp_path / "scoped", tmp_path / "fire-only"
+        argv = ["run", "--config", str(config), "--hazard", "fire", "--out-dir", str(scoped)]
+        assert main(argv) == 0
+        documents = tmp_path / "documents.csv"
+        with documents.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        with documents.open("w", encoding="utf-8", newline="") as handle:
+            fire_rows = (row for row in rows if row[4] in ("hazard", "fire"))
+            csv.writer(handle, lineterminator="\n").writerows(fire_rows)
+        text = text.replace("hazards = landslide, fire", "hazards = fire")
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out-dir", str(fire_only)]) == 0
+        names = sorted(path.name for path in scoped.iterdir())
+        assert sorted(path.name for path in fire_only.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":  # it records another documents file
+                assert (fire_only / name).read_bytes() == (scoped / name).read_bytes(), name
+        # An entry of the config file is still checked against the vocabulary.
+        text = text.replace("Deslizamentos = ignore", "Deslizamentos = ignore\nFlood = flood")
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
+        message = "config: type map target 'flood' is neither a configured hazard nor 'ignore'"
+        assert message in capsys.readouterr().err
+
     def test_window_days_flag(self, tmp_path):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "w0"
@@ -185,6 +217,23 @@ def _flag_config(*argv: str) -> PipelineConfig:
     return _configure(build_parser().parse_args(["run", *argv]))
 
 
+# Each text that a setting's parser or the format rule refuses, with the
+# message that names the key or the flag: setting, text, message.
+_REFUSED = [
+    *((s, "x", "{name} must be an integer: 'x'") for s in SETTINGS if s.parse is int),
+    *(
+        (s, "2020-13-01", "{name} is not a date: '2020-13-01'")
+        for s in SETTINGS
+        if s.parse is parse_date
+    ),
+    (
+        next(s for s in SETTINGS if s.key == "format"),
+        "xml",
+        "config: unknown document format 'xml' (expected csv or jsonl)",
+    ),
+]
+
+
 class TestSettings:
     """The config keys and flags set the fields the hand-written parser set."""
 
@@ -222,20 +271,18 @@ class TestSettings:
         assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == named | {"--help"}
 
     @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["--min-height", "x"], "argument --min-height: invalid int value: 'x'"),
-            (["--format", "xml"], "argument --format: invalid choice: 'xml'"),
-            (["--end", "2020-13-01"], "argument --end: not a YYYY-MM-DD date: '2020-13-01'"),
-        ],
+        "setting, raw, message", _REFUSED, ids=[setting.flag for setting, *_ in _REFUSED]
     )
-    def test_argparse_messages(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", *argv])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert "[--format {csv,jsonl}]" in err
+    def test_key_and_flag_give_the_same_rule(self, tmp_path, capsys, setting, raw, message):
+        config = tmp_path / "c.ini"
+        config.write_text(f"[{setting.section}]\n{setting.key} = {raw}\n", encoding="utf-8")
+        out = ["--out-dir", str(tmp_path / "out")]
+        assert main(["run", "--config", str(config), *out]) == 2
+        name = f"config [{setting.section}] {setting.key}"
+        assert capsys.readouterr().err == f"attn-peaks: {message.format(name=name)}\n"
+        assert main(["run", setting.flag, raw, *out]) == 2
+        assert capsys.readouterr().err == f"attn-peaks: {message.format(name=setting.flag)}\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize(
         "text, argv, message",
@@ -243,7 +290,7 @@ class TestSettings:
             ("", ["--min-height", "0"], "config: min_height must be >= 1, got 0"),
             ("", ["--window-days", "-1"], "config: window_days must be >= 0, got -1"),
             ("hazards = ,\n", [], "config: no hazards configured"),
-            ("format = xml\n", [], "config [corpus] format must be csv or jsonl: 'xml'"),
+            ("format = xml\n", [], "config: unknown document format 'xml' (expected csv or jsonl)"),
         ],
     )
     def test_values_the_config_check_refuses(self, tmp_path, capsys, text, argv, message):
@@ -331,10 +378,8 @@ class TestDatesMustBeYyyyMmDd:
 
     def test_range_flag_names_the_flag(self, tmp_path, capsys, spell):
         config = write_small_corpus(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config), "--end", spell("2020-12-31")])
-        assert exc.value.code == 2
-        assert "argument --end: not a YYYY-MM-DD date" in capsys.readouterr().err
+        assert main(["run", "--config", str(config), "--end", spell("2020-12-31")]) == 2
+        assert "--end is not a date" in capsys.readouterr().err
 
 
 def test_module_entry_point_smoke(tmp_path):

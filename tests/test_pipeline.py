@@ -117,6 +117,21 @@ class TestConfig:
         with pytest.raises(InputError, match="'volcano'"):
             validate_config(config)
 
+    def test_shipped_type_map_target_outside_the_vocabulary_accepted(self, tmp_path):
+        config = load_config(write_small_corpus(tmp_path))
+        config.hazards = ("fire",)
+        validate_config(config)  # the shipped map sends mass movements to landslide
+        config.type_map["Deslizamentos"] = "landslide"  # not a shipped entry
+        with pytest.raises(InputError, match="type map target 'landslide'"):
+            validate_config(config)
+
+    def test_unknown_document_format_rejected(self, tmp_path):
+        config = load_config(write_small_corpus(tmp_path))
+        config.doc_format = "xml"
+        message = "unknown document format 'xml' (expected csv or jsonl)"
+        with pytest.raises(InputError, match=re.escape(message)):
+            validate_config(config)
+
     def test_unknown_run_hazard_rejected(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
         config.run_hazards = ("flood",)
