@@ -60,7 +60,8 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
         if setting.flag is None:
             continue
         raw = getattr(args, setting.flag[2:].replace("-", "_"))  # argparse's dest
-        if raw is not None:
+        # An empty value is not set, as an empty config key is: the key or the default applies.
+        if raw is not None and raw.strip():
             apply_setting(config, setting, raw, setting.flag)
     if args.hazard:
         config.run_hazards = tuple(args.hazard)

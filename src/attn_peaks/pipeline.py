@@ -453,12 +453,42 @@ def _manifest(config: PipelineConfig, command: str) -> dict:
     }
 
 
+def _ingest(
+    config: PipelineConfig, hazards: tuple[str, ...], run: RunArtifacts
+) -> dict[str, list[Document]]:
+    """Load, filter and group the corpus by hazard; fill in each hazard's series and stats.
+
+    The lists returned hold the only references to the documents: the loop
+    names end with this frame, so the caller frees a hazard's documents by
+    dropping its list. The unfiltered corpus is never named, so it is freed
+    once filtered.
+    """
+    gazetteer = load_gazetteer(config.gazetteer, target=config.target)
+    docs_by_hazard: dict[str, list[Document]] = {h: [] for h in hazards}
+    for doc in filter_single_country(
+        load_documents(config.documents, config.doc_format, config.hazards), gazetteer
+    ):
+        hazard_docs = docs_by_hazard.get(doc[DOC_HAZARD])
+        if hazard_docs is not None:
+            hazard_docs.append(doc)
+    for hazard, docs in docs_by_hazard.items():
+        series = build_count_series(docs, hazard, config.start, config.end)
+        run.series[hazard] = series
+        run.stats[hazard] = corpus_stats(docs, series)
+    return docs_by_hazard
+
+
 def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     """Run the pipeline up to ``command`` and write that stage's artifacts.
 
     ``run`` executes every stage and writes all artifacts plus the run
     manifest. Any stage error aborts the run with a stage-tagged message;
     nothing is left behind in the output directory.
+
+    The corpus is held only through the measure stage, its last reader:
+    each hazard's documents are freed once measured. The registries and
+    pairs of the align stage reuse that memory, so a run's high-water mark
+    is that of its largest stage, not the sum of the stages.
     """
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
@@ -470,20 +500,7 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     run = RunArtifacts()
 
     with _stage("ingest"):
-        gazetteer = load_gazetteer(config.gazetteer, target=config.target)
-        docs_by_hazard: dict[str, list[Document]] = {h: [] for h in hazards}
-        # Nothing names the unfiltered corpus, so it is freed once filtered,
-        # not kept alive through the later stages.
-        for doc in filter_single_country(
-            load_documents(config.documents, config.doc_format, config.hazards), gazetteer
-        ):
-            hazard_docs = docs_by_hazard.get(doc[DOC_HAZARD])
-            if hazard_docs is not None:
-                hazard_docs.append(doc)
-        for hazard, docs in docs_by_hazard.items():
-            series = build_count_series(docs, hazard, config.start, config.end)
-            run.series[hazard] = series
-            run.stats[hazard] = corpus_stats(docs, series)
+        docs_by_hazard = _ingest(config, hazards, run)
 
     if want >= stages.index("detect"):
         with _stage("detect"):
@@ -494,7 +511,10 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     if want >= stages.index("measure"):
         with _stage("measure"):
             for hazard in hazards:
-                run.measures[hazard] = measure_events(run.events[hazard], docs_by_hazard[hazard])
+                # Popped, a hazard's documents are freed as soon as they are measured.
+                run.measures[hazard] = measure_events(
+                    run.events[hazard], docs_by_hazard.pop(hazard)
+                )
             run.summaries = _summaries(run.measures)
     if want >= stages.index("align"):
         with _stage("align"):

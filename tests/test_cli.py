@@ -259,6 +259,23 @@ class TestSettings:
         mixed = _flag_config("--config", str(config), "--emdat", "e").registries
         assert mixed == (("EMDAT", Path("e")), ("S2ID", tmp_path / "s.csv"))
 
+    @pytest.mark.parametrize("blank", ["", " \t"], ids=["empty", "blank"])
+    @pytest.mark.parametrize("flag", [s.flag for s in SETTINGS if s.flag is not None])
+    def test_empty_flag_is_not_set(self, golden_dir, tmp_path, monkeypatch, flag, blank):
+        # As an empty key is not set: the config file's value, or else the default, applies.
+        config = _golden_copy(golden_dir, tmp_path)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "out"  # the golden config's [output] dir
+        assert main(["ingest", "--config", str(config)]) == 0
+        want = {path.name: path.read_bytes() for path in out.iterdir()}
+        tree = sorted(tmp_path.rglob("*"))
+        shutil.rmtree(out)
+        assert main(["ingest", "--config", str(config), f"{flag}={blank}"]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == want
+        assert sorted(tmp_path.rglob("*")) == tree
+
     @pytest.mark.parametrize("command", ["ingest", "detect", "measure", "align", "report", "run"])
     def test_help_lists_the_flags_readme_names(self, command, capsys):
         readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attn_peaks import (
+    DOC_DATE,
+    DOC_HAZARD,
     InputError,
     NewsEvent,
     PeakParams,
@@ -18,6 +21,8 @@ from attn_peaks import (
     load_config,
     run_pipeline,
 )
+from attn_peaks import align as align_mod
+from attn_peaks import pipeline
 from attn_peaks.align import AlignmentPair, AlignmentReport, RegistryLoad
 from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
 from support import make_series, oracle_alignment_json, write_small_corpus
@@ -346,6 +351,54 @@ class TestRunPipeline:
         assert alignment["registries"] == full["registries"]
         by_source = artifacts.report["alignment"]["by_source"]
         assert {s: v["unmatched_records"] for s, v in by_source.items()} == {"EMDAT": 0, "S2ID": 1}
+
+    def test_corpus_is_freed_once_measured(self, golden_dir, tmp_path, monkeypatch):
+        # A date subclass can be weakly referenced, a tuple or a str cannot:
+        # a document is alive while its date is.
+        class Day(datetime.date):
+            pass
+
+        dates: dict[str, list[weakref.ref]] = {}
+        real_load = pipeline.load_documents
+
+        def load_weakly_dated(*args):
+            docs = []
+            for doc in real_load(*args):
+                day = Day.fromordinal(doc[DOC_DATE].toordinal())
+                dates.setdefault(doc[DOC_HAZARD], []).append(weakref.ref(day))
+                docs.append((*doc[:DOC_DATE], day, *doc[DOC_DATE + 1 :]))
+            return docs
+
+        def n_alive(hazards) -> int:
+            return sum(ref() is not None for h in hazards for ref in dates.get(h, ()))
+
+        config = load_config(golden_dir / "config.ini")
+        config.out_dir = tmp_path / "out"
+        hazards = config.active_hazards
+        # The documents still alive, of the hazards measured before, as each
+        # hazard's measure starts; of all hazards, as each registry loads.
+        at_measure: list[int] = []
+        at_registry: list[int] = []
+        real_measure, real_registry = pipeline.measure_events, align_mod.load_registry
+
+        def measure(*args):
+            at_measure.append(n_alive(hazards[: len(at_measure)]))
+            return real_measure(*args)
+
+        def load_registry(*args):
+            at_registry.append(n_alive(dates))
+            return real_registry(*args)
+
+        monkeypatch.setattr(pipeline, "load_documents", load_weakly_dated)
+        monkeypatch.setattr(pipeline, "measure_events", measure)
+        monkeypatch.setattr(align_mod, "load_registry", load_registry)
+        files = run_pipeline(config, "run").files
+        assert all(dates.get(h) for h in hazards)
+        assert at_measure == [0] * len(hazards)
+        assert at_registry == [0] * len(config.registries)
+        for name, path in files.items():
+            if name != "manifest.json":
+                assert path.read_bytes() == (golden_dir / "expected" / name).read_bytes(), name
 
     def test_manifest_contents_are_stable(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
