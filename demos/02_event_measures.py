@@ -11,7 +11,7 @@ statistics with Tukey fences.
 
 import datetime
 
-from attn_peaks import CountSeries, PeakParams, detect_events, measure_events, summarize
+from attn_peaks import Corpus, CountSeries, PeakParams, detect_events, measure_events, summarize
 
 start = datetime.date(2021, 1, 1)
 counts = [0] * 120
@@ -22,8 +22,8 @@ counts[90:92] = [6, 2]      # a sharp two-day burst
 series = CountSeries(start=start, end=start + datetime.timedelta(days=119), counts=counts, hazard="fire")
 
 # One document per counted article, as the tuple
-# (id, date, outlet, text_type, hazard, text, text_key) that load_documents
-# returns. Two documents on the spike day carry the same text (an agency
+# (id, date, outlet, text_type, hazard, text, text_key) that Corpus.rows()
+# gives. Two documents on the spike day carry the same text (an agency
 # wire reprinted by a second outlet), so the spike has 4 articles but only
 # 3 unique texts.
 docs = []
@@ -38,8 +38,9 @@ for offset, count in enumerate(counts):
         docs.append((f"a{n}", day, outlet, genre, "fire", text, text))
         n += 1
 
+corpus = Corpus.from_rows(docs)  # the columns that load_documents builds from a file
 events = detect_events(series, PeakParams(min_height=2, min_distance=7))
-measures = measure_events(events, docs)
+measures = measure_events(events, corpus)
 
 header = ("event", "peak", "volume", "days", "gap", "rise", "fade", "texts", "outlets")
 print(("{:>22}" + "{:>8}" * 8).format(*header))

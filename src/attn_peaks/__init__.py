@@ -15,6 +15,7 @@ from .ingest import (
     DOC_TEXT,
     DOC_TEXT_KEY,
     DOC_TEXT_TYPE,
+    Corpus,
     CountSeries,
     Document,
     build_count_series,
@@ -38,6 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttnPeaksError",
     "ConsistencyError",
+    "Corpus",
     "CountSeries",
     "DOC_DATE",
     "DOC_HAZARD",

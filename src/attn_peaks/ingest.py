@@ -1,9 +1,10 @@
 """Corpus ingestion: document loading, country filtering, daily count series.
 
 A document is one news item with a calendar date, an outlet, a genre label
-(``text_type``), a hazard label and the body text. It is held as a plain
-7-tuple ``(id, date, outlet, text_type, hazard, text, text_key)``, indexed
-by the ``DOC_*`` constants. Documents are filtered
+(``text_type``), a hazard label and the body text. A :class:`Corpus` holds
+the documents as columns, one group per hazard; :meth:`Corpus.rows` gives
+each as the 7-tuple ``(id, date, outlet, text_type, hazard, text,
+text_key)``, indexed by the ``DOC_*`` constants. Documents are filtered
 with a gazetteer heuristic that keeps only texts mentioning exactly one
 configured target country and no other country name. The daily counts of
 the surviving documents, per hazard, form the attention series that drives
@@ -25,9 +26,9 @@ Matches are leftmost-longest and do not overlap: "Guinea-Bissau" is one
 mention of Guinea-Bissau, not also one of Guinea. Declined or adjectival
 forms ("brasilianisch") are not matched.
 
-The loaders read files, and :func:`csv_reader` raises the process-wide
-csv field size limit; every other function is pure. Loaded corpora can
-be shared across threads.
+The loaders read files, :func:`csv_reader` raises the process-wide csv
+field size limit, and :func:`filter_single_country` filters its corpus in
+place; every other function is pure.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ import os
 import re
 import stat
 import unicodedata
+from array import array
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,13 +104,134 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()
 
 
-# A document is the plain tuple (id, date, outlet, text_type, hazard, text,
-# text_key), indexed by these constants. Its fields are strings and a date,
-# none of which the cyclic GC tracks, so CPython stops tracking the tuple
-# itself at the first collection that sees it, and later collections no
-# longer scan the corpus. A tuple subclass, such as a namedtuple, stays tracked.
+# A row of Corpus.rows() is the tuple (id, date, outlet, text_type, hazard,
+# text, text_key), indexed by these constants.
 DOC_ID, DOC_DATE, DOC_OUTLET, DOC_TEXT_TYPE, DOC_HAZARD, DOC_TEXT, DOC_TEXT_KEY = range(7)
 Document = tuple[str, datetime.date, str, str, str, str, str]
+
+_COLUMNS = ("ids", "days", "outlets", "genres", "texts", "keys")
+
+
+class Columns:
+    """One hazard's documents in file order, one column per field.
+
+    ``ids`` and ``keys`` (the text keys) are lists of str, ``days`` an
+    ``array('i')`` of proleptic ordinals, and ``outlets``, ``genres`` and
+    ``texts`` ``array('I')``\\ s of codes into the corpus's tables.
+    """
+
+    __slots__ = _COLUMNS
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.days = array("i")
+        self.outlets = array("I")
+        self.genres = array("I")
+        self.texts = array("I")
+        self.keys: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def appenders(self) -> tuple:
+        """The ``append`` of each column, in :data:`_COLUMNS` order."""
+        return tuple(getattr(self, name).append for name in _COLUMNS)
+
+    def compress(self, keep: bytes) -> None:
+        """Keep the rows whose byte in ``keep`` is 1, copied run by run of kept rows.
+
+        Each column is replaced by its kept rows before the next is copied,
+        so at most one column is held twice.
+        """
+        runs = list(map(len, keep.split(b"\0")))
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            kept = column[:0]
+            start = 0
+            for run in runs:
+                kept += column[start : start + run]
+                start += run + 1
+            setattr(self, name, kept)
+
+
+class _Codes(dict):
+    """Distinct values mapped to their codes, in order of first use."""
+
+    def __missing__(self, value: str) -> int:
+        code = self[value] = len(self)
+        return code
+
+
+class Corpus:
+    """Documents as columns, one :class:`Columns` per hazard.
+
+    ``columns`` maps each hazard to its documents; the loader lists every
+    hazard of its vocabulary, in vocabulary order. ``outlets``, ``genres``
+    and ``texts`` are the tables of distinct values that the code columns
+    index, so a reprinted text is held once. ``len()`` is the number of
+    documents. No document is an object of its own, so the cyclic garbage
+    collector scans each column as one object.
+    """
+
+    def __init__(self, hazards: Iterable[str] = ()) -> None:
+        self.columns: dict[str, Columns] = {hazard: Columns() for hazard in hazards}
+        self.outlets: list[str] = []
+        self.genres: list[str] = []
+        self.texts: list[str] = []
+
+    def __len__(self) -> int:
+        return sum(map(len, self.columns.values()))
+
+    def of(self, hazard: str | None) -> Columns:
+        """The columns of ``hazard``; empty ones for a hazard without documents."""
+        return self.columns.get(hazard) or Columns()
+
+    def pop(self, hazard: str) -> Corpus:
+        """A corpus of the documents of ``hazard`` alone, taken out of this one.
+
+        The two share the value tables.
+        """
+        part = Corpus()
+        part.outlets, part.genres, part.texts = self.outlets, self.genres, self.texts
+        if hazard in self.columns:
+            part.columns[hazard] = self.columns.pop(hazard)
+        return part
+
+    def rows(self) -> Iterator[Document]:
+        """Each document as a ``Document`` tuple: hazard by hazard, in file order within one."""
+        for hazard, c in self.columns.items():
+            yield from zip(
+                c.ids,
+                map(datetime.date.fromordinal, c.days),
+                map(self.outlets.__getitem__, c.outlets),
+                map(self.genres.__getitem__, c.genres),
+                itertools.repeat(hazard),
+                map(self.texts.__getitem__, c.texts),
+                c.keys,
+            )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Document]) -> Corpus:
+        """A corpus of ``Document`` tuples, hazards in order of first appearance.
+
+        The rows are taken as they are; unlike :func:`load_documents`, nothing is checked.
+        """
+        corpus = cls()
+        outlets, genres, texts = _Codes(), _Codes(), _Codes()
+        appenders: dict[str, tuple] = {}
+        for doc_id, date, outlet, genre, hazard, text, key in rows:
+            add = appenders.get(hazard)
+            if add is None:
+                add = appenders[hazard] = corpus.columns.setdefault(hazard, Columns()).appenders()
+            add_id, add_day, add_outlet, add_genre, add_text, add_key = add
+            add_id(doc_id)
+            add_day(date.toordinal())
+            add_outlet(outlets[outlet])
+            add_genre(genres[genre])
+            add_text(texts[text])
+            add_key(key)
+        corpus.outlets, corpus.genres, corpus.texts = list(outlets), list(genres), list(texts)
+        return corpus
 
 
 @dataclass
@@ -212,25 +336,22 @@ def extract_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
     return found
 
 
-def filter_single_country(docs: list[Document], gazetteer: Gazetteer) -> list[Document]:
-    """Keep documents whose country mentions are exactly ``{target}``.
+def filter_single_country(corpus: Corpus, gazetteer: Gazetteer) -> Corpus:
+    """Keep the documents whose country mentions are exactly ``{target}``.
 
-    Order is preserved; the output is always a subset of the input. A
+    ``corpus`` is filtered in place and returned. Order is preserved. A
     document's verdict depends only on its text, so each distinct text is
-    tokenized and matched once (see :func:`extract_country_mentions`) and
-    its reprints reuse the verdict.
+    tokenized and matched once (see :func:`extract_country_mentions`),
+    by its code, and its reprints reuse the verdict. Only a hazard that
+    lost a document has its columns rebuilt, one column at a time.
     """
     target = {gazetteer.target_entry}
-    verdicts: dict[str, bool] = {}
-    kept = []
-    for doc in docs:
-        text = doc[DOC_TEXT]
-        keep = verdicts.get(text)
-        if keep is None:
-            keep = verdicts[text] = extract_country_mentions(text, gazetteer) == target
-        if keep:
-            kept.append(doc)
-    return kept
+    verdicts = [extract_country_mentions(text, gazetteer) == target for text in corpus.texts]
+    for columns in corpus.columns.values():
+        keep = bytes(map(verdicts.__getitem__, columns.texts))
+        if 0 in keep:
+            columns.compress(keep)
+    return corpus
 
 
 # ASCII digits only: in a str pattern \d would also match other scripts' digits.
@@ -357,21 +478,21 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
 
 def _read_documents(
     path: Path, rows: Iterable[tuple[int, list[str]]], width: int, hazards: tuple[str, ...]
-) -> list[Document]:
-    """The documents of the numbered rows of ``width`` fields, each row checked.
+) -> Corpus:
+    """The corpus of the numbered rows of ``width`` fields, each row checked.
 
     Both file formats feed this loop, so every row is checked the same way.
-    Rows are unpacked into locals; each distinct date string is parsed
-    once, each distinct text without a ``text_key`` is digested once, and
-    equal outlet, genre, hazard and text strings share one object.
+    Rows are unpacked into locals and each field appended to its hazard's
+    column; each distinct date string is parsed once, each distinct text
+    without a ``text_key`` is digested once, and each distinct outlet,
+    genre and text gets one code.
     """
-    docs: list[Document] = []
+    corpus = Corpus(hazards)
+    appenders = {hazard: columns.appenders() for hazard, columns in corpus.columns.items()}
     seen_ids: set[str] = set()
-    known_hazards = {hazard: hazard for hazard in hazards}
-    shared: dict[str, str] = {}
-    dates: dict[str, datetime.date] = {}
+    dates: dict[str, int] = {}
     digests: dict[str, str] = {}
-    append = docs.append
+    outlets, genres, texts = _Codes(), _Codes(), _Codes()
     has_key = width > len(DOCUMENT_COLUMNS)
     for row, fields in rows:
         if len(fields) != width:
@@ -386,27 +507,26 @@ def _read_documents(
         if doc_id in seen_ids:
             raise row_error(path, row, f"duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
-        if hazard not in known_hazards:
-            raise row_error(path, row, f"unknown hazard label {hazard!r}")
+        try:
+            add_id, add_day, add_outlet, add_genre, add_text, add_key = appenders[hazard]
+        except KeyError:
+            raise row_error(path, row, f"unknown hazard label {hazard!r}") from None
         if not key:
             key = digests.get(text)
             if key is None:
                 key = digests[text] = text_digest(text)
-        date = dates.get(day)
-        if date is None:
-            date = dates[day] = parse_row_date(day, path, row)
-        append(
-            (
-                doc_id,
-                date,
-                shared.setdefault(outlet, outlet),
-                shared.setdefault(genre, genre),
-                known_hazards[hazard],
-                shared.setdefault(text, text),
-                key,
-            )
-        )
-    return docs
+        try:
+            date = dates[day]
+        except KeyError:
+            date = dates[day] = parse_row_date(day, path, row).toordinal()
+        add_id(doc_id)
+        add_day(date)
+        add_outlet(outlets[outlet])
+        add_genre(genres[genre])
+        add_text(texts[text])
+        add_key(key)
+    corpus.outlets, corpus.genres, corpus.texts = list(outlets), list(genres), list(texts)
+    return corpus
 
 
 _JSONL_FIELDS = DOCUMENT_COLUMNS + OPTIONAL_DOCUMENT_COLUMNS
@@ -458,12 +578,13 @@ def load_documents(
     path: Path | str,
     format: str = "csv",
     hazards: tuple[str, ...] = DEFAULT_HAZARDS,
-) -> list[Document]:
+) -> Corpus:
     """Load document records from a file in one of :data:`DOC_FORMATS`.
 
     Rows are numbered from 1, excluding the CSV header. Every well-formed
-    record is returned in file order; a malformed row, a duplicate ``id``
-    or an unknown hazard label raises :class:`InputError`.
+    record is kept, each hazard's in file order, and the corpus lists every
+    hazard of ``hazards``; a malformed row, a duplicate ``id`` or an unknown
+    hazard label raises :class:`InputError`.
     """
     check_format(format)
     path = Path(path)
@@ -524,7 +645,7 @@ class CountSeries:
 
 
 def build_count_series(
-    docs: list[Document],
+    corpus: Corpus,
     hazard: str,
     start: datetime.date,
     end: datetime.date,
@@ -532,20 +653,23 @@ def build_count_series(
     """Daily counts of ``hazard`` documents over ``start``..``end`` inclusive.
 
     Identical texts from different outlets count as separate observations.
-    Any document dated outside the range is a hard error; silent truncation
-    would corrupt the counts.
+    Any document of the corpus dated outside the range is a hard error,
+    the first in :meth:`Corpus.rows` order named; silent truncation would
+    corrupt the counts.
     """
     counts = [0] * ((end - start).days + 1)
     series = CountSeries(start=start, end=end, counts=counts, hazard=hazard)  # checks the range
-    for doc in docs:
-        date = doc[DOC_DATE]
-        if date < start or date > end:
+    first, last = start.toordinal(), end.toordinal()
+    for columns in corpus.columns.values():
+        days = columns.days
+        if days and (min(days) < first or max(days) > last):
+            row = next(i for i, day in enumerate(days) if not first <= day <= last)
             raise InputError(
-                f"document {doc[DOC_ID]!r} dated {date} is outside the series range "
-                f"{start}..{end}"
+                f"document {columns.ids[row]!r} dated {datetime.date.fromordinal(days[row])} "
+                f"is outside the series range {start}..{end}"
             )
-        if doc[DOC_HAZARD] == hazard:
-            counts[(date - start).days] += 1
+    for day, count in Counter(corpus.of(hazard).days).items():
+        counts[day - first] = count
     return series
 
 
@@ -600,12 +724,13 @@ def _pairwise_sum(values: list[float]) -> float:
     return total
 
 
-def corpus_stats(docs: list[Document], series: CountSeries) -> CorpusStats:
-    """Compute :class:`CorpusStats` for documents and the series built from them."""
+def corpus_stats(corpus: Corpus, series: CountSeries) -> CorpusStats:
+    """Compute :class:`CorpusStats` for the series and the corpus's documents of its hazard."""
+    columns = corpus.of(series.hazard)
     total = sum(series.counts)
-    if total != len(docs):
+    if total != len(columns):
         raise ConsistencyError(
-            f"series total {total} does not match document count {len(docs)}"
+            f"series total {total} does not match document count {len(columns)}"
         )
     active = [c for c in series.counts if c > 0]
     mean = std = None
@@ -614,12 +739,12 @@ def corpus_stats(docs: list[Document], series: CountSeries) -> CorpusStats:
         deviations = [c - mean for c in active]
         std = math.sqrt(_pairwise_sum([d * d for d in deviations]) / len(active))
     return CorpusStats(
-        n_articles=len(docs),
-        n_text_types=len({d[DOC_TEXT_KEY] for d in docs}),
-        n_genres=len({d[DOC_TEXT_TYPE] for d in docs}),
+        n_articles=len(columns),
+        n_text_types=len(set(columns.keys)),
+        n_genres=len(set(columns.genres)),
         daily_max=max(series.counts, default=0),
         n_active_days=len(active),
         active_mean=mean,
         active_std=std,
-        n_outlets=len({d[DOC_OUTLET] for d in docs}),
+        n_outlets=len(set(columns.outlets)),
     )

@@ -13,11 +13,11 @@ from __future__ import annotations
 import bisect
 import datetime
 import math
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass, fields
 
 from .errors import ConsistencyError
-from .ingest import DOC_DATE, DOC_HAZARD, DOC_OUTLET, DOC_TEXT_KEY, DOC_TEXT_TYPE, Document
+from .ingest import Corpus
 from .peaks import NewsEvent
 
 @dataclass
@@ -67,24 +67,27 @@ class BoxStats:
     n: int
 
 
-def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[MeasureSet]:
+def measure_events(events: list[NewsEvent], corpus: Corpus) -> list[MeasureSet]:
     """Measures of a hazard's event sequence, gap measures included.
 
     ``events`` must be the sorted, non-overlapping output of the detection
-    stage for one hazard; ``docs`` the documents the series was built from
-    (documents of other hazards are ignored). ``days_since_last`` runs from
-    the end of the previous event to the start of this one, so adjacent
-    events have a gap of 1; ``days_since_last_peak`` runs peak to peak. Both
-    are None for the first event. Events of two hazards, or events that
-    overlap or are unsorted, raise :class:`ConsistencyError`, as does an
-    event day not backed by exactly as many documents as the series counted
-    there. Each event's gap is checked before its days.
+    stage for one hazard; ``corpus`` holds the documents the series was
+    built from (documents of other hazards are ignored). ``days_since_last``
+    runs from the end of the previous event to the start of this one, so
+    adjacent events have a gap of 1; ``days_since_last_peak`` runs peak to
+    peak. Both are None for the first event. Events of two hazards, or
+    events that overlap or are unsorted, raise :class:`ConsistencyError`, as
+    does an event day not backed by exactly as many documents as the series
+    counted there. Each event's gap is checked before its days.
     """
-    hazard = events[0].hazard if events else None
-    by_day: dict[datetime.date, list[Document]] = defaultdict(list)
-    for doc in docs:
-        if doc[DOC_HAZARD] == hazard:
-            by_day[doc[DOC_DATE]].append(doc)
+    columns = corpus.of(events[0].hazard if events else None)
+    # The rows of each event day, by ordinal.
+    by_day = {day.toordinal(): array("I") for event in events for day, _ in event.day_counts}
+    for row, day in enumerate(columns.days):
+        day_rows = by_day.get(day)
+        if day_rows is not None:
+            day_rows.append(row)
+    keys, outlets, genres = columns.keys, columns.outlets, columns.genres
     measures = []
     for previous, event in zip([None, *events], events):
         gap = peak_gap = None
@@ -99,14 +102,15 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
                     f"events {previous.event_id} and {event.event_id} overlap or are unsorted"
                 )
             peak_gap = (event.peak_date - previous.peak_date).days
+        rows = array("I")
         for day, count in event.day_counts:
-            day_docs = by_day.get(day, ())
-            if len(day_docs) != count:
+            day_rows = by_day[day.toordinal()]
+            if len(day_rows) != count:
                 raise ConsistencyError(
-                    f"event {event.event_id} day {day} has {len(day_docs) or 'no'} documents "
+                    f"event {event.event_id} day {day} has {len(day_rows) or 'no'} documents "
                     f"but the series counts {count} (corpus/series mismatch)"
                 )
-        event_docs = [doc for day, _ in event.day_counts for doc in by_day.get(day, ())]
+            rows += day_rows
         measures.append(
             MeasureSet(
                 event_id=event.event_id,
@@ -118,9 +122,9 @@ def measure_events(events: list[NewsEvent], docs: list[Document]) -> list[Measur
                 days_since_last=gap,
                 days_to_peak=(event.peak_date - event.start_date).days,
                 days_to_fade=(event.end_date - event.peak_date).days,
-                n_text_types=len({doc[DOC_TEXT_KEY] for doc in event_docs}),
-                n_outlets=len({doc[DOC_OUTLET] for doc in event_docs}),
-                n_genres=len({doc[DOC_TEXT_TYPE] for doc in event_docs}),
+                n_text_types=len(set(map(keys.__getitem__, rows))),
+                n_outlets=len(set(map(outlets.__getitem__, rows))),
+                n_genres=len(set(map(genres.__getitem__, rows))),
                 days_since_last_peak=peak_gap,
             )
         )

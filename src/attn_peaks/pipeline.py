@@ -40,10 +40,9 @@ from .ingest import (
     DEFAULT_HAZARDS,
     DEFAULT_TARGET,
     DOC_FORMATS,
-    DOC_HAZARD,
+    Corpus,
     CorpusStats,
     CountSeries,
-    Document,
     build_count_series,
     check_format,
     corpus_stats,
@@ -215,6 +214,9 @@ def validate_config(config: PipelineConfig) -> None:
         # A label names an output file (timeseries_<hazard>.csv).
         if any(c in hazard for c in "/\\\0"):
             raise InputError(f"hazard label {hazard!r} must not contain '/', '\\' or NUL")
+        # A type-map entry naming it drops its records, so no record could reach it.
+        if hazard == IGNORE:
+            raise InputError(f"hazard label {IGNORE!r} is reserved for the type map")
     unknown = [h for h in config.run_hazards if h not in config.hazards]
     if unknown:
         raise InputError(
@@ -453,29 +455,22 @@ def _manifest(config: PipelineConfig, command: str) -> dict:
     }
 
 
-def _ingest(
-    config: PipelineConfig, hazards: tuple[str, ...], run: RunArtifacts
-) -> dict[str, list[Document]]:
-    """Load, filter and group the corpus by hazard; fill in each hazard's series and stats.
+def _ingest(config: PipelineConfig, hazards: tuple[str, ...], run: RunArtifacts) -> Corpus:
+    """Load and filter the corpus, keep the columns of ``hazards``; fill in their series and stats.
 
-    The lists returned hold the only references to the documents: the loop
-    names end with this frame, so the caller frees a hazard's documents by
-    dropping its list. The unfiltered corpus is never named, so it is freed
-    once filtered.
+    The corpus returned holds the only references to the documents, so the
+    caller frees a hazard's documents by popping them.
     """
     gazetteer = load_gazetteer(config.gazetteer, target=config.target)
-    docs_by_hazard: dict[str, list[Document]] = {h: [] for h in hazards}
-    for doc in filter_single_country(
+    corpus = filter_single_country(
         load_documents(config.documents, config.doc_format, config.hazards), gazetteer
-    ):
-        hazard_docs = docs_by_hazard.get(doc[DOC_HAZARD])
-        if hazard_docs is not None:
-            hazard_docs.append(doc)
-    for hazard, docs in docs_by_hazard.items():
-        series = build_count_series(docs, hazard, config.start, config.end)
+    )
+    corpus.columns = {hazard: corpus.columns[hazard] for hazard in hazards}
+    for hazard in hazards:
+        series = build_count_series(corpus, hazard, config.start, config.end)
         run.series[hazard] = series
-        run.stats[hazard] = corpus_stats(docs, series)
-    return docs_by_hazard
+        run.stats[hazard] = corpus_stats(corpus, series)
+    return corpus
 
 
 def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
@@ -500,7 +495,7 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     run = RunArtifacts()
 
     with _stage("ingest"):
-        docs_by_hazard = _ingest(config, hazards, run)
+        corpus = _ingest(config, hazards, run)
 
     if want >= stages.index("detect"):
         with _stage("detect"):
@@ -512,9 +507,8 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
         with _stage("measure"):
             for hazard in hazards:
                 # Popped, a hazard's documents are freed as soon as they are measured.
-                run.measures[hazard] = measure_events(
-                    run.events[hazard], docs_by_hazard.pop(hazard)
-                )
+                run.measures[hazard] = measure_events(run.events[hazard], corpus.pop(hazard))
+            del corpus  # and with it the value tables
             run.summaries = _summaries(run.measures)
     if want >= stages.index("align"):
         with _stage("align"):

@@ -432,6 +432,15 @@ def oracle_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
     return found
 
 
+def by_hazard(rows) -> dict[str, list[Document]]:
+    """Documents grouped by hazard, each group in the order given; hazards without any left out."""
+    groups: dict[str, list[Document]] = {}
+    for row in rows:
+        _, _, _, _, hazard, _, _ = row
+        groups.setdefault(hazard, []).append(row)
+    return groups
+
+
 def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[str]:
     """Ids of the documents whose oracle mentions are exactly the target, in order."""
     target = {gazetteer.target_entry}

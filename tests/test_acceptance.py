@@ -8,7 +8,10 @@ the gate can be read off the test output directly:
 
 import csv
 import datetime
-import resource
+import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,8 +19,8 @@ import numpy as np
 import pytest
 
 from attn_peaks import (
-    DOC_HAZARD,
     DOC_ID,
+    Corpus,
     DisasterRecord,
     NewsEvent,
     PeakParams,
@@ -25,7 +28,6 @@ from attn_peaks import (
     build_count_series,
     detect_events,
     load_config,
-    load_documents,
     measure_events,
     run_pipeline,
 )
@@ -75,12 +77,13 @@ def test_peak_oracle_equivalence():
 
 def test_calendar_invariant():
     with _Criterion("calendar invariant (9,132 day slots, leap day)"):
-        series = build_count_series([], "landslide", D(2000, 1, 1), D(2024, 12, 31))
+        series = build_count_series(Corpus(), "landslide", D(2000, 1, 1), D(2024, 12, 31))
         assert series.n_days == 9132
         leap_index = series.index_of(D(2000, 2, 29))
         assert series.day_at(leap_index) == D(2000, 2, 29)
         docs = [make_doc("leap", D(2000, 2, 29), outlet="o", text_type="t", text="x", text_key="k")]
-        with_doc = build_count_series(docs, "landslide", D(2000, 1, 1), D(2024, 12, 31))
+        corpus = Corpus.from_rows(docs)
+        with_doc = build_count_series(corpus, "landslide", D(2000, 1, 1), D(2024, 12, 31))
         assert with_doc.counts[leap_index] == 1
 
 
@@ -265,7 +268,7 @@ def test_measure_identities_on_randomized_suite():
                 min_distance=int(rng.integers(1, 15)),
             )
             events = detect_events(series, params)
-            measures = measure_events(events, docs_matching_series(series))
+            measures = measure_events(events, Corpus.from_rows(docs_matching_series(series)))
             previous_peak = None
             for event, measure in zip(events, measures):
                 assert (
@@ -296,7 +299,8 @@ def test_single_country_filter_precision_recall(data_dir):
             )
             for row in rows
         ]
-        kept = {d[DOC_ID] for d in filter_single_country(docs, gazetteer)}
+        kept_rows = filter_single_country(Corpus.from_rows(docs), gazetteer).rows()
+        kept = {d[DOC_ID] for d in kept_rows}
         expected = {row["id"] for row in rows if row["label"] == "keep"}
         true_positives = len(kept & expected)
         precision = true_positives / len(kept) if kept else 0.0
@@ -305,7 +309,8 @@ def test_single_country_filter_precision_recall(data_dir):
         assert recall == 1.0, f"false negatives: {sorted(expected - kept)}"
 
 
-def _write_scale_corpus(path: Path, n_docs: int) -> None:
+def _write_scale_corpus(path: Path, n_docs: int) -> int:
+    """Write ``n_docs`` documents; return how many of them the country filter keeps."""
     rng = np.random.default_rng(777)
     n_days = 9132
     day_names = [
@@ -334,46 +339,58 @@ def _write_scale_corpus(path: Path, n_docs: int) -> None:
                 handle.writelines(chunk)
                 chunk = []
         handle.writelines(chunk)
+    return n_docs - int(dropped.sum())
+
+
+def _write_scale_registry(path: Path) -> None:
+    """400 EM-DAT records, the two hazards alternating, spread over the range."""
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.write("record_id,source,raw_type,onset_date,location,status\n")
+        for i in range(400):
+            raw_type = "Landslide" if i % 2 else "Wildfire"
+            onset = D(2000, 1, 1) + datetime.timedelta(days=(i * 23) % 9000)
+            handle.write(f"r{i},EMDAT,{raw_type},{onset.isoformat()},,\n")
+
+
+# The peak RSS of the run, in its own process. On a 2-core x86-64 host with
+# Python 3.10-3.13, a fresh `run` read 256-285 MiB on this corpus when each
+# document was a tuple, and 186-219 MiB with the columnar corpus.
+_SCALE_RSS_MIB = 240
 
 
 def test_scale_smoke_one_million_documents(tmp_path):
-    with _Criterion("scale smoke: 1e6 documents in <60s and <2GB"):
+    with _Criterion(f"scale smoke: `run` on 1e6 documents in <60s and <{_SCALE_RSS_MIB} MiB"):
         n_docs = 1_000_000
-        corpus = tmp_path / "big.csv"
-        _write_scale_corpus(corpus, n_docs)
-        registry = [
-            DisasterRecord(
-                record_id=f"r{i}",
-                source="EMDAT",
-                hazard="landslide" if i % 2 else "fire",
-                onset_date=D(2000, 1, 1) + datetime.timedelta(days=(i * 23) % 9000),
-                location="",
-                raw_type="",
-                status="",
-            )
-            for i in range(400)
-        ]
-        gazetteer = load_gazetteer()
-        params = PeakParams()
-
+        n_kept = _write_scale_corpus(tmp_path / "big.csv", n_docs)
+        _write_scale_registry(tmp_path / "emdat.csv")
+        config = tmp_path / "config.ini"
+        config.write_text(
+            "[corpus]\ndocuments = big.csv\nformat = csv\nhazards = landslide, fire\n"
+            "[range]\nstart = 2000-01-01\nend = 2024-12-31\n"
+            "[align]\nwindow_days = 5\nemdat = emdat.csv\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        # The tool as users start it: a fresh interpreter, not in development mode.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONDEVMODE"}
+        command = ["run", "--config", str(config), "--out-dir", str(out)]
         started = time.perf_counter()
-        docs = load_documents(corpus, "csv")
-        assert len(docs) == n_docs
-        kept = filter_single_country(docs, gazetteer)
-        all_events = []
-        for hazard in ("landslide", "fire"):
-            hazard_docs = [d for d in kept if d[DOC_HAZARD] == hazard]
-            series = build_count_series(hazard_docs, hazard, D(2000, 1, 1), D(2024, 12, 31))
-            events = detect_events(series, params)
-            measures = measure_events(events, hazard_docs)
-            assert len(measures) == len(events)
-            all_events.extend(events)
-        report = align_events(all_events, registry, 5)
+        with subprocess.Popen([sys.executable, "-m", "attn_peaks", *command], env=env) as child:
+            _, status, usage = os.wait4(child.pid, 0)
         elapsed = time.perf_counter() - started
+        assert os.waitstatus_to_exitcode(status) == 0
 
-        assert len(kept) > 0.9 * n_docs
-        assert all_events, "scale corpus produced no events"
-        assert report.pairs, "scale corpus produced no alignments"
-        peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        assert elapsed < 60.0, f"pipeline stages took {elapsed:.1f}s"
-        assert peak_rss_kb < 2 * 1024 * 1024, f"peak RSS {peak_rss_kb / 1024:.0f} MiB"
+        stats = json.loads((out / "corpus_stats.json").read_text(encoding="utf-8"))
+        assert sum(hazard["n_articles"] for hazard in stats.values()) == n_kept
+        assert n_kept > 0.9 * n_docs
+        with (out / "events.jsonl").open(encoding="utf-8") as handle:
+            n_events = sum(1 for _ in handle)
+        assert n_events, "scale corpus produced no events"
+        with (out / "measures.csv").open(encoding="utf-8") as handle:
+            assert sum(1 for _ in handle) == 1 + n_events
+        alignment = json.loads((out / "alignment.json").read_text(encoding="utf-8"))
+        assert alignment["registries"]["EMDAT"]["records"] == 400
+        assert alignment["pairs"], "scale corpus produced no alignments"
+        peak_rss_mib = usage.ru_maxrss / 1024
+        assert elapsed < 60.0, f"run took {elapsed:.1f}s"
+        assert peak_rss_mib < _SCALE_RSS_MIB, f"peak RSS {peak_rss_mib:.0f} MiB"

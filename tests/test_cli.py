@@ -682,6 +682,20 @@ class TestOutputPaths:
         assert not out.exists()
         assert not list(tmp_path.rglob(".attn-peaks-*"))
 
+    def test_ignore_as_a_hazard_label_exits_two(self, golden_dir, tmp_path, capsys):
+        config = _golden_copy(golden_dir, tmp_path)
+        text = config.read_text(encoding="utf-8")
+        assert "hazards = landslide, fire\n" in text
+        config.write_text(
+            text.replace("hazards = landslide, fire", "hazards = landslide, fire, ignore"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 2
+        message = "attn-peaks: config: hazard label 'ignore' is reserved for the type map"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_staging_directory_is_made_inside_the_out_dir(
         self, golden_dir, tmp_path, capsys, monkeypatch
     ):

@@ -7,6 +7,7 @@ import random
 import re
 import tempfile
 import unicodedata
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,14 @@ from attn_peaks import (
     DOC_TEXT_KEY,
     DOC_TEXT_TYPE,
     ConsistencyError,
+    Corpus,
     CountSeries,
     InputError,
     build_count_series,
     load_documents,
 )
 from attn_peaks.ingest import (
+    _COLUMNS,
     Gazetteer,
     _pairwise_sum,
     canonical_tokens,
@@ -41,6 +44,7 @@ from attn_peaks.ingest import (
     text_digest,
 )
 from support import (
+    by_hazard,
     make_doc,
     make_series,
     oracle_count_series,
@@ -63,6 +67,11 @@ def write_csv(tmp_path, body: str, name: str = "docs.csv", header: str = CSV_HEA
     return path
 
 
+def kept_rows(docs, gazetteer: Gazetteer) -> list:
+    """The rows that the filter keeps of a corpus of ``docs``."""
+    return list(filter_single_country(Corpus.from_rows(docs), gazetteer).rows())
+
+
 @pytest.fixture
 def south_america() -> Gazetteer:
     return Gazetteer(entries=("Brasilien", "Kolumbien", "Peru"), target="Brasilien")
@@ -71,7 +80,9 @@ def south_america() -> Gazetteer:
 class TestLoadDocuments:
     def test_header_only_file_yields_empty_set(self, tmp_path):
         path = write_csv(tmp_path, "")
-        assert load_documents(path) == []
+        corpus = load_documents(path)
+        assert (len(corpus), list(corpus.rows())) == (0, [])
+        assert list(corpus.columns) == ["landslide", "fire"]
 
     def test_empty_file_is_refused(self, tmp_path):
         path = write_csv(tmp_path, "", header="")
@@ -86,8 +97,9 @@ class TestLoadDocuments:
             "a2,2011-01-13,Zeit,Meldung,fire,Feuer in Brasilien\n"
             'a3,2011-01-14,Welt,Bericht,landslide,"Regen, Brasilien"\n',
         )
-        docs = load_documents(path)
-        assert len(docs) == 3
+        corpus = load_documents(path)
+        assert len(corpus) == 3
+        docs = list(corpus.rows())
         first = docs[0]
         assert first[DOC_ID] == "a1"
         assert first[DOC_DATE] == D(2011, 1, 12)
@@ -96,8 +108,9 @@ class TestLoadDocuments:
         assert first[DOC_HAZARD] == "landslide"
         assert first[DOC_TEXT] == "Erdrutsch in Brasilien"
         assert first[DOC_TEXT_KEY] == text_digest("Erdrutsch in Brasilien")
-        assert [d[DOC_ID] for d in docs] == ["a1", "a2", "a3"]
-        assert docs[2][DOC_TEXT] == "Regen, Brasilien"
+        # Hazard by hazard, in file order within each.
+        assert [d[DOC_ID] for d in docs] == ["a1", "a3", "a2"]
+        assert docs[1][DOC_TEXT] == "Regen, Brasilien"
 
     def test_impossible_calendar_day_is_rejected(self, tmp_path):
         path = write_csv(
@@ -142,7 +155,7 @@ class TestLoadDocuments:
             "a2,2011-01-13,Zeit,Meldung,fire,bar,\n",
             header="id,date,outlet,text_type,hazard,text,text_key\n",
         )
-        docs = load_documents(path)
+        docs = list(load_documents(path).rows())
         assert docs[0][DOC_TEXT_KEY] == "k1"
         assert docs[1][DOC_TEXT_KEY] == text_digest("bar")
 
@@ -173,7 +186,7 @@ class TestLoadDocuments:
             ' "text_type": "Bericht", "hazard": "landslide", "text": "x"}\n',
             encoding="utf-8",
         )
-        docs = load_documents(path, format="jsonl")
+        docs = list(load_documents(path, format="jsonl").rows())
         assert len(docs) == 1
         assert docs[0][DOC_DATE] == D(2011, 1, 12)
         assert docs[0][DOC_TEXT_KEY] == text_digest("x")
@@ -217,7 +230,7 @@ class TestLoadDocuments:
             ' "text_type": "t", "hazard": "fire", "text": "Feuer \\uD83D\\uDD25"}\n',
             encoding="utf-8",
         )
-        [doc] = load_documents(path, format="jsonl")
+        [doc] = load_documents(path, format="jsonl").rows()
         assert (doc[DOC_OUTLET], doc[DOC_TEXT]) == ("\U0001f600", "Feuer \U0001f525")
         assert doc[DOC_TEXT_KEY] == text_digest("Feuer \U0001f525")
 
@@ -238,7 +251,7 @@ class TestLoadDocuments:
             encoding="utf-8-sig",
         )
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-        docs = load_documents(path, format="jsonl")
+        docs = load_documents(path, format="jsonl").rows()
         assert [(d[DOC_ID], d[DOC_DATE]) for d in docs] == [("a1", D(2011, 1, 12))]
 
     # Python 3.11's date.fromisoformat reads the first two as 2020-01-10.
@@ -262,19 +275,22 @@ class TestLoadDocuments:
         with pytest.raises(InputError, match=re.escape(message)):
             load_documents(jsonl_path, format="jsonl")
 
-    def test_repeated_dates_and_labels_share_one_object(self, tmp_path):
+    def test_repeated_labels_share_one_code(self, tmp_path):
         path = write_csv(
             tmp_path,
             "a1,2020-01-10,Spiegel,Bericht,fire,x\na2,2020-01-10,Spiegel,Bericht,fire,y\n",
         )
-        first, second = load_documents(path)
-        assert first[DOC_DATE] is second[DOC_DATE]
-        assert first[DOC_OUTLET] is second[DOC_OUTLET]
-        assert first[DOC_TEXT_TYPE] is second[DOC_TEXT_TYPE]
+        corpus = load_documents(path)
+        fire = corpus.columns["fire"]
+        assert list(fire.days) == [D(2020, 1, 10).toordinal()] * 2
+        assert (list(fire.outlets), list(fire.genres), list(fire.texts)) == ([0, 0], [0, 0], [0, 1])
+        assert corpus.outlets == ["Spiegel"]
+        assert (corpus.genres, corpus.texts) == (["Bericht"], ["x", "y"])
+        first, second = corpus.rows()
         assert first[DOC_HAZARD] is second[DOC_HAZARD]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_documents_are_tuples_the_gc_does_not_track(self, tmp_path, fmt):
+    def test_no_document_is_an_object_the_gc_tracks(self, tmp_path, fmt):
         texts = ["Erdrutsch in Brasilien nach Starkregen", "Feuer in Brasilien nach Hitze"]
         records = [
             dict(id=f"a{i}", date=f"2020-01-1{i % 3}", outlet=f"Blatt {i % 2}",
@@ -289,11 +305,16 @@ class TestLoadDocuments:
                 writer.writerows(records)
         else:
             path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        docs = load_documents(path, fmt)
-        gc.collect()
-        assert [type(doc) for doc in docs] == [tuple] * 6
-        assert [doc for doc in docs if gc.is_tracked(doc)] == []
-        # Reprints share one text object.
+        corpus = load_documents(path, fmt)
+        fire = corpus.columns["fire"]
+        # A collection scans each column as one object: no row is one it tracks.
+        for name in _COLUMNS:
+            assert [o for o in gc.get_referents(getattr(fire, name)) if gc.is_tracked(o)] in (
+                [], [array]
+            )
+        # Reprints share one text code.
+        assert (corpus.texts, list(fire.texts)) == (texts, [0, 1] * 3)
+        docs = list(corpus.rows())
         assert docs[0][DOC_TEXT] is docs[2][DOC_TEXT] is docs[4][DOC_TEXT]
         assert docs[1][DOC_TEXT] is docs[3][DOC_TEXT] is docs[5][DOC_TEXT]
         assert docs == oracle_load_documents(path, fmt)
@@ -411,15 +432,15 @@ class TestLoaderOracle:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"docs.{fmt}"
             path.write_bytes(data)
-            got = _outcome(lambda: load_documents(path, fmt))
-            want = _outcome(lambda: oracle_load_documents(path, fmt))
+            got = _outcome(lambda: by_hazard(load_documents(path, fmt).rows()))
+            want = _outcome(lambda: by_hazard(oracle_load_documents(path, fmt)))
         assert got == want
 
     def test_repeated_texts_without_keys_get_the_oracle_digests(self, tmp_path):
         texts = ["Erdrutsch in Brasilien", "Erdrutsch in Peru"]
         rows = "".join(f"d{i},2020-01-{i % 3 + 10},o,t,fire,{texts[i % 2]}\n" for i in range(6))
         path = write_csv(tmp_path, rows)
-        docs = load_documents(path)
+        docs = list(load_documents(path).rows())
         assert docs == oracle_load_documents(path)
         assert docs[0][DOC_TEXT_KEY] is docs[2][DOC_TEXT_KEY]
 
@@ -519,7 +540,7 @@ class TestCountryMentions:
         gaz = load_gazetteer(target="Guinea-Bissau")
         assert extract_country_mentions("Flut in Guinea-Bissau", gaz) == {"Guinea-Bissau"}
         doc = make_doc("a", D(2011, 1, 1), text="Flut in Guinea-Bissau")
-        assert filter_single_country([doc], gaz) == [doc]
+        assert kept_rows([doc], gaz) == [doc]
 
     def test_three_nested_names(self):
         gaz = Gazetteer(
@@ -541,7 +562,7 @@ class TestCountryMentions:
         gaz = load_gazetteer(target="Guinea")
         text = "Guinea und Guinea-Bissau"
         assert extract_country_mentions(text, gaz) == {"Guinea", "Guinea-Bissau"}
-        assert filter_single_country([make_doc("a", D(2011, 1, 1), text=text)], gaz) == []
+        assert kept_rows([make_doc("a", D(2011, 1, 1), text=text)], gaz) == []
 
 
 class TestSingleCountryFilter:
@@ -550,17 +571,28 @@ class TestSingleCountryFilter:
         dropped_multi = make_doc("b", D(2011, 1, 1), text="Brasilien und Peru")
         dropped_none = make_doc("c", D(2011, 1, 1), text="Starkregen im Gebirge")
         dropped_other = make_doc("d", D(2011, 1, 1), text="Unwetter in Kolumbien")
-        result = filter_single_country(
-            [kept, dropped_multi, dropped_none, dropped_other], south_america
-        )
-        assert result == [kept]
+        corpus = Corpus.from_rows([kept, dropped_multi, dropped_none, dropped_other])
+        result = filter_single_country(corpus, south_america)
+        assert result is corpus
+        assert list(result.rows()) == [kept]
+
+    def test_only_a_hazard_that_lost_a_document_is_rebuilt(self, south_america):
+        texts = ["Brasilien", "Brasilien und Peru", "Peru", "in Brasilien", "Kolumbien"]
+        docs = [make_doc(f"L{i}", D(2011, 1, 1), text=t) for i, t in enumerate(texts * 2)]
+        docs.append(make_doc("F0", D(2011, 1, 1), hazard="fire", text="Brasilien"))
+        corpus = Corpus.from_rows(docs)
+        fire = corpus.columns["fire"]
+        fire_columns = [getattr(fire, name) for name in _COLUMNS]
+        kept = [d[DOC_ID] for d in filter_single_country(corpus, south_america).rows()]
+        assert kept == ["L0", "L3", "L5", "L8", "F0"]
+        assert all(getattr(fire, name) is column for name, column in zip(_COLUMNS, fire_columns))
 
     def test_filter_preserves_order(self, south_america):
         docs = [
             make_doc(f"a{i}", D(2011, 1, 1 + i), text=f"Brasilien Tag {i}")
             for i in range(5)
         ]
-        assert filter_single_country(docs, south_america) == docs
+        assert kept_rows(docs, south_america) == docs
 
     def test_filter_monotone_in_gazetteer(self):
         texts = [
@@ -573,8 +605,8 @@ class TestSingleCountryFilter:
         docs = [make_doc(f"a{i}", D(2011, 1, 1), text=t) for i, t in enumerate(texts)]
         small = Gazetteer(entries=("Brasilien", "Peru"), target="Brasilien")
         large = Gazetteer(entries=("Brasilien", "Peru", "Chile"), target="Brasilien")
-        kept_small = filter_single_country(docs, small)
-        kept_large = filter_single_country(docs, large)
+        kept_small = kept_rows(docs, small)
+        kept_large = kept_rows(docs, large)
         assert set(d[DOC_ID] for d in kept_large) <= set(d[DOC_ID] for d in kept_small)
         assert all(d in docs for d in kept_small)
 
@@ -716,8 +748,10 @@ class TestCountryFilterOracle:
             )
             for i, j in enumerate(picks)
         ]
-        kept = filter_single_country(docs, gaz)
-        assert [d[DOC_ID] for d in kept] == oracle_filter_ids(docs, gaz)
+        corpus = Corpus.from_rows(docs)
+        rows = list(corpus.rows())
+        kept = filter_single_country(corpus, gaz).rows()
+        assert [d[DOC_ID] for d in kept] == oracle_filter_ids(rows, gaz)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -726,14 +760,14 @@ class TestCountryFilterOracle:
         large = Gazetteer(entries=small.entries + tuple(more), target=small.target)
         texts = data.draw(st.lists(_texts(large), min_size=1, max_size=8))
         docs = [make_doc(f"d{i}", D(2011, 1, 1), text=t) for i, t in enumerate(texts)]
-        kept_small = {d[DOC_ID] for d in filter_single_country(docs, small)}
-        kept_large = {d[DOC_ID] for d in filter_single_country(docs, large)}
+        kept_small = {d[DOC_ID] for d in kept_rows(docs, small)}
+        kept_large = {d[DOC_ID] for d in kept_rows(docs, large)}
         assert kept_large <= kept_small
 
 
 class TestCountSeries:
     def test_empty_docs_give_zero_series(self):
-        series = build_count_series([], "landslide", D(2020, 1, 1), D(2020, 1, 10))
+        series = build_count_series(Corpus(), "landslide", D(2020, 1, 1), D(2020, 1, 10))
         assert series.n_days == 10
         assert sum(series.counts) == 0
 
@@ -742,16 +776,18 @@ class TestCountSeries:
             make_doc("a", D(2020, 1, 5), outlet="A", text="x", text_key="k"),
             make_doc("b", D(2020, 1, 5), outlet="B", text="x", text_key="k"),
         ]
-        series = build_count_series(docs, "landslide", D(2020, 1, 1), D(2020, 1, 10))
+        corpus = Corpus.from_rows(docs)
+        series = build_count_series(corpus, "landslide", D(2020, 1, 1), D(2020, 1, 10))
         assert series.counts[4] == 2
 
     def test_full_range_has_9132_days(self):
-        series = build_count_series([], "fire", D(2000, 1, 1), D(2024, 12, 31))
+        series = build_count_series(Corpus(), "fire", D(2000, 1, 1), D(2024, 12, 31))
         assert series.n_days == 9132
 
     def test_leap_day_is_addressable(self):
         docs = [make_doc("a", D(2000, 2, 29))]
-        series = build_count_series(docs, "landslide", D(2000, 1, 1), D(2000, 12, 31))
+        corpus = Corpus.from_rows(docs)
+        series = build_count_series(corpus, "landslide", D(2000, 1, 1), D(2000, 12, 31))
         index = series.index_of(D(2000, 2, 29))
         assert index == 59
         assert series.counts[index] == 1
@@ -760,23 +796,25 @@ class TestCountSeries:
     def test_document_outside_range_names_the_id(self):
         docs = [make_doc("stray", D(1999, 12, 31))]
         with pytest.raises(InputError, match="'stray'"):
-            build_count_series(docs, "landslide", D(2000, 1, 1), D(2000, 12, 31))
+            build_count_series(Corpus.from_rows(docs), "landslide", D(2000, 1, 1), D(2000, 12, 31))
 
     def test_only_matching_hazard_is_counted(self):
         docs = [make_doc("a", D(2020, 1, 2), hazard="fire")]
-        series = build_count_series(docs, "landslide", D(2020, 1, 1), D(2020, 1, 3))
+        corpus = Corpus.from_rows(docs)
+        series = build_count_series(corpus, "landslide", D(2020, 1, 1), D(2020, 1, 3))
         assert sum(series.counts) == 0
 
     def test_count_conservation(self):
         rng = np.random.default_rng(7)
         days = [D(2020, 1, 1) + datetime.timedelta(days=int(d)) for d in rng.integers(0, 30, 100)]
         docs = [make_doc(f"a{i}", day) for i, day in enumerate(days)]
-        series = build_count_series(docs, "landslide", D(2020, 1, 1), D(2020, 1, 30))
+        corpus = Corpus.from_rows(docs)
+        series = build_count_series(corpus, "landslide", D(2020, 1, 1), D(2020, 1, 30))
         assert sum(series.counts) == 100
 
     def test_inverted_range_rejected(self):
         with pytest.raises(InputError, match="not well-ordered"):
-            build_count_series([], "fire", D(2020, 1, 2), D(2020, 1, 1))
+            build_count_series(Corpus(), "fire", D(2020, 1, 2), D(2020, 1, 1))
 
     def test_determinism_under_row_permutation(self):
         rng = np.random.default_rng(11)
@@ -784,10 +822,11 @@ class TestCountSeries:
         docs = [make_doc(f"a{i}", day) for i, day in enumerate(days)]
         shuffled = list(docs)
         rng.shuffle(shuffled)
-        a = build_count_series(docs, "landslide", D(2020, 1, 1), D(2020, 2, 15))
-        b = build_count_series(shuffled, "landslide", D(2020, 1, 1), D(2020, 2, 15))
+        corpus, shuffled_corpus = Corpus.from_rows(docs), Corpus.from_rows(shuffled)
+        a = build_count_series(corpus, "landslide", D(2020, 1, 1), D(2020, 2, 15))
+        b = build_count_series(shuffled_corpus, "landslide", D(2020, 1, 1), D(2020, 2, 15))
         assert a == b
-        assert corpus_stats(docs, a) == corpus_stats(shuffled, b)
+        assert corpus_stats(corpus, a) == corpus_stats(shuffled_corpus, b)
 
 
 class TestCountSeriesOracle:
@@ -795,11 +834,12 @@ class TestCountSeriesOracle:
         rng = np.random.default_rng(19)
         for _ in range(60):
             series = random_series(rng, max_len=150, max_value=6)
-            docs = random_corpus(rng, series)
+            corpus = Corpus.from_rows(random_corpus(rng, series))
+            rows = list(corpus.rows())
             for hazard in ("landslide", "fire"):
-                built = build_count_series(docs, hazard, series.start, series.end)
+                built = build_count_series(corpus, hazard, series.start, series.end)
                 nonzero = {offset: count for offset, count in enumerate(built.counts) if count}
-                assert nonzero == oracle_count_series(docs, hazard, series.start, series.end)
+                assert nonzero == oracle_count_series(rows, hazard, series.start, series.end)
 
     @pytest.mark.parametrize("side", ["before", "after"])
     def test_document_outside_the_range_raises_on_both_sides(self, side):
@@ -812,10 +852,11 @@ class TestCountSeriesOracle:
             else:
                 stray = series.end + datetime.timedelta(days=1)
             docs.insert(int(rng.integers(len(docs) + 1)), make_doc("stray", stray, hazard="fire"))
+            corpus = Corpus.from_rows(docs)
             with pytest.raises(InputError, match="'stray'"):
-                build_count_series(docs, "landslide", series.start, series.end)
+                build_count_series(corpus, "landslide", series.start, series.end)
             with pytest.raises(InputError, match="'stray'"):
-                oracle_count_series(docs, "landslide", series.start, series.end)
+                oracle_count_series(list(corpus.rows()), "landslide", series.start, series.end)
 
 
 class TestCorpusStats:
@@ -825,7 +866,7 @@ class TestCorpusStats:
         for offset, count in enumerate(series.counts):
             day = series.start + datetime.timedelta(days=offset)
             docs.extend(make_doc(f"d{offset}-{i}", day) for i in range(int(count)))
-        stats = corpus_stats(docs, series)
+        stats = corpus_stats(Corpus.from_rows(docs), series)
         assert stats.daily_max == 4
         assert stats.n_active_days == 2
         assert stats.active_mean == 3.0
@@ -834,7 +875,7 @@ class TestCorpusStats:
 
     def test_all_zero_series_has_null_moments(self):
         series = make_series([0, 0, 0])
-        stats = corpus_stats([], series)
+        stats = corpus_stats(Corpus(), series)
         assert stats.n_active_days == 0
         assert stats.active_mean is None
         assert stats.active_std is None
@@ -846,15 +887,17 @@ class TestCorpusStats:
             make_doc("a", day, outlet="A", text_type="g1", text_key="k1"),
             make_doc("b", day, outlet="B", text_type="g1", text_key="k1"),
             make_doc("c", day, outlet="A", text_type="g2", text_key="k2"),
+            make_doc("d", day, outlet="C", text_type="g1", text_key="k1"),
+            make_doc("e", day, hazard="fire", outlet="D", text_type="g3", text_key="k3"),
         ]
-        stats = corpus_stats(docs, make_series([3]))
+        stats = corpus_stats(Corpus.from_rows(docs), make_series([4]))
         assert stats.n_text_types == 2
         assert stats.n_genres == 2
-        assert stats.n_outlets == 2
+        assert stats.n_outlets == 3
 
     def test_mismatched_series_is_rejected(self):
         with pytest.raises(ConsistencyError, match="does not match"):
-            corpus_stats([], make_series([1]))
+            corpus_stats(Corpus(), make_series([1]))
 
 
 
@@ -896,7 +939,7 @@ class TestMomentsAgainstNumpy:
     @settings(max_examples=300, deadline=None)
     @given(counts=_daily_counts())
     def test_corpus_stats_equal_numpy_bit_for_bit(self, counts):
-        docs = [make_doc("d", D(2000, 1, 1))] * sum(counts)
+        docs = Corpus.from_rows([make_doc("d", D(2000, 1, 1))] * sum(counts))
         stats = corpus_stats(docs, make_series(counts))
         active = np.array([c for c in counts if c > 0], dtype=np.int64)
         assert stats.daily_max == int(active.max())

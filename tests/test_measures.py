@@ -11,6 +11,7 @@ from attn_peaks import (
     DOC_DATE,
     DOC_HAZARD,
     ConsistencyError,
+    Corpus,
     NewsEvent,
     PeakParams,
     detect_events,
@@ -57,7 +58,7 @@ class TestCharacterize:
             make_doc("d", d + datetime.timedelta(days=1)),
             make_doc("e", d + datetime.timedelta(days=2)),
         ]
-        m = measure_events([ev], docs)[0]
+        m = measure_events([ev], Corpus.from_rows(docs))[0]
         assert m.total_volume == 5
         assert m.duration_days == 3
         assert m.days_to_peak == 1
@@ -68,7 +69,7 @@ class TestCharacterize:
         d = D(2020, 3, 10)
         ev = event("fire", d, d, d, [(d, 2)])
         docs = [make_doc("a", d, hazard="fire"), make_doc("b", d, hazard="fire")]
-        m = measure_events([ev], docs)[0]
+        m = measure_events([ev], Corpus.from_rows(docs))[0]
         assert m.duration_days == 1
         assert m.days_to_peak == 0
         assert m.days_to_fade == 0
@@ -81,7 +82,7 @@ class TestCharacterize:
             make_doc("a", d, outlet="A", text_key="same"),
             make_doc("b", d, outlet="B", text_key="same"),
         ]
-        m = measure_events([ev], docs)[0]
+        m = measure_events([ev], Corpus.from_rows(docs))[0]
         assert m.n_text_types == 1
         assert m.n_outlets == 2
         assert m.total_volume == 2
@@ -90,27 +91,27 @@ class TestCharacterize:
         d = D(2020, 3, 10)
         ev = event("landslide", d, d, d, [(d, 2)])
         docs = [make_doc("a", d), make_doc("b", d), make_doc("c", d, hazard="fire", outlet="F")]
-        m = measure_events([ev], docs)[0]
+        m = measure_events([ev], Corpus.from_rows(docs))[0]
         assert (m.total_volume, m.n_outlets) == (2, 1)
 
     def test_event_day_without_documents_is_inconsistent(self):
         d = D(2020, 3, 10)
         ev = event("landslide", d, d, d, [(d, 2)])
         with pytest.raises(ConsistencyError, match="no documents"):
-            measure_events([ev], [])[0]
+            measure_events([ev], Corpus())[0]
 
     def test_document_count_mismatch_is_inconsistent(self):
         d = D(2020, 3, 10)
         ev = event("landslide", d, d, d, [(d, 2)])
         with pytest.raises(ConsistencyError, match="corpus/series mismatch"):
-            measure_events([ev], [make_doc("a", d)])[0]
+            measure_events([ev], Corpus.from_rows([make_doc("a", d)]))[0]
 
     def test_day_counted_zero_without_documents_is_consistent(self):
         # segment_events never makes such a day; a hand-built event may hold one.
         d = D(2020, 3, 10)
         after = d + datetime.timedelta(days=1)
         ev = event("landslide", d, d, after, [(d, 1), (after, 0)])
-        m = measure_events([ev], [make_doc("a", d)])[0]
+        m = measure_events([ev], Corpus.from_rows([make_doc("a", d)]))[0]
         assert (m.total_volume, m.duration_days, m.n_outlets) == (1, 2, 1)
 
 
@@ -122,7 +123,8 @@ def gap_measures(events):
         for day, count in e.day_counts
         for n in range(count)
     ]
-    return [(m.days_since_last, m.days_since_last_peak) for m in measure_events(events, docs)]
+    measures = measure_events(events, Corpus.from_rows(docs))
+    return [(m.days_since_last, m.days_since_last_peak) for m in measures]
 
 
 class TestGaps:
@@ -315,7 +317,7 @@ class TestMeasureEvents:
         series = make_series([0, 1, 3, 1, 0, 0, 0, 0, 0, 4, 0])
         docs = docs_matching_series(series)
         events = detect_events(series, PeakParams(2, 3))
-        measures = measure_events(events, docs)
+        measures = measure_events(events, Corpus.from_rows(docs))
         assert [m.days_since_last for m in measures] == [None, 6]
         assert [m.days_since_last_peak for m in measures] == [None, 7]
 
@@ -329,7 +331,7 @@ class TestMeasureEvents:
                 min_distance=int(rng.integers(1, 15)),
             )
             events = detect_events(series, params)
-            measures = measure_events(events, docs_matching_series(series))
+            measures = measure_events(events, Corpus.from_rows(docs_matching_series(series)))
             for m in measures:
                 assert m.duration_days == m.days_to_peak + m.days_to_fade + 1
                 assert m.total_volume >= m.duration_days
@@ -354,8 +356,8 @@ class TestMeasuresAgainstOracle:
         n_events = 0
         for _ in range(80):
             series, events = _random_events(rng)
-            docs = random_corpus(rng, series)
-            assert measure_events(events, docs) == oracle_measures(events, docs)
+            corpus = Corpus.from_rows(random_corpus(rng, series))
+            assert measure_events(events, corpus) == oracle_measures(events, list(corpus.rows()))
             n_events += len(events)
         assert n_events > 500
 
@@ -376,8 +378,9 @@ class TestMeasuresAgainstOracle:
                 docs.remove(
                     next(d for d in docs if d[DOC_DATE] == day and d[DOC_HAZARD] == "landslide")
                 )
+            corpus = Corpus.from_rows(docs)
             with pytest.raises(ConsistencyError):
-                measure_events(events, docs)
+                measure_events(events, corpus)
             with pytest.raises(ConsistencyError):
-                oracle_measures(events, docs)
+                oracle_measures(events, list(corpus.rows()))
             checked += 1

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 import weakref
+from array import array
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attn_peaks import (
-    DOC_DATE,
-    DOC_HAZARD,
     InputError,
     NewsEvent,
     PeakParams,
@@ -24,6 +23,7 @@ from attn_peaks import (
 from attn_peaks import align as align_mod
 from attn_peaks import pipeline
 from attn_peaks.align import AlignmentPair, AlignmentReport, RegistryLoad
+from attn_peaks.ingest import _COLUMNS
 from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
 from support import make_series, oracle_alignment_json, write_small_corpus
 
@@ -150,6 +150,17 @@ class TestConfig:
         config.registries = (("EMDAT", emdat), ("EMDAT", emdat))
         with pytest.raises(InputError, match="registry source 'EMDAT' is configured twice"):
             validate_config(config)
+
+    def test_ignore_is_not_a_hazard_label(self, golden_dir):
+        # A [type_map] entry naming "ignore" drops its records, so no record could reach it.
+        config = PipelineConfig(
+            documents=golden_dir / "documents.csv", hazards=("landslide", "fire", "ignore")
+        )
+        message = "hazard label 'ignore' is reserved for the type map"
+        with pytest.raises(InputError, match=re.escape(message)):
+            validate_config(config)
+        with pytest.raises(InputError, match=re.escape(f"config: {message}")):
+            run_pipeline(config, "ingest")
 
     @pytest.mark.parametrize("label", ["a/b", "a\\b", "a\0b", "/"])
     def test_hazard_label_with_a_path_separator_or_nul_rejected(self, tmp_path, label):
@@ -353,24 +364,31 @@ class TestRunPipeline:
         assert {s: v["unmatched_records"] for s, v in by_source.items()} == {"EMDAT": 0, "S2ID": 1}
 
     def test_corpus_is_freed_once_measured(self, golden_dir, tmp_path, monkeypatch):
-        # A date subclass can be weakly referenced, a tuple or a str cannot:
-        # a document is alive while its date is.
-        class Day(datetime.date):
+        # An array can be weakly referenced, a list cannot: a hazard's
+        # documents are alive while one of its column arrays is. The texts
+        # table, which every hazard shares, becomes a list subclass, which can.
+        class Table(list):
             pass
 
-        dates: dict[str, list[weakref.ref]] = {}
-        real_load = pipeline.load_documents
+        arrays: dict[str, list[weakref.ref]] = {}
 
-        def load_weakly_dated(*args):
-            docs = []
-            for doc in real_load(*args):
-                day = Day.fromordinal(doc[DOC_DATE].toordinal())
-                dates.setdefault(doc[DOC_HAZARD], []).append(weakref.ref(day))
-                docs.append((*doc[:DOC_DATE], day, *doc[DOC_DATE + 1 :]))
-            return docs
+        def weakly_referenced(produce):
+            def wrapper(*args):
+                corpus = produce(*args)
+                if produce is real_load:
+                    corpus.texts = Table(corpus.texts)
+                    arrays["texts table"] = [weakref.ref(corpus.texts)]
+                for hazard, columns in corpus.columns.items():
+                    for name in _COLUMNS:
+                        column = getattr(columns, name)
+                        if isinstance(column, array):
+                            arrays.setdefault(hazard, []).append(weakref.ref(column))
+                return corpus
+
+            return wrapper
 
         def n_alive(hazards) -> int:
-            return sum(ref() is not None for h in hazards for ref in dates.get(h, ()))
+            return sum(ref() is not None for h in hazards for ref in arrays.get(h, ()))
 
         config = load_config(golden_dir / "config.ini")
         config.out_dir = tmp_path / "out"
@@ -386,14 +404,19 @@ class TestRunPipeline:
             return real_measure(*args)
 
         def load_registry(*args):
-            at_registry.append(n_alive(dates))
+            at_registry.append(n_alive(arrays))
             return real_registry(*args)
 
-        monkeypatch.setattr(pipeline, "load_documents", load_weakly_dated)
+        # The loaded columns, and those the filter rebuilt.
+        real_load = pipeline.load_documents
+        for stage in ("load_documents", "filter_single_country"):
+            monkeypatch.setattr(pipeline, stage, weakly_referenced(getattr(pipeline, stage)))
         monkeypatch.setattr(pipeline, "measure_events", measure)
         monkeypatch.setattr(align_mod, "load_registry", load_registry)
         files = run_pipeline(config, "run").files
-        assert all(dates.get(h) for h in hazards)
+        # Four arrays per hazard, as loaded and as filtered.
+        assert [len(arrays.get(h, ())) for h in hazards] == [8] * len(hazards)
+        assert len(arrays["texts table"]) == 1
         assert at_measure == [0] * len(hazards)
         assert at_registry == [0] * len(config.registries)
         for name, path in files.items():
