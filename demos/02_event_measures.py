@@ -11,7 +11,9 @@ statistics with Tukey fences.
 
 import datetime
 
-from attn_peaks import Corpus, CountSeries, PeakParams, detect_events, measure_events, summarize
+from attn_peaks import (
+    Corpus, CountSeries, Document, PeakParams, detect_events, measure_events, summarize,
+)
 
 start = datetime.date(2021, 1, 1)
 counts = [0] * 120
@@ -21,11 +23,11 @@ counts[90:92] = [6, 2]      # a sharp two-day burst
 
 series = CountSeries(start=start, end=start + datetime.timedelta(days=119), counts=counts, hazard="fire")
 
-# One document per counted article, as the tuple
-# (id, date, outlet, text_type, hazard, text, text_key) that Corpus.rows()
-# gives. Two documents on the spike day carry the same text (an agency
-# wire reprinted by a second outlet), so the spike has 4 articles but only
-# 3 unique texts.
+# One document per counted article, as the Document that Corpus.rows()
+# gives: a named tuple with the fields id, date, outlet, text_type, hazard,
+# text and text_key. Two documents on the spike day carry the same text (an
+# agency wire reprinted by a second outlet), so the spike has 4 articles but
+# only 3 unique texts.
 docs = []
 n = 0
 for offset, count in enumerate(counts):
@@ -35,7 +37,7 @@ for offset, count in enumerate(counts):
         outlet = f"Blatt {n % 4 + 1}"
         genre = f"Genre {n % 2 + 1}"
         # The text doubles as its identity key; normally that is a content digest.
-        docs.append((f"a{n}", day, outlet, genre, "fire", text, text))
+        docs.append(Document(f"a{n}", day, outlet, genre, "fire", text, text_key=text))
         n += 1
 
 corpus = Corpus.from_rows(docs)  # the columns that load_documents builds from a file

@@ -8,13 +8,6 @@ every other name lives in its module.
 from .align import DisasterRecord, align_events, alignment_summary
 from .errors import AttnPeaksError, ConsistencyError, InputError
 from .ingest import (
-    DOC_DATE,
-    DOC_HAZARD,
-    DOC_ID,
-    DOC_OUTLET,
-    DOC_TEXT,
-    DOC_TEXT_KEY,
-    DOC_TEXT_TYPE,
     Corpus,
     CountSeries,
     Document,
@@ -41,13 +34,6 @@ __all__ = [
     "ConsistencyError",
     "Corpus",
     "CountSeries",
-    "DOC_DATE",
-    "DOC_HAZARD",
-    "DOC_ID",
-    "DOC_OUTLET",
-    "DOC_TEXT",
-    "DOC_TEXT_KEY",
-    "DOC_TEXT_TYPE",
     "DisasterRecord",
     "Document",
     "InputError",

@@ -3,12 +3,11 @@
 A document is one news item with a calendar date, an outlet, a genre label
 (``text_type``), a hazard label and the body text. A :class:`Corpus` holds
 the documents as columns, one group per hazard; :meth:`Corpus.rows` gives
-each as the 7-tuple ``(id, date, outlet, text_type, hazard, text,
-text_key)``, indexed by the ``DOC_*`` constants. Documents are filtered
-with a gazetteer heuristic that keeps only texts mentioning exactly one
-configured target country and no other country name. The daily counts of
-the surviving documents, per hazard, form the attention series that drives
-peak detection.
+each as a :class:`Document`, the named tuple whose fields are the columns
+of a document file. Documents are filtered with a gazetteer heuristic that
+keeps only texts mentioning exactly one configured target country and no
+other country name. The daily counts of the surviving documents, per
+hazard, form the attention series that drives peak detection.
 
 File formats
 ------------
@@ -48,7 +47,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import ConsistencyError, InputError
 
@@ -56,8 +55,6 @@ DEFAULT_HAZARDS = ("landslide", "fire")
 DEFAULT_TARGET = "Brasilien"
 
 DOC_FORMATS = ("csv", "jsonl")
-DOCUMENT_COLUMNS = ("id", "date", "outlet", "text_type", "hazard", "text")
-OPTIONAL_DOCUMENT_COLUMNS = ("text_key",)
 
 # Runs of Unicode letters; digits, underscore and punctuation all delimit.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
@@ -104,10 +101,21 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()
 
 
-# A row of Corpus.rows() is the tuple (id, date, outlet, text_type, hazard,
-# text, text_key), indexed by these constants.
-DOC_ID, DOC_DATE, DOC_OUTLET, DOC_TEXT_TYPE, DOC_HAZARD, DOC_TEXT, DOC_TEXT_KEY = range(7)
-Document = tuple[str, datetime.date, str, str, str, str, str]
+class Document(NamedTuple):
+    """One document as :meth:`Corpus.rows` gives it.
+
+    The fields, in order, are the columns of a document file; ``text_key``
+    is the last and the only one that a file may leave out.
+    """
+
+    id: str
+    date: datetime.date
+    outlet: str
+    text_type: str
+    hazard: str
+    text: str
+    text_key: str
+
 
 _COLUMNS = ("ids", "days", "outlets", "genres", "texts", "keys")
 
@@ -186,21 +194,11 @@ class Corpus:
         """The columns of ``hazard``; empty ones for a hazard without documents."""
         return self.columns.get(hazard) or Columns()
 
-    def pop(self, hazard: str) -> Corpus:
-        """A corpus of the documents of ``hazard`` alone, taken out of this one.
-
-        The two share the value tables.
-        """
-        part = Corpus()
-        part.outlets, part.genres, part.texts = self.outlets, self.genres, self.texts
-        if hazard in self.columns:
-            part.columns[hazard] = self.columns.pop(hazard)
-        return part
-
     def rows(self) -> Iterator[Document]:
-        """Each document as a ``Document`` tuple: hazard by hazard, in file order within one."""
+        """Each document as a :class:`Document`: hazard by hazard, in file order within one."""
         for hazard, c in self.columns.items():
-            yield from zip(
+            yield from map(
+                Document,
                 c.ids,
                 map(datetime.date.fromordinal, c.days),
                 map(self.outlets.__getitem__, c.outlets),
@@ -212,7 +210,7 @@ class Corpus:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Document]) -> Corpus:
-        """A corpus of ``Document`` tuples, hazards in order of first appearance.
+        """A corpus of documents or plain 7-tuples, hazards in order of first appearance.
 
         The rows are taken as they are; unlike :func:`load_documents`, nothing is checked.
         """
@@ -493,7 +491,7 @@ def _read_documents(
     dates: dict[str, int] = {}
     digests: dict[str, str] = {}
     outlets, genres, texts = _Codes(), _Codes(), _Codes()
-    has_key = width > len(DOCUMENT_COLUMNS)
+    has_key = width == len(Document._fields)
     for row, fields in rows:
         if len(fields) != width:
             raise row_error(path, row, f"expected {width} fields, got {len(fields)}")
@@ -529,7 +527,6 @@ def _read_documents(
     return corpus
 
 
-_JSONL_FIELDS = DOCUMENT_COLUMNS + OPTIONAL_DOCUMENT_COLUMNS
 # A JSON \uD800-\uDFFF escape that is not half of a pair decodes to a lone
 # surrogate, which is not text: it cannot be encoded, digested or written.
 # Only rows whose raw line holds such an escape are scanned for one. Most
@@ -540,7 +537,8 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 def _jsonl_rows(handle: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
     """Numbered 7-field rows of a JSON-lines file; blank lines are skipped."""
-    allowed = set(_JSONL_FIELDS)
+    keys = Document._fields
+    required = keys[:-1]
     for row, line in enumerate(handle, start=1):
         if not line.strip():
             continue
@@ -550,18 +548,18 @@ def _jsonl_rows(handle: TextIO, path: Path) -> Iterator[tuple[int, list[str]]]:
             raise row_error(path, row, f"malformed JSON: {exc}") from None
         if not isinstance(record, dict):
             raise row_error(path, row, "expected a JSON object")
-        unknown = sorted(set(record) - allowed)
+        unknown = sorted(record.keys() - keys)
         if unknown:
             raise row_error(path, row, f"unknown field {unknown[0]!r}")
-        missing = [k for k in DOCUMENT_COLUMNS if k not in record]
+        missing = [k for k in required if k not in record]
         if missing:
             raise row_error(path, row, f"missing field {missing[0]!r}")
-        fields = [record.get(k, "") for k in _JSONL_FIELDS]
-        for key, value in zip(_JSONL_FIELDS, fields):
+        fields = [record.get(k, "") for k in keys]
+        for key, value in zip(keys, fields):
             if not isinstance(value, str):
                 raise row_error(path, row, f"field {key!r} must be a string")
         if "\\" in line and ("\\ud" in line or "\\uD" in line):
-            for key, value in zip(_JSONL_FIELDS, fields):
+            for key, value in zip(keys, fields):
                 if _SURROGATE.search(value):
                     raise row_error(path, row, f"field {key!r} holds an unpaired surrogate escape")
         yield row, fields
@@ -589,12 +587,12 @@ def load_documents(
     check_format(format)
     path = Path(path)
     if format == "csv":
-        optional = OPTIONAL_DOCUMENT_COLUMNS
-        with csv_rows(path, "documents", "document", DOCUMENT_COLUMNS, optional) as (header, rows):
+        columns = Document._fields
+        with csv_rows(path, "documents", "document", columns[:-1], columns[-1:]) as (header, rows):
             return _read_documents(path, rows, len(header), hazards)
     try:
         with open_input(path, "documents") as handle:
-            return _read_documents(path, _jsonl_rows(handle, path), len(_JSONL_FIELDS), hazards)
+            return _read_documents(path, _jsonl_rows(handle, path), len(Document._fields), hazards)
     except UnicodeDecodeError:
         raise undecodable(path, jsonl=True) from None
 

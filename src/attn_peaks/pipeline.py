@@ -24,6 +24,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import tempfile
 from contextlib import contextmanager, suppress
@@ -40,7 +41,6 @@ from .ingest import (
     DEFAULT_HAZARDS,
     DEFAULT_TARGET,
     DOC_FORMATS,
-    Corpus,
     CorpusStats,
     CountSeries,
     build_count_series,
@@ -100,6 +100,18 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+# ASCII digits only: int() would also read other scripts' digits and underscores.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(raw: str) -> int:
+    """An optional sign and ASCII digits, whitespace around them stripped; ValueError otherwise."""
+    raw = raw.strip()
+    if not _INTEGER.fullmatch(raw):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 class Setting(NamedTuple):
     """One run parameter: its config-file key, its flag and the field it sets."""
 
@@ -121,11 +133,11 @@ SETTINGS = (
     Setting("range", "end", "--end", "end", parse_date, "last day of the series range"),
     Setting("gazetteer", "path", "--gazetteer", "gazetteer", Path, "country list file"),
     Setting("gazetteer", "target", "--target", "target", str, "target country name"),
-    Setting("peaks", "min_height", "--min-height", "min_height", int,
+    Setting("peaks", "min_height", "--min-height", "min_height", parse_int,
             "inclusive peak height threshold"),
-    Setting("peaks", "min_distance", "--min-distance", "min_distance", int,
+    Setting("peaks", "min_distance", "--min-distance", "min_distance", parse_int,
             "minimum days between peaks"),
-    Setting("align", "window_days", "--window-days", "window_days", int,
+    Setting("align", "window_days", "--window-days", "window_days", parse_int,
             "alignment window in days"),
     Setting("align", "emdat", "--emdat", "registries", Path, "EM-DAT style registry CSV"),
     Setting("align", "s2id", "--s2id", "registries", Path, "S2iD style registry CSV"),
@@ -135,7 +147,7 @@ SETTINGS = (
 )
 
 # How a value is described that its setting's parser rejects.
-_INVALID = {int: "must be an integer", parse_date: "is not a date"}
+_INVALID = {parse_int: "must be an integer", parse_date: "is not a date"}
 
 
 def apply_setting(config: PipelineConfig, setting: Setting, raw: str, where: str) -> None:
@@ -279,11 +291,13 @@ def _sha256(path: Path, role: str) -> str:
     return digest.hexdigest()
 
 
+def _json_text(obj) -> str:
+    """``obj`` laid out as every small JSON artifact is: keys sorted, two-space indent."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(_json_text(obj) + "\n", encoding="utf-8")
 
 
 def emit_timeseries(series: CountSeries, events: list[NewsEvent], path: Path | str) -> Path:
@@ -371,7 +385,7 @@ def _write_alignment(
     ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the three
     long lists are written item by item from fixed templates instead, each
     string escaped by ``encode_basestring``, the escaper ``json.dumps`` uses
-    when ``ensure_ascii`` is off. ``json.dumps`` writes the small fields.
+    when ``ensure_ascii`` is off. :func:`_json_text` writes the small fields.
     """
     esc = encode_basestring
     write = handle.write
@@ -379,8 +393,7 @@ def _write_alignment(
     def nested(value) -> str:
         # json escapes the newlines in strings, so each one here starts a line:
         # indent every line after the first one level deeper.
-        text = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
-        return text.replace("\n", "\n  ")
+        return _json_text(value).replace("\n", "\n  ")
 
     def array(items: Iterator[str]) -> None:
         first = next(items, None)
@@ -455,24 +468,6 @@ def _manifest(config: PipelineConfig, command: str) -> dict:
     }
 
 
-def _ingest(config: PipelineConfig, hazards: tuple[str, ...], run: RunArtifacts) -> Corpus:
-    """Load and filter the corpus, keep the columns of ``hazards``; fill in their series and stats.
-
-    The corpus returned holds the only references to the documents, so the
-    caller frees a hazard's documents by popping them.
-    """
-    gazetteer = load_gazetteer(config.gazetteer, target=config.target)
-    corpus = filter_single_country(
-        load_documents(config.documents, config.doc_format, config.hazards), gazetteer
-    )
-    corpus.columns = {hazard: corpus.columns[hazard] for hazard in hazards}
-    for hazard in hazards:
-        series = build_count_series(corpus, hazard, config.start, config.end)
-        run.series[hazard] = series
-        run.stats[hazard] = corpus_stats(corpus, series)
-    return corpus
-
-
 def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     """Run the pipeline up to ``command`` and write that stage's artifacts.
 
@@ -480,10 +475,11 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     manifest. Any stage error aborts the run with a stage-tagged message;
     nothing is left behind in the output directory.
 
-    The corpus is held only through the measure stage, its last reader:
-    each hazard's documents are freed once measured. The registries and
-    pairs of the align stage reuse that memory, so a run's high-water mark
-    is that of its largest stage, not the sum of the stages.
+    One corpus is held from load through the measure stage, its last
+    reader. The documents of hazards the run leaves out are freed before
+    the filter, and each hazard's once measured. The registries and pairs
+    of the align stage reuse that memory, so a run's high-water mark is
+    that of its largest stage, not the sum of the stages.
     """
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
@@ -495,7 +491,15 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     run = RunArtifacts()
 
     with _stage("ingest"):
-        corpus = _ingest(config, hazards, run)
+        gazetteer = load_gazetteer(config.gazetteer, target=config.target)
+        corpus = load_documents(config.documents, config.doc_format, config.hazards)
+        # The hazards the run leaves out are freed before the filter reads them.
+        corpus.columns = {hazard: corpus.columns[hazard] for hazard in hazards}
+        corpus = filter_single_country(corpus, gazetteer)
+        for hazard in hazards:
+            series = build_count_series(corpus, hazard, config.start, config.end)
+            run.series[hazard] = series
+            run.stats[hazard] = corpus_stats(corpus, series)
 
     if want >= stages.index("detect"):
         with _stage("detect"):
@@ -506,8 +510,8 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     if want >= stages.index("measure"):
         with _stage("measure"):
             for hazard in hazards:
-                # Popped, a hazard's documents are freed as soon as they are measured.
-                run.measures[hazard] = measure_events(run.events[hazard], corpus.pop(hazard))
+                run.measures[hazard] = measure_events(run.events[hazard], corpus)
+                del corpus.columns[hazard]
             del corpus  # and with it the value tables
             run.summaries = _summaries(run.measures)
     if want >= stages.index("align"):

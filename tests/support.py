@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from attn_peaks import (
-    DOC_ID,
-    DOC_TEXT,
     ConsistencyError,
     CountSeries,
     DisasterRecord,
@@ -62,7 +60,7 @@ def make_doc(
     text_key: str | None = None,
 ) -> Document:
     key = text_key if text_key is not None else f"key-{doc_id}"
-    return (doc_id, day, outlet, text_type, hazard, text, key)
+    return Document(doc_id, day, outlet, text_type, hazard, text, key)
 
 
 def docs_matching_series(series: CountSeries, outlet_pool: int = 5, genre_pool: int = 3):
@@ -444,7 +442,7 @@ def by_hazard(rows) -> dict[str, list[Document]]:
 def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[str]:
     """Ids of the documents whose oracle mentions are exactly the target, in order."""
     target = {gazetteer.target_entry}
-    return [d[DOC_ID] for d in docs if oracle_country_mentions(d[DOC_TEXT], gazetteer) == target]
+    return [d.id for d in docs if oracle_country_mentions(d.text, gazetteer) == target]
 
 
 def _oracle_date(value, path: Path, row: int) -> datetime.date:
@@ -474,7 +472,7 @@ def _oracle_document(values: dict, path: Path, row: int, hazards, seen_ids: set)
     text = values["text"]
     text_key = values.get("text_key") or text_digest(text)
     # The field order README documents, spelled out here rather than taken
-    # from the DOC_* constants; tuples compare field by field.
+    # from Document._fields; a Document equals the plain tuple of its fields.
     return (
         doc_id,
         _oracle_date(values["date"], path, row),

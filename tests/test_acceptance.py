@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from attn_peaks import (
-    DOC_ID,
     Corpus,
     DisasterRecord,
     NewsEvent,
@@ -300,7 +299,7 @@ def test_single_country_filter_precision_recall(data_dir):
             for row in rows
         ]
         kept_rows = filter_single_country(Corpus.from_rows(docs), gazetteer).rows()
-        kept = {d[DOC_ID] for d in kept_rows}
+        kept = {d.id for d in kept_rows}
         expected = {row["id"] for row in rows if row["label"] == "keep"}
         true_positives = len(kept & expected)
         precision = true_positives / len(kept) if kept else 0.0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from attn_peaks import ConsistencyError, PipelineConfig, load_config, pipeline
 from attn_peaks.cli import _configure, build_parser, main
 from attn_peaks.ingest import default_gazetteer_path, parse_date
-from attn_peaks.pipeline import SETTINGS
+from attn_peaks.pipeline import SETTINGS, parse_int
 from support import write_small_corpus
 
 REPO_DIR = Path(__file__).parents[1]
@@ -202,6 +202,10 @@ _KEY_AND_FLAG = [
     ("--emdat", "align", "emdat", "registries", "r/e.csv", (("EMDAT", Path("r/e.csv")),)),
     ("--s2id", "align", "s2id", "registries", "r/s.csv", (("S2ID", Path("r/s.csv")),)),
     ("--out-dir", "output", "dir", "out_dir", "o/x", Path("o/x")),
+    # An integer is an optional sign and ASCII digits.
+    ("--min-height", "peaks", "min_height", "min_height", "+3", 3),
+    ("--min-distance", "peaks", "min_distance", "min_distance", "09", 9),
+    ("--window-days", "align", "window_days", "window_days", "-0", 0),
 ]
 
 
@@ -220,7 +224,13 @@ def _flag_config(*argv: str) -> PipelineConfig:
 # Each text that a setting's parser or the format rule refuses, with the
 # message that names the key or the flag: setting, text, message.
 _REFUSED = [
-    *((s, "x", "{name} must be an integer: 'x'") for s in SETTINGS if s.parse is int),
+    # int() alone would read a full-width or Arabic-Indic digit, or an underscore.
+    *(
+        (s, raw, f"{{name}} must be an integer: {raw!r}")
+        for s in SETTINGS
+        if s.parse is parse_int
+        for raw in ("x", "\uff11", "\u0665", "1_4")
+    ),
     *(
         (s, "2020-13-01", "{name} is not a date: '2020-13-01'")
         for s in SETTINGS

@@ -18,16 +18,10 @@ from hypothesis import strategies as st
 import attn_peaks.ingest
 
 from attn_peaks import (
-    DOC_DATE,
-    DOC_HAZARD,
-    DOC_ID,
-    DOC_OUTLET,
-    DOC_TEXT,
-    DOC_TEXT_KEY,
-    DOC_TEXT_TYPE,
     ConsistencyError,
     Corpus,
     CountSeries,
+    Document,
     InputError,
     build_count_series,
     load_documents,
@@ -57,6 +51,7 @@ from support import (
 )
 
 D = datetime.date
+README = Path(__file__).parents[1] / "README.md"
 
 CSV_HEADER = "id,date,outlet,text_type,hazard,text\n"
 
@@ -101,16 +96,16 @@ class TestLoadDocuments:
         assert len(corpus) == 3
         docs = list(corpus.rows())
         first = docs[0]
-        assert first[DOC_ID] == "a1"
-        assert first[DOC_DATE] == D(2011, 1, 12)
-        assert first[DOC_OUTLET] == "Spiegel"
-        assert first[DOC_TEXT_TYPE] == "Bericht"
-        assert first[DOC_HAZARD] == "landslide"
-        assert first[DOC_TEXT] == "Erdrutsch in Brasilien"
-        assert first[DOC_TEXT_KEY] == text_digest("Erdrutsch in Brasilien")
+        assert first.id == "a1"
+        assert first.date == D(2011, 1, 12)
+        assert first.outlet == "Spiegel"
+        assert first.text_type == "Bericht"
+        assert first.hazard == "landslide"
+        assert first.text == "Erdrutsch in Brasilien"
+        assert first.text_key == text_digest("Erdrutsch in Brasilien")
         # Hazard by hazard, in file order within each.
-        assert [d[DOC_ID] for d in docs] == ["a1", "a3", "a2"]
-        assert docs[1][DOC_TEXT] == "Regen, Brasilien"
+        assert [d.id for d in docs] == ["a1", "a3", "a2"]
+        assert docs[1].text == "Regen, Brasilien"
 
     def test_impossible_calendar_day_is_rejected(self, tmp_path):
         path = write_csv(
@@ -156,8 +151,8 @@ class TestLoadDocuments:
             header="id,date,outlet,text_type,hazard,text,text_key\n",
         )
         docs = list(load_documents(path).rows())
-        assert docs[0][DOC_TEXT_KEY] == "k1"
-        assert docs[1][DOC_TEXT_KEY] == text_digest("bar")
+        assert docs[0].text_key == "k1"
+        assert docs[1].text_key == text_digest("bar")
 
     def test_csv_parse_error_names_the_row(self, tmp_path, monkeypatch):
         # A strict reader turns the stray quote in row 2 into a csv.Error.
@@ -188,8 +183,8 @@ class TestLoadDocuments:
         )
         docs = list(load_documents(path, format="jsonl").rows())
         assert len(docs) == 1
-        assert docs[0][DOC_DATE] == D(2011, 1, 12)
-        assert docs[0][DOC_TEXT_KEY] == text_digest("x")
+        assert docs[0].date == D(2011, 1, 12)
+        assert docs[0].text_key == text_digest("x")
 
     def test_jsonl_unknown_field_is_rejected(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -231,8 +226,8 @@ class TestLoadDocuments:
             encoding="utf-8",
         )
         [doc] = load_documents(path, format="jsonl").rows()
-        assert (doc[DOC_OUTLET], doc[DOC_TEXT]) == ("\U0001f600", "Feuer \U0001f525")
-        assert doc[DOC_TEXT_KEY] == text_digest("Feuer \U0001f525")
+        assert (doc.outlet, doc.text) == ("\U0001f600", "Feuer \U0001f525")
+        assert doc.text_key == text_digest("Feuer \U0001f525")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
@@ -252,7 +247,7 @@ class TestLoadDocuments:
         )
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         docs = load_documents(path, format="jsonl").rows()
-        assert [(d[DOC_ID], d[DOC_DATE]) for d in docs] == [("a1", D(2011, 1, 12))]
+        assert [(d.id, d.date) for d in docs] == [("a1", D(2011, 1, 12))]
 
     # Python 3.11's date.fromisoformat reads the first two as 2020-01-10.
     @pytest.mark.parametrize(
@@ -287,7 +282,7 @@ class TestLoadDocuments:
         assert corpus.outlets == ["Spiegel"]
         assert (corpus.genres, corpus.texts) == (["Bericht"], ["x", "y"])
         first, second = corpus.rows()
-        assert first[DOC_HAZARD] is second[DOC_HAZARD]
+        assert first.hazard is second.hazard
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_no_document_is_an_object_the_gc_tracks(self, tmp_path, fmt):
@@ -315,9 +310,44 @@ class TestLoadDocuments:
         # Reprints share one text code.
         assert (corpus.texts, list(fire.texts)) == (texts, [0, 1] * 3)
         docs = list(corpus.rows())
-        assert docs[0][DOC_TEXT] is docs[2][DOC_TEXT] is docs[4][DOC_TEXT]
-        assert docs[1][DOC_TEXT] is docs[3][DOC_TEXT] is docs[5][DOC_TEXT]
+        assert docs[0].text is docs[2].text is docs[4].text
+        assert docs[1].text is docs[3].text is docs[5].text
         assert docs == oracle_load_documents(path, fmt)
+
+
+class TestDocumentFields:
+    """``Document`` declares the document fields once: the row, the CSV header, the JSON keys."""
+
+    def test_fields_are_the_readme_header(self):
+        text = README.read_text(encoding="utf-8")
+        section = re.search(r"^## File formats\n(.*?)^## ", text, re.M | re.S).group(1)
+        header = re.search(r"CSV with header\s+`([^`]*)`", section).group(1)
+        *required, optional = Document._fields
+        assert header == ",".join(required) + f"[,{optional}]"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_rows_are_the_records_field_by_field(self, tmp_path, fmt):
+        values = [
+            ("a1", "2011-01-12", "Spiegel", "Bericht", "landslide", "Erdrutsch in Brasilien", "k"),
+            ("a2", "2011-02-03", "Zeit", "Kommentar", "fire", "Feuer in Brasilien", "k2"),
+        ]
+        records = [dict(zip(Document._fields, row)) for row in values]
+        path = tmp_path / f"docs.{fmt}"
+        if fmt == "csv":
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                writer = csv.DictWriter(handle, fieldnames=Document._fields)
+                writer.writeheader()
+                writer.writerows(records)
+        else:
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        rows = list(load_documents(path, fmt).rows())
+        assert all(type(row) is Document for row in rows)
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            fields = row._asdict()
+            assert list(fields) == list(record)
+            for name, value in record.items():
+                assert str(fields[name]) == value, name
 
 
 _GOOD_DAYS = ["2020-01-10", "2020-02-29", "2000-01-01", "2024-12-31"]
@@ -442,7 +472,7 @@ class TestLoaderOracle:
         path = write_csv(tmp_path, rows)
         docs = list(load_documents(path).rows())
         assert docs == oracle_load_documents(path)
-        assert docs[0][DOC_TEXT_KEY] is docs[2][DOC_TEXT_KEY]
+        assert docs[0].text_key is docs[2].text_key
 
     # Each row breaks several rules; the first check in the per-row order names it.
     @pytest.mark.parametrize(
@@ -583,7 +613,7 @@ class TestSingleCountryFilter:
         corpus = Corpus.from_rows(docs)
         fire = corpus.columns["fire"]
         fire_columns = [getattr(fire, name) for name in _COLUMNS]
-        kept = [d[DOC_ID] for d in filter_single_country(corpus, south_america).rows()]
+        kept = [d.id for d in filter_single_country(corpus, south_america).rows()]
         assert kept == ["L0", "L3", "L5", "L8", "F0"]
         assert all(getattr(fire, name) is column for name, column in zip(_COLUMNS, fire_columns))
 
@@ -607,7 +637,7 @@ class TestSingleCountryFilter:
         large = Gazetteer(entries=("Brasilien", "Peru", "Chile"), target="Brasilien")
         kept_small = kept_rows(docs, small)
         kept_large = kept_rows(docs, large)
-        assert set(d[DOC_ID] for d in kept_large) <= set(d[DOC_ID] for d in kept_small)
+        assert set(d.id for d in kept_large) <= set(d.id for d in kept_small)
         assert all(d in docs for d in kept_small)
 
 
@@ -751,7 +781,7 @@ class TestCountryFilterOracle:
         corpus = Corpus.from_rows(docs)
         rows = list(corpus.rows())
         kept = filter_single_country(corpus, gaz).rows()
-        assert [d[DOC_ID] for d in kept] == oracle_filter_ids(rows, gaz)
+        assert [d.id for d in kept] == oracle_filter_ids(rows, gaz)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -760,8 +790,8 @@ class TestCountryFilterOracle:
         large = Gazetteer(entries=small.entries + tuple(more), target=small.target)
         texts = data.draw(st.lists(_texts(large), min_size=1, max_size=8))
         docs = [make_doc(f"d{i}", D(2011, 1, 1), text=t) for i, t in enumerate(texts)]
-        kept_small = {d[DOC_ID] for d in kept_rows(docs, small)}
-        kept_large = {d[DOC_ID] for d in kept_rows(docs, large)}
+        kept_small = {d.id for d in kept_rows(docs, small)}
+        kept_large = {d.id for d in kept_rows(docs, large)}
         assert kept_large <= kept_small
 
 

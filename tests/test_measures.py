@@ -8,8 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attn_peaks import (
-    DOC_DATE,
-    DOC_HAZARD,
     ConsistencyError,
     Corpus,
     NewsEvent,
@@ -376,7 +374,7 @@ class TestMeasuresAgainstOracle:
                 docs.append(make_doc("extra", day))
             else:
                 docs.remove(
-                    next(d for d in docs if d[DOC_DATE] == day and d[DOC_HAZARD] == "landslide")
+                    next(d for d in docs if d.date == day and d.hazard == "landslide")
                 )
             corpus = Corpus.from_rows(docs)
             with pytest.raises(ConsistencyError):

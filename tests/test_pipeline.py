@@ -423,6 +423,35 @@ class TestRunPipeline:
             if name != "manifest.json":
                 assert path.read_bytes() == (golden_dir / "expected" / name).read_bytes(), name
 
+    def test_hazards_left_out_are_freed_before_the_filter(self, golden_dir, tmp_path, monkeypatch):
+        # The fire column arrays as loaded, weakly referenced (see the test above).
+        fire: list[weakref.ref] = []
+        # Per filter call: the hazards its corpus lists, and the fire arrays alive.
+        at_filter: list[tuple[list[str], int]] = []
+        real_load, real_filter = pipeline.load_documents, pipeline.filter_single_country
+
+        def load(*args):
+            corpus = real_load(*args)
+            for name in _COLUMNS:
+                column = getattr(corpus.columns["fire"], name)
+                if isinstance(column, array):
+                    fire.append(weakref.ref(column))
+            return corpus
+
+        def filter_single_country(corpus, gazetteer):
+            at_filter.append((list(corpus.columns), sum(ref() is not None for ref in fire)))
+            return real_filter(corpus, gazetteer)
+
+        config = load_config(golden_dir / "config.ini")
+        config.out_dir = tmp_path / "out"
+        config.run_hazards = ("landslide",)
+        monkeypatch.setattr(pipeline, "load_documents", load)
+        monkeypatch.setattr(pipeline, "filter_single_country", filter_single_country)
+        artifacts = run_pipeline(config, "run")
+        assert len(fire) == 4
+        assert at_filter == [(["landslide"], 0)]
+        assert list(artifacts.series) == ["landslide"]
+
     def test_manifest_contents_are_stable(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
         first = run_pipeline(config, "run")
