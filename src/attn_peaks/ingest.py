@@ -334,17 +334,28 @@ def extract_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
     return found
 
 
+class _Verdicts(dict):
+    """Each text code's verdict, judged the first time a row looks the code up."""
+
+    def __init__(self, texts: list[str], gazetteer: Gazetteer) -> None:
+        self.texts, self.gazetteer = texts, gazetteer
+
+    def __missing__(self, code: int) -> bool:
+        mentions = extract_country_mentions(self.texts[code], self.gazetteer)
+        self[code] = verdict = mentions == {self.gazetteer.target_entry}
+        return verdict
+
+
 def filter_single_country(corpus: Corpus, gazetteer: Gazetteer) -> Corpus:
     """Keep the documents whose country mentions are exactly ``{target}``.
 
     ``corpus`` is filtered in place and returned. Order is preserved. A
-    document's verdict depends only on its text, so each distinct text is
-    tokenized and matched once (see :func:`extract_country_mentions`),
-    by its code, and its reprints reuse the verdict. Only a hazard that
-    lost a document has its columns rebuilt, one column at a time.
+    document's verdict depends only on its text, so each text that a row of
+    ``corpus.columns`` uses is judged once (:func:`extract_country_mentions`)
+    and its reprints reuse the verdict. Only a hazard that lost a document
+    has its columns rebuilt, one column at a time.
     """
-    target = {gazetteer.target_entry}
-    verdicts = [extract_country_mentions(text, gazetteer) == target for text in corpus.texts]
+    verdicts = _Verdicts(corpus.texts, gazetteer)
     for columns in corpus.columns.values():
         keep = bytes(map(verdicts.__getitem__, columns.texts))
         if 0 in keep:

@@ -14,8 +14,10 @@ concurrently without coordination.
 from __future__ import annotations
 
 import datetime
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import ne
 
 from .ingest import CountSeries
 
@@ -69,26 +71,18 @@ class NewsEvent:
 def local_maxima(series: CountSeries) -> list[int]:
     """Indices of local maxima, ascending.
 
-    An index qualifies when its count is strictly greater than the nearest
-    differing neighbour on each side. A flat plateau of equal values yields
-    one candidate at its midpoint (rounded down). The signal is not padded,
-    so the first and last day can never be candidates.
+    The counts split into runs of equal values. Each run with a lower run on
+    both sides yields one candidate at its midpoint (rounded down). The signal
+    is not padded, so a run that holds the first or last day is never one.
     """
     x = series.counts
-    n = len(x)
-    maxima: list[int] = []
-    i = 1
-    while i < n - 1:
-        if x[i - 1] < x[i]:
-            ahead = i + 1
-            while ahead < n - 1 and x[ahead] == x[i]:
-                ahead += 1
-            if x[ahead] < x[i]:
-                # plateau spans i .. ahead-1
-                maxima.append((i + ahead - 1) // 2)
-                i = ahead
-        i += 1
-    return maxima
+    # The first day of each run of equal counts, in one pass that copies no counts.
+    starts = [0, *compress(count(1), map(ne, x, islice(x, 1, None)))]
+    return [
+        (start + end - 1) // 2
+        for before, start, end in zip(starts, starts[1:], starts[2:])
+        if x[before] < x[start] > x[end]
+    ]
 
 
 def enforce_constraints(
@@ -107,11 +101,10 @@ def enforce_constraints(
     kept: list[int] = []
     for i in order:
         pos = bisect_left(kept, i)
-        if pos > 0 and i - kept[pos - 1] < params.min_distance:
-            continue
-        if pos < len(kept) and kept[pos] - i < params.min_distance:
-            continue
-        insort(kept, i)
+        clear_left = pos == 0 or i - kept[pos - 1] >= params.min_distance
+        clear_right = pos == len(kept) or kept[pos] - i >= params.min_distance
+        if clear_left and clear_right:
+            kept.insert(pos, i)
     return kept
 
 
@@ -133,21 +126,19 @@ def segment_events(series: CountSeries, peaks: list[int]) -> list[NewsEvent]:
     Events are disjoint and every event day is active.
     """
     x = series.counts
-    n = len(x)
     events: list[NewsEvent] = []
     # One walk: a run's left edge is found for its first peak only, and the
     # right edge stops at the next peak, where a shared run is cut.
     start = None  # first day of the current event; None before a new run
-    for k, peak in enumerate(peaks):
+    for peak, next_peak in zip(peaks, [*peaks[1:], len(x)]):
         if start is None:
             start = peak
             while start > 0 and x[start - 1] > 0:
                 start -= 1
-        next_peak = peaks[k + 1] if k + 1 < len(peaks) else n
         end = peak
         while end + 1 < next_peak and x[end + 1] > 0:
             end += 1
-        shared = end + 1 == next_peak < n  # the run goes on into the next peak
+        shared = end + 1 == next_peak < len(x)  # the run goes on into the next peak
         if shared:
             end = _interior_minimum(x, peak, next_peak)
         events.append(_make_event(series, peak, start, end))
@@ -157,22 +148,19 @@ def segment_events(series: CountSeries, peaks: list[int]) -> list[NewsEvent]:
 
 def _interior_minimum(x, left_peak: int, right_peak: int) -> int:
     """Day of the smallest count strictly between two peaks (earliest on ties)."""
-    if right_peak - left_peak < 2:
-        return left_peak
-    best = left_peak + 1
-    for i in range(left_peak + 2, right_peak):
-        if x[i] < x[best]:
-            best = i
-    return best
+    between = x[left_peak + 1 : right_peak]
+    return x.index(min(between), left_peak + 1) if between else left_peak
 
 
 def _make_event(series: CountSeries, peak: int, start: int, end: int) -> NewsEvent:
-    days = tuple((series.day_at(i), series.counts[i]) for i in range(start, end + 1))
+    first = series.start.toordinal()
+    dates = map(datetime.date.fromordinal, range(first + start, first + end + 1))
+    days = tuple(zip(dates, series.counts[start : end + 1]))
     return NewsEvent(
         hazard=series.hazard,
-        peak_date=series.day_at(peak),
-        start_date=series.day_at(start),
-        end_date=series.day_at(end),
+        peak_date=days[peak - start][0],
+        start_date=days[0][0],
+        end_date=days[-1][0],
         day_counts=days,
     )
 

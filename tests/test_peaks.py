@@ -1,9 +1,11 @@
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from attn_peaks import (
+    CountSeries,
     NewsEvent,
     PeakParams,
     detect_events,
@@ -46,6 +48,37 @@ class TestLocalMaxima:
             series = random_series(rng, max_len=200)
             expected = scipy_signal.find_peaks(series.counts)[0].tolist()
             assert local_maxima(series) == expected
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [3],
+            [0, 3],
+            [3, 0],
+            [4, 4, 4, 1, 0, 2, 0],  # a plateau holds the first day
+            [0, 2, 0, 1, 4, 4, 4],  # a plateau holds the last day
+            [0, 5, 5, 5, 5, 5, 0],  # a plateau over all but the two end days
+            [0, 0, 0, 0, 0],
+        ],
+    )
+    def test_matches_scipy_reference_at_the_edges(self, counts):
+        scipy_signal = pytest.importorskip("scipy.signal")
+        expected = scipy_signal.find_peaks(counts)[0].tolist()
+        assert local_maxima(make_series(counts)) == expected
+
+    def test_memory_grows_with_the_runs_not_the_days(self):
+        # 2,000,000 days hold a 16 MB list; a copy of it would show in the peak.
+        counts = [0] * 2_000_000
+        counts[1_000] = counts[1_500_000] = 3
+        end = D(2000, 1, 1) + datetime.timedelta(days=len(counts) - 1)
+        series = CountSeries(D(2000, 1, 1), end, counts, "landslide")
+        tracemalloc.start()
+        try:
+            assert local_maxima(series) == [1_000, 1_500_000]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestEnforceConstraints:
@@ -141,6 +174,36 @@ class TestSegmentEvents:
         assert first.day_counts == ((D(2000, 1, 2), 4), (D(2000, 1, 3), 1))
         assert first.start_date <= first.peak_date <= first.end_date
         assert second.start_date <= second.peak_date <= second.end_date
+
+    def test_equal_smallest_interior_counts_cut_at_the_earlier_day(self):
+        series = make_series([0, 6, 2, 1, 3, 1, 2, 7, 0])
+        first, second = segment_events(series, [1, 7])
+        assert [count for _, count in first.day_counts] == [6, 2, 1]
+        assert [count for _, count in second.day_counts] == [3, 1, 2, 7]
+
+    def test_events_at_the_last_day_of_the_calendar(self):
+        series = make_series([0, 0, 1, 4, 2, 0, 1, 5, 2], start=D(9999, 12, 23))
+        events = detect_events(series, PeakParams(2, 3))
+        assert [(e.start_date, e.peak_date, e.end_date) for e in events] == [
+            (D(9999, 12, 25), D(9999, 12, 26), D(9999, 12, 27)),
+            (D(9999, 12, 29), D(9999, 12, 30), D(9999, 12, 31)),
+        ]
+        assert [e.day_counts for e in events] == [
+            ((D(9999, 12, 25), 1), (D(9999, 12, 26), 4), (D(9999, 12, 27), 2)),
+            ((D(9999, 12, 29), 1), (D(9999, 12, 30), 5), (D(9999, 12, 31), 2)),
+        ]
+
+    def test_events_at_the_first_day_of_the_calendar(self):
+        series = make_series([2, 5, 1, 0, 2, 2, 6, 1, 0], start=D(1, 1, 1))
+        events = detect_events(series, PeakParams(2, 3))
+        assert [(e.start_date, e.peak_date, e.end_date) for e in events] == [
+            (D(1, 1, 1), D(1, 1, 2), D(1, 1, 3)),
+            (D(1, 1, 5), D(1, 1, 7), D(1, 1, 8)),
+        ]
+        assert [e.day_counts for e in events] == [
+            ((D(1, 1, 1), 2), (D(1, 1, 2), 5), (D(1, 1, 3), 1)),
+            ((D(1, 1, 5), 2), (D(1, 1, 6), 2), (D(1, 1, 7), 6), (D(1, 1, 8), 1)),
+        ]
 
     def test_series_edges_can_carry_event_days(self):
         series = make_series([1, 3, 0, 0, 0, 0, 2, 1])

@@ -21,7 +21,7 @@ from attn_peaks import (
     run_pipeline,
 )
 from attn_peaks import align as align_mod
-from attn_peaks import pipeline
+from attn_peaks import ingest, pipeline
 from attn_peaks.align import AlignmentPair, AlignmentReport, RegistryLoad
 from attn_peaks.ingest import _COLUMNS
 from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
@@ -451,6 +451,26 @@ class TestRunPipeline:
         assert len(fire) == 4
         assert at_filter == [(["landslide"], 0)]
         assert list(artifacts.series) == ["landslide"]
+
+    def test_filter_judges_only_the_texts_of_the_run_hazards(
+        self, golden_dir, tmp_path, monkeypatch
+    ):
+        config = load_config(golden_dir / "config.ini")
+        config.out_dir = tmp_path / "out"
+        config.run_hazards = ("landslide",)
+        corpus = ingest.load_documents(config.documents, config.doc_format, config.hazards)
+        landslide_texts = {corpus.texts[code] for code in corpus.columns["landslide"].texts}
+        judged: list[str] = []
+        real_extract = ingest.extract_country_mentions
+
+        def extract(text, gazetteer):
+            judged.append(text)
+            return real_extract(text, gazetteer)
+
+        monkeypatch.setattr(ingest, "extract_country_mentions", extract)
+        run_pipeline(config, "ingest")
+        assert len(judged) == len(set(judged)) == 128
+        assert set(judged) == landslide_texts
 
     def test_manifest_contents_are_stable(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
