@@ -52,9 +52,6 @@ DEFAULT_TYPE_MAP: dict[str, str] = {
     "Fire (Miscellaneous)": "fire",
 }
 
-# National-registry entries are kept only in these recognition states.
-DEFAULT_S2ID_ACCEPT = ("recognised",)
-
 IGNORE = "ignore"
 
 
@@ -84,14 +81,14 @@ def load_registry(
     path: Path | str,
     source: str,
     type_map: dict[str, str] | None = None,
-    status_accept: tuple[str, ...] = DEFAULT_S2ID_ACCEPT,
+    status_accept: tuple[str, ...] | None = None,
 ) -> RegistryLoad:
     """Load a normalized registry CSV and map its types onto hazards.
 
-    ``source`` declares the registry (``EMDAT``, ``S2ID`` or another label);
-    a non-empty ``source`` column in the file must agree with it. Records
-    whose ``raw_type`` maps to ``"ignore"`` are dropped and counted. For
-    S2ID, records whose ``status`` is not in ``status_accept`` (compared
+    ``source`` labels the registry; a non-empty ``source`` column in the
+    file must agree with it. Records whose ``raw_type`` maps to ``"ignore"``
+    are dropped and counted. When ``status_accept`` is given, for any
+    source, records whose ``status`` is not in it (compared
     case-insensitively) are dropped and counted as well.
 
     Each row is checked as it is read; only the records are kept.
@@ -105,12 +102,11 @@ def load_registry(
         raise InputError("registry source must be a non-empty label")
     path = Path(path)
     mapping = DEFAULT_TYPE_MAP if type_map is None else type_map
-    accepted_status = {s.strip().casefold() for s in status_accept}
+    accepted = None if status_accept is None else {s.strip().casefold() for s in status_accept}
 
     unmapped: set[str] = set()
     records: list[DisasterRecord] = []
     n_ignored = n_dropped = 0
-    check_status = source == "S2ID"
     seen_ids: set[str] = set()
     onsets: dict[str, datetime.date] = {}
     shared: dict[str, str] = {}
@@ -139,7 +135,7 @@ def load_registry(
                 if hazard == IGNORE:
                     n_ignored += 1
                     continue
-                if check_status and status.strip().casefold() not in accepted_status:
+                if accepted is not None and status.strip().casefold() not in accepted:
                     n_dropped += 1
                     continue
                 onset = onsets.get(onset_text)

@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         default = getattr(defaults, setting.field)
         common.add_argument(
             setting.flag,
-            help=setting.help if default in (None, ()) else f"{setting.help} (default {default})",
+            help=setting.help if default in (None, {}) else f"{setting.help} (default {default})",
         )
     common.add_argument(
         "--hazard",

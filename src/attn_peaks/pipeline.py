@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, TextIO
 
 from . import align as align_mod
-from .align import DEFAULT_S2ID_ACCEPT, DEFAULT_TYPE_MAP, IGNORE, AlignmentReport, RegistryLoad
+from .align import DEFAULT_TYPE_MAP, IGNORE, AlignmentReport, RegistryLoad
 from .errors import AttnPeaksError, InputError
 from .ingest import (
     DEFAULT_HAZARDS,
@@ -69,6 +69,9 @@ COMMANDS = {
 
 _MEASURES_HEADER = tuple(f.name for f in fields(MeasureSet))
 
+# National-registry (S2ID) entries are kept only in these recognition states.
+DEFAULT_S2ID_ACCEPT = ("recognised",)
+
 
 @dataclass
 class PipelineConfig:
@@ -85,7 +88,7 @@ class PipelineConfig:
     min_height: int = PeakParams.min_height
     min_distance: int = PeakParams.min_distance
     window_days: int = align_mod.DEFAULT_WINDOW_DAYS
-    registries: tuple[tuple[str, Path], ...] = ()
+    registries: dict[str, Path] = field(default_factory=dict)  # source -> registry CSV
     type_map: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_TYPE_MAP))
     s2id_accept: tuple[str, ...] = DEFAULT_S2ID_ACCEPT
     out_dir: Path = Path("out")
@@ -160,9 +163,7 @@ def apply_setting(config: PipelineConfig, setting: Setting, raw: str, where: str
     except ValueError:
         raise InputError(f"{where} {_INVALID[setting.parse]}: {raw!r}") from None
     if setting.field == "registries":
-        registries = dict(config.registries)
-        registries[setting.key.upper()] = value
-        value = tuple(sorted(registries.items()))
+        value = {**config.registries, setting.key.upper(): value}
     setattr(config, setting.field, value)
 
 
@@ -223,9 +224,10 @@ def validate_config(config: PipelineConfig) -> None:
     if not config.hazards:
         raise InputError("no hazards configured")
     for hazard in config.hazards:
-        # A label names an output file (timeseries_<hazard>.csv).
-        if any(c in hazard for c in "/\\\0"):
-            raise InputError(f"hazard label {hazard!r} must not contain '/', '\\' or NUL")
+        # A label names an output file (timeseries_<hazard>.csv) and fills a measures.csv cell.
+        if not hazard.isprintable() or any(c in hazard for c in '/\\,"'):
+            reason = "must be printable and contain no '/', '\\', ',' or '\"'"
+            raise InputError(f"hazard label {hazard!r} {reason}")
         # A type-map entry naming it drops its records, so no record could reach it.
         if hazard == IGNORE:
             raise InputError(f"hazard label {IGNORE!r} is reserved for the type map")
@@ -248,11 +250,7 @@ def validate_config(config: PipelineConfig) -> None:
             f"type map target {bad[0]!r} is neither a configured hazard nor {IGNORE!r}"
         )
     # The other inputs are read at once by the ingest stage; the registries only at the end.
-    sources: set[str] = set()
-    for source, reg_path in config.registries:
-        if source in sources:  # its records would be aligned twice
-            raise InputError(f"registry source {source!r} is configured twice")
-        sources.add(source)
+    for source, reg_path in config.registries.items():
         open_input(reg_path, f"{source} registry", "rb").close()
 
 
@@ -438,7 +436,7 @@ def _manifest(config: PipelineConfig, command: str) -> dict:
         ("documents", "documents", config.documents),
         ("gazetteer", "gazetteer", config.gazetteer or default_gazetteer_path()),
     ]
-    files += [(f"registry_{source}", f"{source} registry", p) for source, p in config.registries]
+    files += [(f"registry_{s}", f"{s} registry", p) for s, p in config.registries.items()]
     recorded = [(f"the {role} path {path_repr(p)}", str(p)) for _, role, p in files]
     recorded.append((f"the target {config.target!r}", config.target))
     for what, text in recorded:
@@ -517,10 +515,9 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     if want >= stages.index("align"):
         with _stage("align"):
             records = []
-            for source, reg_path in config.registries:
-                load = align_mod.load_registry(
-                    reg_path, source, config.type_map, config.s2id_accept
-                )
+            for source, reg_path in config.registries.items():
+                accept = config.s2id_accept if source == "S2ID" else None
+                load = align_mod.load_registry(reg_path, source, config.type_map, accept)
                 run.registry_loads[source] = load
                 # The records of a hazard this run leaves out are not unmatched.
                 records += [record for record in load.records if record.hazard in hazards]

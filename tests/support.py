@@ -28,7 +28,6 @@ from attn_peaks import (
     NewsEvent,
 )
 from attn_peaks.align import (
-    DEFAULT_S2ID_ACCEPT,
     DEFAULT_TYPE_MAP,
     AlignmentPair,
     AlignmentReport,
@@ -309,17 +308,16 @@ def oracle_alignment_json(report: AlignmentReport, registry_loads: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
-def oracle_load_registry(
-    path, source: str, type_map=None, status_accept=DEFAULT_S2ID_ACCEPT
-) -> RegistryLoad:
+def oracle_load_registry(path, source: str, type_map=None, status_accept=None) -> RegistryLoad:
     """The registry loader in two plain passes, one dict per row.
 
     Pass one reads every row and checks its width. Then every raw_type
     missing from the type map is reported at once, before any row rule.
     Pass two applies the row rules in order: declared source, empty id,
-    duplicate id, ignored type, S2ID status, onset date. Dates are checked
-    by hand as exactly ``YYYY-MM-DD``, and rows dropped before the date rule
-    never have their dates read.
+    duplicate id, ignored type, status (when ``status_accept`` is given, for
+    any source), onset date. Dates are checked by hand as exactly
+    ``YYYY-MM-DD``, and rows dropped before the date rule never have their
+    dates read.
     """
     if not source:
         raise InputError("registry source must be a non-empty label")
@@ -365,7 +363,9 @@ def oracle_load_registry(
             + ", ".join(repr(label) for label in sorted(missing))
         )
 
-    accepted = [status.strip().casefold() for status in status_accept]
+    accepted = None
+    if status_accept is not None:
+        accepted = [status.strip().casefold() for status in status_accept]
     load = RegistryLoad(records=[])
     seen_ids = []
     for row, values in rows:
@@ -383,7 +383,7 @@ def oracle_load_registry(
         hazard = mapping[values["raw_type"]]
         if hazard == "ignore":
             load.n_ignored_by_type += 1
-        elif source == "S2ID" and values["status"].strip().casefold() not in accepted:
+        elif accepted is not None and values["status"].strip().casefold() not in accepted:
             load.n_dropped_by_status += 1
         else:
             load.records.append(

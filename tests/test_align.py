@@ -79,15 +79,18 @@ class TestLoadRegistry:
             "r2,S2ID,Deslizamentos,2011-02-11,Petropolis,recognised\n",
         )
         load = load_registry(
-            path, "S2ID", type_map={"Deslizamentos": "landslide"}
+            path, "S2ID", type_map={"Deslizamentos": "landslide"}, status_accept=("recognised",)
         )
         assert [r.record_id for r in load.records] == ["r2"]
         assert load.n_dropped_by_status == 1
 
-    def test_status_filter_only_applies_to_s2id(self, tmp_path):
-        path = write_registry(tmp_path, "r1,EMDAT,Wildfire,2011-01-11,,registered\n")
-        load = load_registry(path, "EMDAT")
-        assert len(load.records) == 1
+    def test_no_status_filter_without_status_accept(self, tmp_path):
+        # The loader names no source: S2ID statuses are filtered only when asked to.
+        path = write_registry(tmp_path, "r1,,Wildfire,2011-01-11,,registered\n")
+        for source in ("EMDAT", "S2ID"):
+            load = load_registry(path, source)
+            assert len(load.records) == 1
+            assert load.n_dropped_by_status == 0
 
     def test_ignored_types_are_counted(self, tmp_path):
         path = write_registry(tmp_path, "r1,EMDAT,Epidemic,2011-01-11,,\n")
@@ -221,10 +224,10 @@ _REGISTRY_ROWS = st.lists(
 )
 
 
-def _registry_outcome(loader, path, source):
+def _registry_outcome(loader, path, source, status_accept):
     """The records field by field and the tallies, or the error message."""
     try:
-        load = loader(path, source, _ORACLE_TYPE_MAP, ("recognised",))
+        load = loader(path, source, _ORACLE_TYPE_MAP, status_accept)
     except InputError as exc:
         return "error", str(exc)
     fields = DisasterRecord.__dataclass_fields__
@@ -234,19 +237,26 @@ def _registry_outcome(loader, path, source):
 
 class TestLoadRegistryOracle:
     @settings(max_examples=400, deadline=None)
-    @given(rows=_REGISTRY_ROWS, source=st.sampled_from(["EMDAT", "S2ID"]))
-    @example(rows=[], source="EMDAT")
+    @given(
+        rows=_REGISTRY_ROWS,
+        source=st.sampled_from(["EMDAT", "S2ID"]),
+        status_accept=st.sampled_from([None, ("recognised",)]),
+    )
+    @example(rows=[], source="EMDAT", status_accept=None)
     @example(  # a wrong width is reported before an unmapped type
         rows=[("R1", "", "Hail", "2020-01-05", "", "", 0), ("R2", "", "Flood", "x", "", "", 1)],
         source="EMDAT",
+        status_accept=None,
     )
     @example(  # an unmapped type is reported before a duplicate id and a bad date
         rows=[("R1", "", "Wildfire", "x", "", "", 0), ("R1", "", "Hail", "x", "", "", 0)],
         source="EMDAT",
+        status_accept=None,
     )
     @example(  # a wrong width in row 2 is reported before a bad date in row 1
         rows=[("R1", "", "Wildfire", "x", "", "", 0), ("R2", "", "Wildfire", "x", "", "", -1)],
         source="EMDAT",
+        status_accept=None,
     )
     @example(  # an unmapped type in the last row is reported before a duplicate id
         rows=[
@@ -255,10 +265,12 @@ class TestLoadRegistryOracle:
             ("R3", "", "Hail", "2020-01-05", "", "", 0),
         ],
         source="EMDAT",
+        status_accept=None,
     )
     @example(  # of two row errors, the first one is reported
         rows=[("R1", "", "Wildfire", "x", "", "", 0), ("R2", "S2ID", "Landslide", "x", "", "", 0)],
         source="EMDAT",
+        status_accept=None,
     )
     @example(  # dropped rows never have their dates read
         rows=[
@@ -267,8 +279,9 @@ class TestLoadRegistryOracle:
             ("R3", "", "Landslide", "2020-01-05", "", " Recognised ", 0),
         ],
         source="S2ID",
+        status_accept=("recognised",),
     )
-    def test_equals_the_plain_loader(self, tmp_path_factory, rows, source):
+    def test_equals_the_plain_loader(self, tmp_path_factory, rows, source, status_accept):
         path = tmp_path_factory.mktemp("registry") / "registry.csv"
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -277,9 +290,8 @@ class TestLoadRegistryOracle:
                 if width_change < 0:
                     fields = fields[:width_change]
                 writer.writerow(fields + ["x"] * width_change)
-        assert _registry_outcome(load_registry, path, source) == _registry_outcome(
-            oracle_load_registry, path, source
-        )
+        want = _registry_outcome(oracle_load_registry, path, source, status_accept)
+        assert _registry_outcome(load_registry, path, source, status_accept) == want
 
 
 class TestAlignEvents:

@@ -199,8 +199,8 @@ _KEY_AND_FLAG = [
     ("--min-height", "peaks", "min_height", "min_height", "3", 3),
     ("--min-distance", "peaks", "min_distance", "min_distance", "9", 9),
     ("--window-days", "align", "window_days", "window_days", "0", 0),
-    ("--emdat", "align", "emdat", "registries", "r/e.csv", (("EMDAT", Path("r/e.csv")),)),
-    ("--s2id", "align", "s2id", "registries", "r/s.csv", (("S2ID", Path("r/s.csv")),)),
+    ("--emdat", "align", "emdat", "registries", "r/e.csv", {"EMDAT": Path("r/e.csv")}),
+    ("--s2id", "align", "s2id", "registries", "r/s.csv", {"S2ID": Path("r/s.csv")}),
     ("--out-dir", "output", "dir", "out_dir", "o/x", Path("o/x")),
     # An integer is an optional sign and ASCII digits.
     ("--min-height", "peaks", "min_height", "min_height", "+3", 3),
@@ -212,8 +212,8 @@ _KEY_AND_FLAG = [
 def _below(base: Path, value):
     if isinstance(value, Path):
         return base / value
-    if isinstance(value, tuple):
-        return tuple((source, base / path) for source, path in value)
+    if isinstance(value, dict):
+        return {source: base / path for source, path in value.items()}
     return value
 
 
@@ -258,16 +258,20 @@ class TestSettings:
         )
         assert _flag_config(flag, raw) == PipelineConfig(**{field: value})
 
-    def test_registries_are_in_emdat_s2id_order(self, tmp_path):
+    def test_a_registry_flag_replaces_only_its_own_source(self, tmp_path):
         config = tmp_path / "c.ini"
         config.write_text("[align]\ns2id = s.csv\nemdat = e.csv\n", encoding="utf-8")
-        both = (("EMDAT", tmp_path / "e.csv"), ("S2ID", tmp_path / "s.csv"))
+        both = {"EMDAT": tmp_path / "e.csv", "S2ID": tmp_path / "s.csv"}
         assert _flag_config("--config", str(config)).registries == both
-        flags = (("EMDAT", Path("e")), ("S2ID", Path("s")))
+        flags = {"EMDAT": Path("e"), "S2ID": Path("s")}
         assert _flag_config("--s2id", "s", "--emdat", "e").registries == flags
+        replaced = _flag_config("--config", str(config), "--emdat", "e").registries
+        assert replaced == {"EMDAT": Path("e"), "S2ID": tmp_path / "s.csv"}
+        replaced = _flag_config("--config", str(config), "--s2id", "s").registries
+        assert replaced == {"EMDAT": tmp_path / "e.csv", "S2ID": Path("s")}
         config.write_text("[align]\ns2id = s.csv\n", encoding="utf-8")
-        mixed = _flag_config("--config", str(config), "--emdat", "e").registries
-        assert mixed == (("EMDAT", Path("e")), ("S2ID", tmp_path / "s.csv"))
+        added = _flag_config("--config", str(config), "--emdat", "e").registries
+        assert added == {"EMDAT": Path("e"), "S2ID": tmp_path / "s.csv"}
 
     @pytest.mark.parametrize("blank", ["", " \t"], ids=["empty", "blank"])
     @pytest.mark.parametrize("flag", [s.flag for s in SETTINGS if s.flag is not None])
@@ -296,6 +300,19 @@ class TestSettings:
             main([command, "--help"])
         assert exc.value.code == 0
         assert set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) == named | {"--help"}
+
+    @pytest.mark.parametrize("command", ["ingest", "detect", "measure", "align", "report", "run"])
+    def test_help_shows_a_default_exactly_where_one_exists(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        # One entry per option, from its flag to the next one; argparse may wrap it.
+        entries = re.findall(r"^  (-[^\n]*(?:\n   [^\n]*)*)", capsys.readouterr().out, re.M)
+        shown = {entry.split()[0] for entry in entries if "(default " in " ".join(entry.split())}
+        assert shown == {
+            "--format", "--start", "--end", "--target",
+            "--min-height", "--min-distance", "--window-days", "--out-dir",
+        }
 
     @pytest.mark.parametrize(
         "setting, raw, message", _REFUSED, ids=[setting.flag for setting, *_ in _REFUSED]
@@ -676,12 +693,14 @@ class TestOutputPaths:
             "config.ini", "documents.csv", "emdat.csv", "s2id.csv"
         ]
 
-    @pytest.mark.parametrize("label", ["a/b", "a\\b"])
+    # An indented line continues the value: "land", then "  slide", is the label "land\nslide".
+    @pytest.mark.parametrize("label", ["a/b", "a\\b", 'a"b', "land\nslide"])
     def test_hazard_label_with_a_path_separator_exits_two(self, tmp_path, label):
         config = write_small_corpus(tmp_path)
         text = config.read_text(encoding="utf-8")
+        value = label.replace("\n", "\n  ")
         config.write_text(
-            text.replace("hazards = landslide, fire", f"hazards = {label}, landslide, fire"),
+            text.replace("hazards = landslide, fire", f"hazards = {value}, landslide, fire"),
             encoding="utf-8",
         )
         out = tmp_path / "out"

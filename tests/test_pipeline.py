@@ -2,6 +2,7 @@ import datetime
 import io
 import json
 import re
+import shutil
 import tracemalloc
 import weakref
 from array import array
@@ -66,7 +67,7 @@ class TestConfig:
         assert config.documents == tmp_path / "documents.csv"
         assert config.start == D(2020, 1, 1)
         assert config.end == D(2020, 12, 31)
-        assert config.registries == (("EMDAT", tmp_path / "emdat.csv"),)
+        assert config.registries == {"EMDAT": tmp_path / "emdat.csv"}
         assert config.out_dir == tmp_path / "out"
 
     def test_type_map_section_merges_over_defaults(self, tmp_path):
@@ -111,7 +112,7 @@ class TestConfig:
         config_path = write_small_corpus(tmp_path)
         config = load_config(config_path)
         missing = tmp_path / "nowhere.csv"
-        config.registries = (("EMDAT", missing),)
+        config.registries = {"EMDAT": missing}
         with pytest.raises(InputError, match=str(missing)):
             validate_config(config)
 
@@ -143,14 +144,6 @@ class TestConfig:
         with pytest.raises(InputError, match="'flood'"):
             validate_config(config)
 
-    def test_registry_source_named_twice_rejected(self, golden_dir):
-        # Only the library can do this; a config key or flag keeps one path per source.
-        config = load_config(golden_dir / "config.ini")
-        emdat = dict(config.registries)["EMDAT"]
-        config.registries = (("EMDAT", emdat), ("EMDAT", emdat))
-        with pytest.raises(InputError, match="registry source 'EMDAT' is configured twice"):
-            validate_config(config)
-
     def test_ignore_is_not_a_hazard_label(self, golden_dir):
         # A [type_map] entry naming "ignore" drops its records, so no record could reach it.
         config = PipelineConfig(
@@ -162,7 +155,8 @@ class TestConfig:
         with pytest.raises(InputError, match=re.escape(f"config: {message}")):
             run_pipeline(config, "ingest")
 
-    @pytest.mark.parametrize("label", ["a/b", "a\\b", "a\0b", "/"])
+    # A label names a file and fills an unquoted measures.csv cell.
+    @pytest.mark.parametrize("label", ["a/b", "a\\b", "a\0b", "/", "a,b", 'a"b', "a\nb", "a\tb"])
     def test_hazard_label_with_a_path_separator_or_nul_rejected(self, tmp_path, label):
         config = load_config(write_small_corpus(tmp_path))
         config.hazards = (label, "landslide", "fire")
@@ -362,6 +356,22 @@ class TestRunPipeline:
         assert alignment["registries"] == full["registries"]
         by_source = artifacts.report["alignment"]["by_source"]
         assert {s: v["unmatched_records"] for s, v in by_source.items()} == {"EMDAT": 0, "S2ID": 1}
+
+    def test_only_the_s2id_file_is_filtered_by_status(self, golden_dir, tmp_path):
+        # s2id_accept is the national registry's rule: an EM-DAT status reads as it stands.
+        for name in ("config.ini", "documents.csv", "s2id.csv"):
+            shutil.copy(golden_dir / name, tmp_path / name)
+        header, *rows = (golden_dir / "emdat.csv").read_text(encoding="utf-8").splitlines()
+        pending = [row.rsplit(",", 1)[0] + ",pending" for row in rows]
+        (tmp_path / "emdat.csv").write_text("\n".join([header, *pending, ""]), encoding="utf-8")
+        config = load_config(tmp_path / "config.ini")
+        config.out_dir = tmp_path / "out"
+        artifacts = run_pipeline(config, "run")
+        assert artifacts.registry_loads["EMDAT"].n_dropped_by_status == 0
+        assert artifacts.registry_loads["S2ID"].n_dropped_by_status == 1
+        for name in ("alignment.json", "report.json", "events.jsonl", "measures.csv"):
+            want = (golden_dir / "expected" / name).read_bytes()
+            assert artifacts.files[name].read_bytes() == want, name
 
     def test_corpus_is_freed_once_measured(self, golden_dir, tmp_path, monkeypatch):
         # An array can be weakly referenced, a list cannot: a hazard's
