@@ -23,11 +23,12 @@ counts[90:92] = [6, 2]      # a sharp two-day burst
 
 series = CountSeries(start=start, end=start + datetime.timedelta(days=119), counts=counts, hazard="fire")
 
-# One document per counted article, as the Document that Corpus.rows()
-# gives: a named tuple with the fields id, date, outlet, text_type, hazard,
-# text and text_key. Two documents on the spike day carry the same text (an
-# agency wire reprinted by a second outlet), so the spike has 4 articles but
-# only 3 unique texts.
+# One document per counted article, as a Document: a named tuple with the
+# fields id, date, outlet, text_type, hazard, text and text_key. The corpus
+# keeps no id; in the rows Corpus.rows() gives, the id slot holds each
+# document's 1-based position in the list given to Corpus.from_rows. Two
+# documents on the spike day carry the same text (an agency wire reprinted
+# by a second outlet), so the spike has 4 articles but only 3 unique texts.
 docs = []
 n = 0
 for offset, count in enumerate(counts):

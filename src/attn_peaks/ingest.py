@@ -105,10 +105,12 @@ class Document(NamedTuple):
     """One document as :meth:`Corpus.rows` gives it.
 
     The fields, in order, are the columns of a document file; ``text_key``
-    is the last and the only one that a file may leave out.
+    is the last and the only one that a file may leave out. A corpus keeps
+    no id once it is checked, so ``id`` holds the document's row in its
+    file (its 1-based position in the rows given to :meth:`Corpus.from_rows`).
     """
 
-    id: str
+    id: int | str
     date: datetime.date
     outlet: str
     text_type: str
@@ -117,21 +119,22 @@ class Document(NamedTuple):
     text_key: str
 
 
-_COLUMNS = ("ids", "days", "outlets", "genres", "texts", "keys")
+_COLUMNS = ("rows", "days", "outlets", "genres", "texts", "keys")
 
 
 class Columns:
     """One hazard's documents in file order, one column per field.
 
-    ``ids`` and ``keys`` (the text keys) are lists of str, ``days`` an
-    ``array('i')`` of proleptic ordinals, and ``outlets``, ``genres`` and
-    ``texts`` ``array('I')``\\ s of codes into the corpus's tables.
+    ``rows`` is an ``array('I')`` of the documents' file rows, ``days`` an
+    ``array('i')`` of proleptic ordinals, ``outlets``, ``genres`` and
+    ``texts`` ``array('I')``\\ s of codes into the corpus's tables, and
+    ``keys`` (the text keys) a list of str.
     """
 
     __slots__ = _COLUMNS
 
     def __init__(self) -> None:
-        self.ids: list[str] = []
+        self.rows = array("I")
         self.days = array("i")
         self.outlets = array("I")
         self.genres = array("I")
@@ -139,7 +142,7 @@ class Columns:
         self.keys: list[str] = []
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.rows)
 
     def appenders(self) -> tuple:
         """The ``append`` of each column, in :data:`_COLUMNS` order."""
@@ -178,10 +181,13 @@ class Corpus:
     and ``texts`` are the tables of distinct values that the code columns
     index, so a reprinted text is held once. ``len()`` is the number of
     documents. No document is an object of its own, so the cyclic garbage
-    collector scans each column as one object.
+    collector scans each column as one object. ``path`` names the file
+    whose rows the ``rows`` columns number; it is ``<rows>`` for a corpus
+    built by :meth:`from_rows`.
     """
 
-    def __init__(self, hazards: Iterable[str] = ()) -> None:
+    def __init__(self, hazards: Iterable[str] = (), path: Path | str = "<rows>") -> None:
+        self.path = path
         self.columns: dict[str, Columns] = {hazard: Columns() for hazard in hazards}
         self.outlets: list[str] = []
         self.genres: list[str] = []
@@ -199,7 +205,7 @@ class Corpus:
         for hazard, c in self.columns.items():
             yield from map(
                 Document,
-                c.ids,
+                c.rows,
                 map(datetime.date.fromordinal, c.days),
                 map(self.outlets.__getitem__, c.outlets),
                 map(self.genres.__getitem__, c.genres),
@@ -213,16 +219,17 @@ class Corpus:
         """A corpus of documents or plain 7-tuples, hazards in order of first appearance.
 
         The rows are taken as they are; unlike :func:`load_documents`, nothing is checked.
+        Their ids are not kept: each document is numbered by its 1-based position.
         """
         corpus = cls()
         outlets, genres, texts = _Codes(), _Codes(), _Codes()
         appenders: dict[str, tuple] = {}
-        for doc_id, date, outlet, genre, hazard, text, key in rows:
+        for row, (_, date, outlet, genre, hazard, text, key) in enumerate(rows, 1):
             add = appenders.get(hazard)
             if add is None:
                 add = appenders[hazard] = corpus.columns.setdefault(hazard, Columns()).appenders()
-            add_id, add_day, add_outlet, add_genre, add_text, add_key = add
-            add_id(doc_id)
+            add_row, add_day, add_outlet, add_genre, add_text, add_key = add
+            add_row(row)
             add_day(date.toordinal())
             add_outlet(outlets[outlet])
             add_genre(genres[genre])
@@ -486,7 +493,11 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
 
 
 def _read_documents(
-    path: Path, rows: Iterable[tuple[int, list[str]]], width: int, hazards: tuple[str, ...]
+    path: Path,
+    rows: Iterable[tuple[int, list[str]]],
+    width: int,
+    hazards: tuple[str, ...],
+    id_hashes: list[array],
 ) -> Corpus:
     """The corpus of the numbered rows of ``width`` fields, each row checked.
 
@@ -494,11 +505,15 @@ def _read_documents(
     Rows are unpacked into locals and each field appended to its hazard's
     column; each distinct date string is parsed once, each distinct text
     without a ``text_key`` is digested once, and each distinct outlet,
-    genre and text gets one code.
+    genre and text gets one code. No id is kept: where a row's id would be
+    checked against the ids before it, its hash is appended to the bucket
+    of ``id_hashes`` (a power of two of them) that the hash's low bits
+    pick, and the caller looks for duplicates when the rows end.
     """
-    corpus = Corpus(hazards)
+    corpus = Corpus(hazards, path)
     appenders = {hazard: columns.appenders() for hazard, columns in corpus.columns.items()}
-    seen_ids: set[str] = set()
+    add_hash = [bucket.append for bucket in id_hashes]
+    id_hash, mask = hash, len(id_hashes) - 1
     dates: dict[str, int] = {}
     digests: dict[str, str] = {}
     outlets, genres, texts = _Codes(), _Codes(), _Codes()
@@ -513,11 +528,10 @@ def _read_documents(
             key = ""
         if not doc_id:
             raise row_error(path, row, "empty field 'id'")
-        if doc_id in seen_ids:
-            raise row_error(path, row, f"duplicate document id {doc_id!r}")
-        seen_ids.add(doc_id)
+        h = id_hash(doc_id)
+        add_hash[h & mask](h)
         try:
-            add_id, add_day, add_outlet, add_genre, add_text, add_key = appenders[hazard]
+            add_row, add_day, add_outlet, add_genre, add_text, add_key = appenders[hazard]
         except KeyError:
             raise row_error(path, row, f"unknown hazard label {hazard!r}") from None
         if not key:
@@ -528,7 +542,7 @@ def _read_documents(
             date = dates[day]
         except KeyError:
             date = dates[day] = parse_row_date(day, path, row).toordinal()
-        add_id(doc_id)
+        add_row(row)
         add_day(date)
         add_outlet(outlets[outlet])
         add_genre(genres[genre])
@@ -583,6 +597,32 @@ def check_format(format: str) -> None:
         raise InputError(f"unknown document format {format!r} (expected {expected})")
 
 
+@contextmanager
+def _document_rows(path: Path, format: str):
+    """Yield the number of fields of each row and the numbered rows of a documents file."""
+    if format == "csv":
+        columns = Document._fields
+        with csv_rows(path, "documents", "document", columns[:-1], columns[-1:]) as (header, rows):
+            yield len(header), rows
+        return
+    try:
+        with open_input(path, "documents") as handle:
+            yield len(Document._fields), _jsonl_rows(handle, path)
+    except UnicodeDecodeError:
+        raise undecodable(path, jsonl=True) from None
+
+
+def _check_ids(path: Path, format: str, n_rows: int) -> None:
+    """InputError at the first of the first ``n_rows`` rows whose id an earlier row has."""
+    seen: set[str] = set()
+    with _document_rows(path, format) as (_, rows):
+        for row, fields in itertools.islice(rows, n_rows):
+            doc_id = fields[0]
+            if doc_id in seen:
+                raise row_error(path, row, f"duplicate document id {doc_id!r}") from None
+            seen.add(doc_id)
+
+
 def load_documents(
     path: Path | str,
     format: str = "csv",
@@ -594,18 +634,24 @@ def load_documents(
     record is kept, each hazard's in file order, and the corpus lists every
     hazard of ``hazards``; a malformed row, a duplicate ``id`` or an unknown
     hazard label raises :class:`InputError`.
+
+    The duplicate check holds 8 bytes per document: the hash of each id,
+    in 256 buckets, so that a set over one bucket at a time finds a hash
+    that is there twice. When the rows end, by return or by error, only
+    such a hash sends the file to :func:`_check_ids`, which reads again
+    the rows that were hashed and compares their ids. Its error is the one
+    the row loop would have raised had it held every id, and a hash that
+    two distinct ids share costs only the second read.
     """
     check_format(format)
     path = Path(path)
-    if format == "csv":
-        columns = Document._fields
-        with csv_rows(path, "documents", "document", columns[:-1], columns[-1:]) as (header, rows):
-            return _read_documents(path, rows, len(header), hazards)
+    id_hashes = [array("q") for _ in range(256)]
     try:
-        with open_input(path, "documents") as handle:
-            return _read_documents(path, _jsonl_rows(handle, path), len(Document._fields), hazards)
-    except UnicodeDecodeError:
-        raise undecodable(path, jsonl=True) from None
+        with _document_rows(path, format) as (width, rows):
+            return _read_documents(path, rows, width, hazards, id_hashes)
+    finally:
+        if any(len(set(bucket)) != len(bucket) for bucket in id_hashes):
+            _check_ids(path, format, sum(map(len, id_hashes)))
 
 
 @dataclass(slots=True)
@@ -663,8 +709,8 @@ def build_count_series(
 
     Identical texts from different outlets count as separate observations.
     Any document of the corpus dated outside the range is a hard error,
-    the first in :meth:`Corpus.rows` order named; silent truncation would
-    corrupt the counts.
+    the first in :meth:`Corpus.rows` order named by its row; silent
+    truncation would corrupt the counts.
     """
     counts = [0] * ((end - start).days + 1)
     series = CountSeries(start=start, end=end, counts=counts, hazard=hazard)  # checks the range
@@ -672,11 +718,10 @@ def build_count_series(
     for columns in corpus.columns.values():
         days = columns.days
         if days and (min(days) < first or max(days) > last):
-            row = next(i for i, day in enumerate(days) if not first <= day <= last)
-            raise InputError(
-                f"document {columns.ids[row]!r} dated {datetime.date.fromordinal(days[row])} "
-                f"is outside the series range {start}..{end}"
-            )
+            i = next(i for i, day in enumerate(days) if not first <= day <= last)
+            date = datetime.date.fromordinal(days[i])
+            reason = f"document dated {date} is outside the series range {start}..{end}"
+            raise row_error(corpus.path, columns.rows[i], reason)
     for day, count in Counter(corpus.of(hazard).days).items():
         counts[day - first] = count
     return series

@@ -144,16 +144,20 @@ def oracle_segments(counts, peaks) -> list[tuple[int, int, int, tuple[tuple[int,
     return segments
 
 
-def oracle_count_series(docs, hazard: str, start: datetime.date, end: datetime.date) -> Counter:
+def oracle_count_series(
+    docs, hazard: str, start: datetime.date, end: datetime.date, path="<rows>"
+) -> Counter:
     """Day offsets from ``start`` of the ``hazard`` documents, counted; zero days are absent.
 
     Every document's date is checked against the range first, whatever its
-    hazard, and one outside it raises InputError. Documents are unpacked
-    in README's field order.
+    hazard, and one outside it raises InputError naming its row of
+    ``path``, which the ``id`` slot holds. Documents are unpacked in
+    README's field order.
     """
-    for doc_id, date, *_ in docs:
+    for row, date, *_ in docs:
         if date < start or date > end:
-            raise InputError(f"document {doc_id!r} dated {date} is outside {start}..{end}")
+            reason = f"document dated {date} is outside the series range {start}..{end}"
+            raise row_error(path, row, reason)
     return Counter((date - start).days for _, date, _, _, h, _, _ in docs if h == hazard)
 
 
@@ -439,10 +443,17 @@ def by_hazard(rows) -> dict[str, list[Document]]:
     return groups
 
 
-def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[str]:
-    """Ids of the documents whose oracle mentions are exactly the target, in order."""
+def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[int]:
+    """1-based positions of the documents whose oracle mentions are exactly the target.
+
+    These are the rows that :meth:`Corpus.from_rows` gives the documents.
+    """
     target = {gazetteer.target_entry}
-    return [d.id for d in docs if oracle_country_mentions(d.text, gazetteer) == target]
+    return [
+        row
+        for row, d in enumerate(docs, 1)
+        if oracle_country_mentions(d.text, gazetteer) == target
+    ]
 
 
 def _oracle_date(value, path: Path, row: int) -> datetime.date:
@@ -473,8 +484,9 @@ def _oracle_document(values: dict, path: Path, row: int, hazards, seen_ids: set)
     text_key = values.get("text_key") or text_digest(text)
     # The field order README documents, spelled out here rather than taken
     # from Document._fields; a Document equals the plain tuple of its fields.
+    # A corpus keeps no id: the row stands in its place.
     return (
-        doc_id,
+        row,
         _oracle_date(values["date"], path, row),
         sys.intern(values["outlet"]),
         sys.intern(values["text_type"]),
@@ -494,7 +506,8 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
     3.11 on), a JSON-lines file may start with a UTF-8 BOM, the first
     non-string JSON field is named in column order, a JSON field that
     holds a lone surrogate is an error, and so is a line that the JSON
-    parser gives up on (too deep, or a number with too many digits).
+    parser gives up on (too deep, or a number with too many digits). Each
+    document's ``id`` slot holds its row, the CSV header being row 0.
     """
     path = Path(path)
     columns = ("id", "date", "outlet", "text_type", "hazard", "text")

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import tempfile
+import tracemalloc
 import unicodedata
 from array import array
 from pathlib import Path
@@ -37,6 +38,7 @@ from attn_peaks.ingest import (
     load_gazetteer,
     text_digest,
 )
+import support
 from support import (
     by_hazard,
     make_doc,
@@ -63,8 +65,12 @@ def write_csv(tmp_path, body: str, name: str = "docs.csv", header: str = CSV_HEA
 
 
 def kept_rows(docs, gazetteer: Gazetteer) -> list:
-    """The rows that the filter keeps of a corpus of ``docs``."""
-    return list(filter_single_country(Corpus.from_rows(docs), gazetteer).rows())
+    """The rows that the filter keeps of a corpus of ``docs``, each with its input id.
+
+    A corpus numbers the documents by position, so the position maps a row back to its id.
+    """
+    kept = filter_single_country(Corpus.from_rows(docs), gazetteer).rows()
+    return [row._replace(id=docs[row.id - 1].id) for row in kept]
 
 
 @pytest.fixture
@@ -96,15 +102,15 @@ class TestLoadDocuments:
         assert len(corpus) == 3
         docs = list(corpus.rows())
         first = docs[0]
-        assert first.id == "a1"
+        assert first.id == 1
         assert first.date == D(2011, 1, 12)
         assert first.outlet == "Spiegel"
         assert first.text_type == "Bericht"
         assert first.hazard == "landslide"
         assert first.text == "Erdrutsch in Brasilien"
         assert first.text_key == text_digest("Erdrutsch in Brasilien")
-        # Hazard by hazard, in file order within each.
-        assert [d.id for d in docs] == ["a1", "a3", "a2"]
+        # Hazard by hazard, in file order within each; the id slot holds the row.
+        assert [d.id for d in docs] == [1, 3, 2]
         assert docs[1].text == "Regen, Brasilien"
 
     def test_impossible_calendar_day_is_rejected(self, tmp_path):
@@ -247,7 +253,7 @@ class TestLoadDocuments:
         )
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         docs = load_documents(path, format="jsonl").rows()
-        assert [(d.id, d.date) for d in docs] == [("a1", D(2011, 1, 12))]
+        assert [(d.id, d.date) for d in docs] == [(1, D(2011, 1, 12))]
 
     # Python 3.11's date.fromisoformat reads the first two as 2020-01-10.
     @pytest.mark.parametrize(
@@ -343,11 +349,13 @@ class TestDocumentFields:
         rows = list(load_documents(path, fmt).rows())
         assert all(type(row) is Document for row in rows)
         assert len(rows) == len(records)
-        for row, record in zip(rows, records):
+        for number, (row, record) in enumerate(zip(rows, records), 1):
             fields = row._asdict()
             assert list(fields) == list(record)
-            for name, value in record.items():
-                assert str(fields[name]) == value, name
+            # No id is kept: the slot holds the file row.
+            assert fields.pop("id") == number
+            for name, value in fields.items():
+                assert str(value) == record[name], name
 
 
 _GOOD_DAYS = ["2020-01-10", "2020-02-29", "2000-01-01", "2024-12-31"]
@@ -450,6 +458,16 @@ def _outcome(load):
         return f"InputError: {exc}"
 
 
+def _assert_loads_as_oracle(file) -> None:
+    data, fmt = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"docs.{fmt}"
+        path.write_bytes(data)
+        got = _outcome(lambda: by_hazard(load_documents(path, fmt).rows()))
+        want = _outcome(lambda: by_hazard(oracle_load_documents(path, fmt)))
+    assert got == want
+
+
 class TestLoaderOracle:
     """The single row loop returns what the per-row loader in ``support.py`` returns."""
 
@@ -458,13 +476,7 @@ class TestLoaderOracle:
     @example(file=(b"[" * 100_000 + b"]" * 100_000 + b"\n", "jsonl"))
     @example(file=(b'{"id": ' + b"9" * 5000 + b"}\n", "jsonl"))
     def test_documents_or_error_equal_oracle(self, file):
-        data, fmt = file
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / f"docs.{fmt}"
-            path.write_bytes(data)
-            got = _outcome(lambda: by_hazard(load_documents(path, fmt).rows()))
-            want = _outcome(lambda: by_hazard(oracle_load_documents(path, fmt)))
-        assert got == want
+        _assert_loads_as_oracle(file)
 
     def test_repeated_texts_without_keys_get_the_oracle_digests(self, tmp_path):
         texts = ["Erdrutsch in Brasilien", "Erdrutsch in Peru"]
@@ -490,6 +502,110 @@ class TestLoaderOracle:
         expected = f"InputError: row 2 of {str(path)!r}: {message}"
         assert _outcome(lambda: load_documents(path)) == expected
         assert _outcome(lambda: oracle_load_documents(path)) == expected
+
+    # Across rows, the first broken row is reported, a duplicate id as any
+    # other rule, whatever a later row breaks.
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "second, third",
+        [
+            ("duplicate", "bad_date"),
+            ("duplicate", "short"),
+            ("duplicate", "malformed"),
+            ("bad_date", "duplicate"),
+            ("short", "duplicate"),
+            ("malformed", "duplicate"),
+            ("bad_hazard", "duplicate"),
+        ],
+    )
+    def test_the_first_broken_row_is_reported(self, tmp_path, monkeypatch, fmt, second, third):
+        # A strict reader makes a stray quote malformed CSV, for the loader and the oracle.
+        for module in (attn_peaks.ingest, support):
+            monkeypatch.setattr(
+                module, "csv_reader", lambda handle: csv.reader(handle, strict=True)
+            )
+        record = dict(
+            id="a1", date="2020-01-10", outlet="o", text_type="t", hazard="fire", text="x"
+        )
+        broken = {
+            "duplicate": dict(record, text="y"),
+            "bad_date": dict(record, id="a9", date="2020-13-01"),
+            "short": {k: v for k, v in record.items() if k != "text"},
+            "malformed": dict(record, id="a9", text='"y"z'),
+            "bad_hazard": dict(record, id="a9", hazard="flood"),
+        }
+        rows = [record, broken[second], broken[third]]
+        path = tmp_path / f"docs.{fmt}"
+        if fmt == "csv":
+            lines = [CSV_HEADER.strip(), *(",".join(row.values()) for row in rows)]
+        else:
+            lines = [
+                "{not json" if kind == "malformed" else json.dumps(row)
+                for kind, row in zip(("good", second, third), rows)
+            ]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        reason = {
+            "duplicate": "duplicate document id 'a1'",
+            "bad_date": "invalid date '2020-13-01'",
+            "short": "expected 6 fields, got 5" if fmt == "csv" else "missing field 'text'",
+            "malformed": "malformed CSV: " if fmt == "csv" else "malformed JSON: ",
+            "bad_hazard": "unknown hazard label 'flood'",
+        }[second]
+        outcome = _outcome(lambda: load_documents(path, fmt))
+        assert outcome.startswith(f"InputError: row 2 of {str(path)!r}: {reason}")
+        assert outcome == _outcome(lambda: oracle_load_documents(path, fmt))
+
+
+class TestDuplicateIds:
+    """Ids are checked by their hash; a hash seen twice sends the file to an exact second read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(file=_document_files())
+    def test_every_id_sharing_one_hash_gives_the_oracle_result(self, file):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attn_peaks.ingest, "hash", lambda value: -1, raising=False)
+            _assert_loads_as_oracle(file)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_distinct_ids_sharing_a_hash_load(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        checks = []
+        real_check = attn_peaks.ingest._check_ids
+        monkeypatch.setattr(
+            attn_peaks.ingest, "_check_ids", lambda *args: checks.append(args) or real_check(*args)
+        )
+        records = [
+            dict(id=f"a{i}", date="2020-01-10", outlet="o", text_type="t", hazard="fire", text="x")
+            for i in range(3)
+        ]
+        path = tmp_path / f"docs.{fmt}"
+        if fmt == "csv":
+            body = "".join(",".join(r.values()) + "\n" for r in records)
+            path.write_text(CSV_HEADER + body, encoding="utf-8")
+        else:
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        docs = list(load_documents(path, fmt).rows())
+        assert checks == [(path, fmt, 3)]
+        assert [d.id for d in docs] == [1, 2, 3]
+        assert docs == oracle_load_documents(path, fmt)
+
+    def test_a_load_holds_no_id(self, tmp_path):
+        # 20,000 distinct ids: the ids and a set of them cost over 200 bytes
+        # a row at the peak; the columns and the id hashes cost about 42.
+        n = 20_000
+        rows = "".join(
+            f"doc-{i:06d},2020-01-{i % 28 + 1:02d},Blatt {i % 7},Bericht,fire,Brasilien\n"
+            for i in range(n)
+        )
+        path = write_csv(tmp_path, rows)
+        tracemalloc.start()
+        try:
+            corpus = load_documents(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == n
+        assert peak < 64 * n, f"{peak / n:.0f} bytes per row"
 
 
 class TestCountryMentions:
@@ -604,7 +720,7 @@ class TestSingleCountryFilter:
         corpus = Corpus.from_rows([kept, dropped_multi, dropped_none, dropped_other])
         result = filter_single_country(corpus, south_america)
         assert result is corpus
-        assert list(result.rows()) == [kept]
+        assert list(result.rows()) == [kept._replace(id=1)]
 
     def test_only_a_hazard_that_lost_a_document_is_rebuilt(self, south_america):
         texts = ["Brasilien", "Brasilien und Peru", "Peru", "in Brasilien", "Kolumbien"]
@@ -613,7 +729,7 @@ class TestSingleCountryFilter:
         corpus = Corpus.from_rows(docs)
         fire = corpus.columns["fire"]
         fire_columns = [getattr(fire, name) for name in _COLUMNS]
-        kept = [d.id for d in filter_single_country(corpus, south_america).rows()]
+        kept = [docs[d.id - 1].id for d in filter_single_country(corpus, south_america).rows()]
         assert kept == ["L0", "L3", "L5", "L8", "F0"]
         assert all(getattr(fire, name) is column for name, column in zip(_COLUMNS, fire_columns))
 
@@ -778,10 +894,8 @@ class TestCountryFilterOracle:
             )
             for i, j in enumerate(picks)
         ]
-        corpus = Corpus.from_rows(docs)
-        rows = list(corpus.rows())
-        kept = filter_single_country(corpus, gaz).rows()
-        assert [d.id for d in kept] == oracle_filter_ids(rows, gaz)
+        kept = filter_single_country(Corpus.from_rows(docs), gaz).rows()
+        assert [d.id for d in kept] == oracle_filter_ids(docs, gaz)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -823,10 +937,15 @@ class TestCountSeries:
         assert series.counts[index] == 1
         assert series.day_at(index) == D(2000, 2, 29)
 
-    def test_document_outside_range_names_the_id(self):
-        docs = [make_doc("stray", D(1999, 12, 31))]
-        with pytest.raises(InputError, match="'stray'"):
+    def test_document_outside_range_names_the_row(self, tmp_path):
+        docs = [make_doc("a", D(2000, 1, 1)), make_doc("stray", D(1999, 12, 31))]
+        message = "row 2 of '<rows>': document dated 1999-12-31 is outside the series range"
+        with pytest.raises(InputError, match=re.escape(message)):
             build_count_series(Corpus.from_rows(docs), "landslide", D(2000, 1, 1), D(2000, 12, 31))
+        path = write_csv(tmp_path, "a1,2000-01-01,o,t,fire,x\na2,1999-12-31,o,t,fire,y\n")
+        message = f"row 2 of {str(path)!r}: document dated 1999-12-31 is outside the series range"
+        with pytest.raises(InputError, match=re.escape(message)):
+            build_count_series(load_documents(path), "fire", D(2000, 1, 1), D(2000, 12, 31))
 
     def test_only_matching_hazard_is_counted(self):
         docs = [make_doc("a", D(2020, 1, 2), hazard="fire")]
@@ -881,11 +1000,13 @@ class TestCountSeriesOracle:
                 stray = series.start - datetime.timedelta(days=1)
             else:
                 stray = series.end + datetime.timedelta(days=1)
-            docs.insert(int(rng.integers(len(docs) + 1)), make_doc("stray", stray, hazard="fire"))
+            position = int(rng.integers(len(docs) + 1))
+            docs.insert(position, make_doc("stray", stray, hazard="fire"))
             corpus = Corpus.from_rows(docs)
-            with pytest.raises(InputError, match="'stray'"):
+            message = f"row {position + 1} of '<rows>': document dated {stray} is outside"
+            with pytest.raises(InputError, match=re.escape(message)):
                 build_count_series(corpus, "landslide", series.start, series.end)
-            with pytest.raises(InputError, match="'stray'"):
+            with pytest.raises(InputError, match=re.escape(message)):
                 oracle_count_series(list(corpus.rows()), "landslide", series.start, series.end)
 
 

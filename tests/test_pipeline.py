@@ -424,8 +424,8 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "measure_events", measure)
         monkeypatch.setattr(align_mod, "load_registry", load_registry)
         files = run_pipeline(config, "run").files
-        # Four arrays per hazard, as loaded and as filtered.
-        assert [len(arrays.get(h, ())) for h in hazards] == [8] * len(hazards)
+        # Five arrays per hazard (rows, days and three codes), as loaded and as filtered.
+        assert [len(arrays.get(h, ())) for h in hazards] == [10] * len(hazards)
         assert len(arrays["texts table"]) == 1
         assert at_measure == [0] * len(hazards)
         assert at_registry == [0] * len(config.registries)
@@ -458,7 +458,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "load_documents", load)
         monkeypatch.setattr(pipeline, "filter_single_country", filter_single_country)
         artifacts = run_pipeline(config, "run")
-        assert len(fire) == 4
+        assert len(fire) == 5
         assert at_filter == [(["landslide"], 0)]
         assert list(artifacts.series) == ["landslide"]
 
@@ -502,8 +502,8 @@ class TestRunPipeline:
     def test_out_of_range_document_is_an_ingest_error(self, tmp_path):
         config_path = write_small_corpus(tmp_path)
         config = load_config(config_path)
-        config.start = D(2020, 1, 11)  # L1 on the 10th now falls outside
-        with pytest.raises(InputError, match="^ingest: .*'L1'"):
+        config.start = D(2020, 1, 11)  # L1, row 1, on the 10th now falls outside
+        with pytest.raises(InputError, match="^ingest: row 1 of .*: document dated 2020-01-10 "):
             run_pipeline(config, "run")
 
     def test_out_of_range_document_the_filter_drops_is_not_checked(self, tmp_path):
