@@ -25,8 +25,9 @@ series = CountSeries(start=start, end=start + datetime.timedelta(days=119), coun
 
 # One document per counted article, as a Document: a named tuple with the
 # fields id, date, outlet, text_type, hazard, text and text_key. The corpus
-# keeps no id; in the rows Corpus.rows() gives, the id slot holds each
-# document's 1-based position in the list given to Corpus.from_rows. Two
+# keeps no id and no key; in the rows Corpus.rows() gives, the id slot holds
+# each document's 1-based position in the list given to Corpus.from_rows,
+# and the text_key slot an int label that equal keys share. Two
 # documents on the spike day carry the same text (an agency wire reprinted
 # by a second outlet), so the spike has 4 articles but only 3 unique texts.
 docs = []

@@ -47,7 +47,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, TextIO
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import ConsistencyError, InputError
 
@@ -108,6 +108,8 @@ class Document(NamedTuple):
     is the last and the only one that a file may leave out. A corpus keeps
     no id once it is checked, so ``id`` holds the document's row in its
     file (its 1-based position in the rows given to :meth:`Corpus.from_rows`).
+    Nor does it keep a key: ``text_key`` holds the key's label, an int that
+    two documents of one corpus share exactly when their keys are equal.
     """
 
     id: int | str
@@ -116,7 +118,7 @@ class Document(NamedTuple):
     text_type: str
     hazard: str
     text: str
-    text_key: str
+    text_key: int | str
 
 
 _COLUMNS = ("rows", "days", "outlets", "genres", "texts", "keys")
@@ -128,7 +130,8 @@ class Columns:
     ``rows`` is an ``array('I')`` of the documents' file rows, ``days`` an
     ``array('i')`` of proleptic ordinals, ``outlets``, ``genres`` and
     ``texts`` ``array('I')``\\ s of codes into the corpus's tables, and
-    ``keys`` (the text keys) a list of str.
+    ``keys`` an ``array('q')`` of text key labels, equal exactly when the
+    keys are.
     """
 
     __slots__ = _COLUMNS
@@ -139,7 +142,7 @@ class Columns:
         self.outlets = array("I")
         self.genres = array("I")
         self.texts = array("I")
-        self.keys: list[str] = []
+        self.keys = array("q")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -220,9 +223,10 @@ class Corpus:
 
         The rows are taken as they are; unlike :func:`load_documents`, nothing is checked.
         Their ids are not kept: each document is numbered by its 1-based position.
+        Each distinct ``text_key`` is labelled by its code, in order of first use.
         """
         corpus = cls()
-        outlets, genres, texts = _Codes(), _Codes(), _Codes()
+        outlets, genres, texts, keys = _Codes(), _Codes(), _Codes(), _Codes()
         appenders: dict[str, tuple] = {}
         for row, (_, date, outlet, genre, hazard, text, key) in enumerate(rows, 1):
             add = appenders.get(hazard)
@@ -234,7 +238,7 @@ class Corpus:
             add_outlet(outlets[outlet])
             add_genre(genres[genre])
             add_text(texts[text])
-            add_key(key)
+            add_key(keys[key])
         corpus.outlets, corpus.genres, corpus.texts = list(outlets), list(genres), list(texts)
         return corpus
 
@@ -497,7 +501,9 @@ def _read_documents(
     rows: Iterable[tuple[int, list[str]]],
     width: int,
     hazards: tuple[str, ...],
+    key_label: Callable[[str], int],
     id_hashes: list[array],
+    keys: _KeyRecord,
 ) -> Corpus:
     """The corpus of the numbered rows of ``width`` fields, each row checked.
 
@@ -508,14 +514,18 @@ def _read_documents(
     genre and text gets one code. No id is kept: where a row's id would be
     checked against the ids before it, its hash is appended to the bucket
     of ``id_hashes`` (a power of two of them) that the hash's low bits
-    pick, and the caller looks for duplicates when the rows end.
+    pick, and the caller looks for duplicates when the rows end. No key is
+    kept as a str either: the keys column holds ``key_label`` of each
+    row's key, and ``keys`` records what the caller needs to check the
+    labels (see :class:`_KeyRecord`).
     """
     corpus = Corpus(hazards, path)
     appenders = {hazard: columns.appenders() for hazard, columns in corpus.columns.items()}
-    add_hash = [bucket.append for bucket in id_hashes]
-    id_hash, mask = hash, len(id_hashes) - 1
+    add_id_hash = [bucket.append for bucket in id_hashes]
+    add_key_hash = [bucket.append for bucket in keys.hashes]
+    id_hash, id_mask, key_mask = hash, len(id_hashes) - 1, len(keys.hashes) - 1
+    packed, digests = keys.packed, keys.digests
     dates: dict[str, int] = {}
-    digests: dict[str, str] = {}
     outlets, genres, texts = _Codes(), _Codes(), _Codes()
     has_key = width == len(Document._fields)
     for row, fields in rows:
@@ -529,15 +539,21 @@ def _read_documents(
         if not doc_id:
             raise row_error(path, row, "empty field 'id'")
         h = id_hash(doc_id)
-        add_hash[h & mask](h)
+        add_id_hash[h & id_mask](h)
         try:
             add_row, add_day, add_outlet, add_genre, add_text, add_key = appenders[hazard]
         except KeyError:
             raise row_error(path, row, f"unknown hazard label {hazard!r}") from None
-        if not key:
-            key = digests.get(text)
-            if key is None:
-                key = digests[text] = text_digest(text)
+        if key:
+            label = key_label(key)
+            add_key_hash[label & key_mask](label)
+            packed += key.encode()
+            packed.append(0xFF)
+        else:
+            label = digests.get(text)
+            if label is None:
+                label = digests[text] = key_label(text_digest(text))
+                add_key_hash[label & key_mask](label)
         try:
             date = dates[day]
         except KeyError:
@@ -547,7 +563,7 @@ def _read_documents(
         add_outlet(outlets[outlet])
         add_genre(genres[genre])
         add_text(texts[text])
-        add_key(key)
+        add_key(label)
     corpus.outlets, corpus.genres, corpus.texts = list(outlets), list(genres), list(texts)
     return corpus
 
@@ -623,6 +639,58 @@ def _check_ids(path: Path, format: str, n_rows: int) -> None:
             seen.add(doc_id)
 
 
+class _KeyRecord:
+    """What a load keeps of its text keys to check their labels when the rows end.
+
+    ``hashes`` holds each label in one of 256 ``array('q')`` buckets that
+    its low byte picks, once per row with a ``text_key`` and once per
+    distinct text without one. ``packed`` holds each explicit key in file
+    order as UTF-8, ended by a 0xFF byte, which UTF-8 never holds: one
+    byte a key more than its length, where a str costs 49 more and its
+    list slot 8. ``digests`` maps each text without a key to its label.
+    """
+
+    __slots__ = ("hashes", "packed", "digests")
+
+    def __init__(self) -> None:
+        self.hashes = [array("q") for _ in range(256)]
+        self.packed = bytearray()
+        self.digests: dict[str, int] = {}
+
+    def distinct_keys_share_a_hash(self) -> bool:
+        """Whether two distinct keys have one hash, so that their labels are not exact.
+
+        Only the keys whose hash a bucket holds twice are compared, from
+        memory; a text without a key stands for its digest.
+        """
+        shared: set[int] = set()
+        for bucket in self.hashes:
+            if len(set(bucket)) != len(bucket):
+                shared.update(h for h, n in Counter(bucket).items() if n > 1)
+        if not shared:
+            return False
+        seen: dict[int, str] = {}
+        packed, start = self.packed, 0
+        while start < len(packed):
+            # About 64 KiB of keys at a time, cut after a key's end; the 0xFF
+            # bytes decode to lone surrogates, which no key holds.
+            stop = packed.find(0xFF, start + 65536)
+            if stop < 0:
+                stop = len(packed) - 1
+            keys = packed[start:stop].decode("utf-8", "surrogateescape").split("\udcff")
+            for key in set(keys):
+                label = hash(key)
+                if label in shared and seen.setdefault(label, key) != key:
+                    return True
+            start = stop + 1
+        for text, label in self.digests.items():
+            if label in shared:
+                key = text_digest(text)
+                if seen.setdefault(label, key) != key:
+                    return True
+        return False
+
+
 def load_documents(
     path: Path | str,
     format: str = "csv",
@@ -642,16 +710,32 @@ def load_documents(
     the rows that were hashed and compares their ids. Its error is the one
     the row loop would have raised had it held every id, and a hash that
     two distinct ids share costs only the second read.
+
+    No text key is held as a str: each key's label is its hash, kept in
+    the keys column and in 256 buckets of its own, and the key itself as
+    UTF-8 bytes (see :class:`_KeyRecord`). When the rows end by return and
+    some hash is in a bucket twice, the keys with such a hash are compared
+    in memory, so shared keys keep their hash labels without a second
+    read. Only when two distinct keys share a hash is the file loaded
+    again, each key labelled by its code.
     """
     check_format(format)
     path = Path(path)
     id_hashes = [array("q") for _ in range(256)]
+    keys = _KeyRecord()
     try:
         with _document_rows(path, format) as (width, rows):
-            return _read_documents(path, rows, width, hazards, id_hashes)
+            corpus = _read_documents(path, rows, width, hazards, hash, id_hashes, keys)
     finally:
         if any(len(set(bucket)) != len(bucket) for bucket in id_hashes):
             _check_ids(path, format, sum(map(len, id_hashes)))
+    if keys.distinct_keys_share_a_hash():
+        del corpus, id_hashes, keys
+        # The rows were all checked; what the reload records is not looked at.
+        with _document_rows(path, format) as (width, rows):
+            codes = _Codes().__getitem__
+            corpus = _read_documents(path, rows, width, hazards, codes, [array("q")], _KeyRecord())
+    return corpus
 
 
 @dataclass(slots=True)

@@ -434,13 +434,20 @@ def oracle_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
     return found
 
 
-def by_hazard(rows) -> dict[str, list[Document]]:
-    """Documents grouped by hazard, each group in the order given; hazards without any left out."""
-    groups: dict[str, list[Document]] = {}
-    for row in rows:
-        _, _, _, _, hazard, _, _ = row
-        groups.setdefault(hazard, []).append(row)
-    return groups
+def in_corpus_order(rows, hazards=("landslide", "fire")) -> list[Document]:
+    """Documents in :meth:`Corpus.rows` order: hazard by hazard, each in the order given."""
+    return sorted(rows, key=lambda row: hazards.index(row[4]))
+
+
+def first_key_rows(rows) -> list[tuple]:
+    """``rows`` with each ``text_key`` slot holding the index of the first row with that key.
+
+    A corpus keeps a label in place of each key, one that only equality
+    gives a meaning to, so a corpus's rows and an oracle's, in the same
+    order, compare by the partition their keys make.
+    """
+    first: dict = {}
+    return [(*row[:-1], first.setdefault(row[-1], i)) for i, row in enumerate(rows)]
 
 
 def oracle_filter_ids(docs: list[Document], gazetteer: Gazetteer) -> list[int]:

@@ -354,8 +354,9 @@ def _write_scale_registry(path: Path) -> None:
 # The peak RSS of the run, in its own process. On a 2-core x86-64 host with
 # Python 3.10-3.13, a fresh `run` read 256-285 MiB on this corpus when each
 # document was a tuple, 186-220 MiB with the columnar corpus while it kept
-# every id, and 130-146 MiB since the loader keeps only the ids' hashes.
-_SCALE_RSS_MIB = 160
+# every id, 130-147 MiB when it kept only the ids' hashes but every key
+# string, and 97-101 MiB since it keeps the keys' hashes in their place.
+_SCALE_RSS_MIB = 112
 
 
 def test_scale_smoke_one_million_documents(tmp_path):

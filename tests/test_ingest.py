@@ -24,8 +24,11 @@ from attn_peaks import (
     CountSeries,
     Document,
     InputError,
+    PeakParams,
     build_count_series,
+    detect_events,
     load_documents,
+    measure_events,
 )
 from attn_peaks.ingest import (
     _COLUMNS,
@@ -40,13 +43,15 @@ from attn_peaks.ingest import (
 )
 import support
 from support import (
-    by_hazard,
+    first_key_rows,
+    in_corpus_order,
     make_doc,
     make_series,
     oracle_count_series,
     oracle_country_mentions,
     oracle_filter_ids,
     oracle_load_documents,
+    oracle_measures,
     oracle_tokens,
     random_corpus,
     random_series,
@@ -65,12 +70,17 @@ def write_csv(tmp_path, body: str, name: str = "docs.csv", header: str = CSV_HEA
 
 
 def kept_rows(docs, gazetteer: Gazetteer) -> list:
-    """The rows that the filter keeps of a corpus of ``docs``, each with its input id.
+    """The documents of ``docs`` whose rows the filter keeps of a corpus of them.
 
-    A corpus numbers the documents by position, so the position maps a row back to its id.
+    A corpus numbers the documents by position, so the position maps a row
+    back to its document; with its input id, the row must equal it field by
+    field, the key labels parting the rows as the keys do.
     """
-    kept = filter_single_country(Corpus.from_rows(docs), gazetteer).rows()
-    return [row._replace(id=docs[row.id - 1].id) for row in kept]
+    kept = list(filter_single_country(Corpus.from_rows(docs), gazetteer).rows())
+    rows = [row._replace(id=docs[row.id - 1].id) for row in kept]
+    given = [docs[row.id - 1] for row in kept]
+    assert first_key_rows(rows) == first_key_rows(given)
+    return given
 
 
 @pytest.fixture
@@ -108,7 +118,8 @@ class TestLoadDocuments:
         assert first.text_type == "Bericht"
         assert first.hazard == "landslide"
         assert first.text == "Erdrutsch in Brasilien"
-        assert first.text_key == text_digest("Erdrutsch in Brasilien")
+        # Without a key the body's digest stands for it, labelled by its hash.
+        assert first.text_key == hash(text_digest("Erdrutsch in Brasilien"))
         # Hazard by hazard, in file order within each; the id slot holds the row.
         assert [d.id for d in docs] == [1, 3, 2]
         assert docs[1].text == "Regen, Brasilien"
@@ -157,8 +168,8 @@ class TestLoadDocuments:
             header="id,date,outlet,text_type,hazard,text,text_key\n",
         )
         docs = list(load_documents(path).rows())
-        assert docs[0].text_key == "k1"
-        assert docs[1].text_key == text_digest("bar")
+        assert docs[0].text_key == hash("k1")
+        assert docs[1].text_key == hash(text_digest("bar"))
 
     def test_csv_parse_error_names_the_row(self, tmp_path, monkeypatch):
         # A strict reader turns the stray quote in row 2 into a csv.Error.
@@ -190,7 +201,7 @@ class TestLoadDocuments:
         docs = list(load_documents(path, format="jsonl").rows())
         assert len(docs) == 1
         assert docs[0].date == D(2011, 1, 12)
-        assert docs[0].text_key == text_digest("x")
+        assert docs[0].text_key == hash(text_digest("x"))
 
     def test_jsonl_unknown_field_is_rejected(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -233,7 +244,7 @@ class TestLoadDocuments:
         )
         [doc] = load_documents(path, format="jsonl").rows()
         assert (doc.outlet, doc.text) == ("\U0001f600", "Feuer \U0001f525")
-        assert doc.text_key == text_digest("Feuer \U0001f525")
+        assert doc.text_key == hash(text_digest("Feuer \U0001f525"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
@@ -318,7 +329,7 @@ class TestLoadDocuments:
         docs = list(corpus.rows())
         assert docs[0].text is docs[2].text is docs[4].text
         assert docs[1].text is docs[3].text is docs[5].text
-        assert docs == oracle_load_documents(path, fmt)
+        assert first_key_rows(docs) == first_key_rows(oracle_load_documents(path, fmt))
 
 
 class TestDocumentFields:
@@ -352,8 +363,9 @@ class TestDocumentFields:
         for number, (row, record) in enumerate(zip(rows, records), 1):
             fields = row._asdict()
             assert list(fields) == list(record)
-            # No id is kept: the slot holds the file row.
+            # No id is kept: the slot holds the file row. Nor is a key: its hash stands for it.
             assert fields.pop("id") == number
+            assert fields.pop("text_key") == hash(record["text_key"])
             for name, value in fields.items():
                 assert str(value) == record[name], name
 
@@ -459,13 +471,29 @@ def _outcome(load):
 
 
 def _assert_loads_as_oracle(file) -> None:
+    """The loaded corpus, its stats and its measures equal the oracle's, or both give one error.
+
+    Only equality gives a key label its meaning, so the stats and the
+    measures, which count distinct keys, are compared as well as the rows.
+    """
     data, fmt = file
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"docs.{fmt}"
         path.write_bytes(data)
-        got = _outcome(lambda: by_hazard(load_documents(path, fmt).rows()))
-        want = _outcome(lambda: by_hazard(oracle_load_documents(path, fmt)))
-    assert got == want
+        corpus = _outcome(lambda: load_documents(path, fmt))
+        docs = _outcome(lambda: in_corpus_order(oracle_load_documents(path, fmt)))
+    if isinstance(docs, str) or isinstance(corpus, str):
+        assert corpus == docs
+        return
+    assert first_key_rows(corpus.rows()) == first_key_rows(docs)
+    for hazard in corpus.columns:
+        series = build_count_series(corpus, hazard, D(2000, 1, 1), D(2024, 12, 31))
+        of_hazard = [doc for doc in docs if doc[4] == hazard]
+        stats = corpus_stats(corpus, series)
+        assert stats.n_text_types == len({key for *_, key in of_hazard})
+        assert stats == corpus_stats(Corpus.from_rows(of_hazard), series)
+        events = detect_events(series, PeakParams(min_height=1, min_distance=1))
+        assert measure_events(events, corpus) == oracle_measures(events, of_hazard)
 
 
 class TestLoaderOracle:
@@ -483,8 +511,8 @@ class TestLoaderOracle:
         rows = "".join(f"d{i},2020-01-{i % 3 + 10},o,t,fire,{texts[i % 2]}\n" for i in range(6))
         path = write_csv(tmp_path, rows)
         docs = list(load_documents(path).rows())
-        assert docs == oracle_load_documents(path)
-        assert docs[0].text_key is docs[2].text_key
+        assert first_key_rows(docs) == first_key_rows(oracle_load_documents(path))
+        assert docs[0].text_key == docs[2].text_key == hash(text_digest(texts[0]))
 
     # Each row breaks several rules; the first check in the per-row order names it.
     @pytest.mark.parametrize(
@@ -559,6 +587,7 @@ class TestLoaderOracle:
 class TestDuplicateIds:
     """Ids are checked by their hash; a hash seen twice sends the file to an exact second read."""
 
+    # Every text key shares the hash too, so two distinct keys load the file again.
     @settings(max_examples=200, deadline=None)
     @given(file=_document_files())
     def test_every_id_sharing_one_hash_gives_the_oracle_result(self, file):
@@ -587,7 +616,7 @@ class TestDuplicateIds:
         docs = list(load_documents(path, fmt).rows())
         assert checks == [(path, fmt, 3)]
         assert [d.id for d in docs] == [1, 2, 3]
-        assert docs == oracle_load_documents(path, fmt)
+        assert first_key_rows(docs) == first_key_rows(oracle_load_documents(path, fmt))
 
     def test_a_load_holds_no_id(self, tmp_path):
         # 20,000 distinct ids: the ids and a set of them cost over 200 bytes
@@ -606,6 +635,121 @@ class TestDuplicateIds:
             tracemalloc.stop()
         assert len(corpus) == n
         assert peak < 64 * n, f"{peak / n:.0f} bytes per row"
+
+
+def _write_keyed(path: Path, keys: list[str]) -> None:
+    """A documents file of one row per key, in the format its suffix names."""
+    records = [
+        dict(id=f"a{i}", date="2020-01-10", outlet="o", text_type="t", hazard="fire",
+             text=f"x{i}", text_key=key)
+        for i, key in enumerate(keys)
+    ]
+    if path.suffix == ".csv":
+        body = "".join(",".join(r.values()) + "\n" for r in records)
+        path.write_text(CSV_HEADER.strip() + ",text_key\n" + body, encoding="utf-8")
+    else:
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+class TestTextKeys:
+    """A key is labelled by its hash; the keys whose hash repeats are compared in memory,
+    and a hash that two distinct keys share sends the file to a load with exact labels."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_shared_keys_keep_their_hash_labels(self, tmp_path, monkeypatch, fmt):
+        opened = []
+        real_open = attn_peaks.ingest.open_input
+
+        def open_input(*args, **kwargs):
+            opened.append(args)
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(attn_peaks.ingest, "open_input", open_input)
+        keys = ["k1", "k2", "k1", "", "k1"]
+        path = tmp_path / f"docs.{fmt}"
+        _write_keyed(path, keys)
+        corpus = load_documents(path, fmt)
+        # The keys whose hashes repeat are compared without a second read.
+        assert len(opened) == 1
+        labels = [hash(key or text_digest("x3")) for key in keys]
+        assert list(corpus.columns["fire"].keys) == labels
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_equal_keys_under_one_hash_keep_it(self, tmp_path, monkeypatch, fmt):
+        loads = []
+        real_read = attn_peaks.ingest._read_documents
+
+        def read_documents(*args):
+            loads.append(args)
+            return real_read(*args)
+
+        monkeypatch.setattr(attn_peaks.ingest, "_read_documents", read_documents)
+        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        path = tmp_path / f"docs.{fmt}"
+        # Every hash is 7, but the keys are equal: no reload. Packed, they
+        # fill several of the 64 KiB spans that the comparison decodes at once.
+        _write_keyed(path, ["é" * 10] * 10_000)
+        corpus = load_documents(path, fmt)
+        assert len(loads) == 1
+        assert list(corpus.columns["fire"].keys) == [7] * 10_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "keys, codes",
+        [
+            # k1, k2, k3 and the digest, which the row without a key stands for.
+            (["k1", "k2", "k1", "", "k3", text_digest("x3")], [0, 1, 0, 2, 3, 2]),
+            (["k1", "k2", "k1"], [0, 1, 0]),
+        ],
+    )
+    def test_distinct_keys_sharing_a_hash_are_distinct(
+        self, tmp_path, monkeypatch, fmt, keys, codes
+    ):
+        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        path = tmp_path / f"docs.{fmt}"
+        _write_keyed(path, keys)
+        corpus = load_documents(path, fmt)
+        series = build_count_series(corpus, "fire", D(2020, 1, 10), D(2020, 1, 10))
+        assert corpus_stats(corpus, series).n_text_types == len(set(codes))
+        assert list(corpus.columns["fire"].keys) == codes
+
+    def test_a_load_holds_no_key(self, tmp_path):
+        # 20,000 distinct keys: the key strings cost about 64 bytes a row;
+        # their labels and hashes cost 16.
+        n = 20_000
+        rows = "".join(
+            f"doc-{i:06d},2020-01-{i % 28 + 1:02d},Blatt {i % 7},Bericht,fire,Brasilien,"
+            f"key-{i:06d}\n"
+            for i in range(n)
+        )
+        path = write_csv(tmp_path, rows, header=CSV_HEADER.strip() + ",text_key\n")
+        tracemalloc.start()
+        try:
+            corpus = load_documents(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == n
+        assert peak < 72 * n, f"{peak / n:.0f} bytes per row"
+
+    def test_bodies_without_a_key_are_held_once(self, tmp_path):
+        # Shared keys make the labels be checked; the long bodies of the rows
+        # without a key must not be held a second time while they are.
+        n, size = 200, 20_000
+        rows = "".join(
+            f"doc-{i},2020-01-10,Blatt,Bericht,fire,{i:06d}{'Brasilien ' * (size // 10)},"
+            f"{('k1', 'k2')[i % 2] if i % 4 < 2 else ''}\n"
+            for i in range(n)
+        )
+        path = write_csv(tmp_path, rows, header=CSV_HEADER.strip() + ",text_key\n")
+        tracemalloc.start()
+        try:
+            corpus = load_documents(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.texts) == n
+        assert peak < 1.25 * n * size, f"{peak / (n * size):.2f} times the bodies"
 
 
 class TestCountryMentions:
@@ -720,7 +864,8 @@ class TestSingleCountryFilter:
         corpus = Corpus.from_rows([kept, dropped_multi, dropped_none, dropped_other])
         result = filter_single_country(corpus, south_america)
         assert result is corpus
-        assert list(result.rows()) == [kept._replace(id=1)]
+        # The row in the id slot, the key's code in the key slot.
+        assert list(result.rows()) == [kept._replace(id=1, text_key=0)]
 
     def test_only_a_hazard_that_lost_a_document_is_rebuilt(self, south_america):
         texts = ["Brasilien", "Brasilien und Peru", "Peru", "in Brasilien", "Kolumbien"]

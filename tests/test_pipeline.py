@@ -337,6 +337,26 @@ class TestRunPipeline:
             else:
                 assert got == want, name
 
+    def test_the_exact_reload_writes_the_golden_bytes(self, golden_dir, tmp_path, monkeypatch):
+        # With every str hash equal, the golden file's distinct text digests share
+        # one, so the loader reads the file again and labels each key by its code.
+        loads = []
+        real_read = ingest._read_documents
+
+        def read_documents(*args):
+            loads.append(args)
+            return real_read(*args)
+
+        monkeypatch.setattr(ingest, "_read_documents", read_documents)
+        monkeypatch.setattr(ingest, "hash", lambda value: 7, raising=False)
+        config = load_config(golden_dir / "config.ini")
+        config.out_dir = tmp_path / "out"
+        files = run_pipeline(config, "run").files
+        assert len(loads) == 2
+        for name in sorted(path.name for path in (golden_dir / "expected").iterdir()):
+            want = (golden_dir / "expected" / name).read_bytes()
+            assert files[name].read_bytes() == want, name
+
     def test_hazard_subset_run(self, tmp_path):
         config = load_config(write_small_corpus(tmp_path))
         config.run_hazards = ("fire",)
@@ -424,8 +444,9 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "measure_events", measure)
         monkeypatch.setattr(align_mod, "load_registry", load_registry)
         files = run_pipeline(config, "run").files
-        # Five arrays per hazard (rows, days and three codes), as loaded and as filtered.
-        assert [len(arrays.get(h, ())) for h in hazards] == [10] * len(hazards)
+        # Six arrays per hazard (rows, days, three codes and the key labels), as loaded
+        # and as filtered.
+        assert [len(arrays.get(h, ())) for h in hazards] == [12] * len(hazards)
         assert len(arrays["texts table"]) == 1
         assert at_measure == [0] * len(hazards)
         assert at_registry == [0] * len(config.registries)
@@ -458,7 +479,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "load_documents", load)
         monkeypatch.setattr(pipeline, "filter_single_country", filter_single_country)
         artifacts = run_pipeline(config, "run")
-        assert len(fire) == 5
+        assert len(fire) == 6
         assert at_filter == [(["landslide"], 0)]
         assert list(artifacts.series) == ["landslide"]
 
