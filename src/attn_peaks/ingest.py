@@ -498,72 +498,72 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
 
 def _read_documents(
     path: Path,
-    rows: Iterable[tuple[int, list[str]]],
-    width: int,
+    format: str,
     hazards: tuple[str, ...],
+    id_label: Callable[[str], int],
     key_label: Callable[[str], int],
-    id_hashes: list[array],
-    keys: _KeyRecord,
+    labels: _Labels,
 ) -> Corpus:
-    """The corpus of the numbered rows of ``width`` fields, each row checked.
+    """The corpus of the documents file ``path``, each row checked.
 
     Both file formats feed this loop, so every row is checked the same way.
     Rows are unpacked into locals and each field appended to its hazard's
     column; each distinct date string is parsed once, each distinct text
     without a ``text_key`` is digested once, and each distinct outlet,
-    genre and text gets one code. No id is kept: where a row's id would be
-    checked against the ids before it, its hash is appended to the bucket
-    of ``id_hashes`` (a power of two of them) that the hash's low bits
-    pick, and the caller looks for duplicates when the rows end. No key is
-    kept as a str either: the keys column holds ``key_label`` of each
-    row's key, and ``keys`` records what the caller needs to check the
-    labels (see :class:`_KeyRecord`).
+    genre and text gets one code. No id or key is kept as a str: the
+    ``id_label`` of each row's id goes to ``labels``, and one that raises
+    KeyError marks the id a duplicate; the keys column holds ``key_label``
+    of each row's key. ``labels`` records what the caller needs to check
+    the labels (see :class:`_Labels`).
     """
     corpus = Corpus(hazards, path)
     appenders = {hazard: columns.appenders() for hazard, columns in corpus.columns.items()}
-    add_id_hash = [bucket.append for bucket in id_hashes]
-    add_key_hash = [bucket.append for bucket in keys.hashes]
-    id_hash, id_mask, key_mask = hash, len(id_hashes) - 1, len(keys.hashes) - 1
-    packed, digests = keys.packed, keys.digests
+    add_id_label = [bucket.append for bucket in labels.ids]
+    add_key_label = [bucket.append for bucket in labels.keys]
+    packed, digests = labels.packed, labels.digests
     dates: dict[str, int] = {}
     outlets, genres, texts = _Codes(), _Codes(), _Codes()
-    has_key = width == len(Document._fields)
-    for row, fields in rows:
-        if len(fields) != width:
-            raise row_error(path, row, f"expected {width} fields, got {len(fields)}")
-        if has_key:
-            doc_id, day, outlet, genre, hazard, text, key = fields
-        else:
-            doc_id, day, outlet, genre, hazard, text = fields
-            key = ""
-        if not doc_id:
-            raise row_error(path, row, "empty field 'id'")
-        h = id_hash(doc_id)
-        add_id_hash[h & id_mask](h)
-        try:
-            add_row, add_day, add_outlet, add_genre, add_text, add_key = appenders[hazard]
-        except KeyError:
-            raise row_error(path, row, f"unknown hazard label {hazard!r}") from None
-        if key:
-            label = key_label(key)
-            add_key_hash[label & key_mask](label)
-            packed += key.encode()
-            packed.append(0xFF)
-        else:
-            label = digests.get(text)
-            if label is None:
-                label = digests[text] = key_label(text_digest(text))
-                add_key_hash[label & key_mask](label)
-        try:
-            date = dates[day]
-        except KeyError:
-            date = dates[day] = parse_row_date(day, path, row).toordinal()
-        add_row(row)
-        add_day(date)
-        add_outlet(outlets[outlet])
-        add_genre(genres[genre])
-        add_text(texts[text])
-        add_key(label)
+    with _document_rows(path, format) as (width, rows):
+        has_key = width == len(Document._fields)
+        for row, fields in rows:
+            if len(fields) != width:
+                raise row_error(path, row, f"expected {width} fields, got {len(fields)}")
+            if has_key:
+                doc_id, day, outlet, genre, hazard, text, key = fields
+            else:
+                doc_id, day, outlet, genre, hazard, text = fields
+                key = ""
+            if not doc_id:
+                raise row_error(path, row, "empty field 'id'")
+            try:
+                h = id_label(doc_id)
+            except KeyError:
+                raise row_error(path, row, f"duplicate document id {doc_id!r}") from None
+            add_id_label[h & 255](h)
+            try:
+                add_row, add_day, add_outlet, add_genre, add_text, add_key = appenders[hazard]
+            except KeyError:
+                raise row_error(path, row, f"unknown hazard label {hazard!r}") from None
+            if key:
+                label = key_label(key)
+                add_key_label[label & 255](label)
+                packed += key.encode()
+                packed.append(0xFF)
+            else:
+                label = digests.get(text)
+                if label is None:
+                    label = digests[text] = key_label(text_digest(text))
+                    add_key_label[label & 255](label)
+            try:
+                date = dates[day]
+            except KeyError:
+                date = dates[day] = parse_row_date(day, path, row).toordinal()
+            add_row(row)
+            add_day(date)
+            add_outlet(outlets[outlet])
+            add_genre(genres[genre])
+            add_text(texts[text])
+            add_key(label)
     corpus.outlets, corpus.genres, corpus.texts = list(outlets), list(genres), list(texts)
     return corpus
 
@@ -628,32 +628,42 @@ def _document_rows(path: Path, format: str):
         raise undecodable(path, jsonl=True) from None
 
 
-def _check_ids(path: Path, format: str, n_rows: int) -> None:
-    """InputError at the first of the first ``n_rows`` rows whose id an earlier row has."""
-    seen: set[str] = set()
-    with _document_rows(path, format) as (_, rows):
-        for row, fields in itertools.islice(rows, n_rows):
-            doc_id = fields[0]
-            if doc_id in seen:
-                raise row_error(path, row, f"duplicate document id {doc_id!r}") from None
-            seen.add(doc_id)
+class _Ids(set):
+    """The ids of the rows so far; called with a row's id, it adds it, or raises KeyError."""
+
+    def __call__(self, doc_id: str) -> int:
+        if doc_id in self:
+            raise KeyError(doc_id)
+        self.add(doc_id)
+        return 0
 
 
-class _KeyRecord:
-    """What a load keeps of its text keys to check their labels when the rows end.
+def _repeated(buckets: list[array]) -> set[int]:
+    """The labels that a bucket holds twice, found by a set over one bucket at a time."""
+    repeated: set[int] = set()
+    for bucket in buckets:
+        if len(set(bucket)) != len(bucket):
+            repeated.update(label for label, n in Counter(bucket).items() if n > 1)
+    return repeated
 
-    ``hashes`` holds each label in one of 256 ``array('q')`` buckets that
-    its low byte picks, once per row with a ``text_key`` and once per
-    distinct text without one. ``packed`` holds each explicit key in file
-    order as UTF-8, ended by a 0xFF byte, which UTF-8 never holds: one
-    byte a key more than its length, where a str costs 49 more and its
-    list slot 8. ``digests`` maps each text without a key to its label.
+
+class _Labels:
+    """What a load keeps of its ids and text keys to check their labels when the rows end.
+
+    ``ids`` and ``keys`` each hold labels in 256 ``array('q')`` buckets
+    that a label's low byte picks: ``ids`` one per checked row, ``keys``
+    one per row with a ``text_key`` and one per distinct text without one.
+    ``packed`` holds each explicit key in file order as UTF-8, ended by a
+    0xFF byte, which UTF-8 never holds: one byte a key more than its
+    length, where a str costs 49 more and its list slot 8. ``digests``
+    maps each text without a key to its label.
     """
 
-    __slots__ = ("hashes", "packed", "digests")
+    __slots__ = ("ids", "keys", "packed", "digests")
 
     def __init__(self) -> None:
-        self.hashes = [array("q") for _ in range(256)]
+        self.ids = [array("q") for _ in range(256)]
+        self.keys = [array("q") for _ in range(256)]
         self.packed = bytearray()
         self.digests: dict[str, int] = {}
 
@@ -663,10 +673,7 @@ class _KeyRecord:
         Only the keys whose hash a bucket holds twice are compared, from
         memory; a text without a key stands for its digest.
         """
-        shared: set[int] = set()
-        for bucket in self.hashes:
-            if len(set(bucket)) != len(bucket):
-                shared.update(h for h, n in Counter(bucket).items() if n > 1)
+        shared = _repeated(self.keys)
         if not shared:
             return False
         seen: dict[int, str] = {}
@@ -703,39 +710,30 @@ def load_documents(
     hazard of ``hazards``; a malformed row, a duplicate ``id`` or an unknown
     hazard label raises :class:`InputError`.
 
-    The duplicate check holds 8 bytes per document: the hash of each id,
-    in 256 buckets, so that a set over one bucket at a time finds a hash
-    that is there twice. When the rows end, by return or by error, only
-    such a hash sends the file to :func:`_check_ids`, which reads again
-    the rows that were hashed and compares their ids. Its error is the one
-    the row loop would have raised had it held every id, and a hash that
-    two distinct ids share costs only the second read.
-
-    No text key is held as a str: each key's label is its hash, kept in
-    the keys column and in 256 buckets of its own, and the key itself as
-    UTF-8 bytes (see :class:`_KeyRecord`). When the rows end by return and
-    some hash is in a bucket twice, the keys with such a hash are compared
-    in memory, so shared keys keep their hash labels without a second
-    read. Only when two distinct keys share a hash is the file loaded
-    again, each key labelled by its code.
+    No id or text key is held as a str: the first load labels each by its
+    hash (see :class:`_Labels`), exact unless two hashes match. Only when
+    the rows end in an InputError and an id hash repeats, or end normally
+    and an id hash repeats or two distinct keys share a hash (the keys of
+    a repeated hash are compared in memory), is the first corpus freed and
+    the file loaded again with exact labellers: a set of the ids and each
+    key's code. That load is the per-row check itself, so its error is the
+    first broken row's.
     """
     check_format(format)
     path = Path(path)
-    id_hashes = [array("q") for _ in range(256)]
-    keys = _KeyRecord()
+    labels = _Labels()
     try:
-        with _document_rows(path, format) as (width, rows):
-            corpus = _read_documents(path, rows, width, hazards, hash, id_hashes, keys)
-    finally:
-        if any(len(set(bucket)) != len(bucket) for bucket in id_hashes):
-            _check_ids(path, format, sum(map(len, id_hashes)))
-    if keys.distinct_keys_share_a_hash():
-        del corpus, id_hashes, keys
-        # The rows were all checked; what the reload records is not looked at.
-        with _document_rows(path, format) as (width, rows):
-            codes = _Codes().__getitem__
-            corpus = _read_documents(path, rows, width, hazards, codes, [array("q")], _KeyRecord())
-    return corpus
+        corpus = _read_documents(path, format, hazards, hash, hash, labels)
+    except InputError:
+        if not _repeated(labels.ids):
+            raise
+    else:
+        if not (_repeated(labels.ids) or labels.distinct_keys_share_a_hash()):
+            return corpus
+        del corpus
+    del labels
+    # Its labels are exact, so what this load records is not looked at.
+    return _read_documents(path, format, hazards, _Ids(), _Codes().__getitem__, _Labels())
 
 
 @dataclass(slots=True)

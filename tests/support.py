@@ -62,6 +62,19 @@ def make_doc(
     return Document(doc_id, day, outlet, text_type, hazard, text, key)
 
 
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Wrap ``module.name``; each call appends its positional arguments to the list returned."""
+    calls: list[tuple] = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def docs_matching_series(series: CountSeries, outlet_pool: int = 5, genre_pool: int = 3):
     """One document per count unit, so measure_events() sees a consistent corpus."""
     docs = []

@@ -43,6 +43,7 @@ from attn_peaks.ingest import (
 )
 import support
 from support import (
+    count_calls,
     first_key_rows,
     in_corpus_order,
     make_doc,
@@ -496,6 +497,26 @@ def _assert_loads_as_oracle(file) -> None:
         assert measure_events(events, corpus) == oracle_measures(events, of_hazard)
 
 
+_RECORD = dict(id="a1", date="2020-01-10", outlet="o", text_type="t", hazard="fire", text="x")
+
+
+def _write_records(path: Path, records: list[dict]) -> None:
+    """A documents file of ``records``, in the format its suffix names."""
+    if path.suffix == ".csv":
+        lines = [",".join(records[0]), *(",".join(r.values()) for r in records)]
+    else:
+        lines = [json.dumps(r) for r in records]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def _write_keyed(path: Path, keys: list[str]) -> None:
+    """A documents file of one row per key, in the format its suffix names."""
+    _write_records(
+        path,
+        [dict(_RECORD, id=f"a{i}", text=f"x{i}", text_key=key) for i, key in enumerate(keys)],
+    )
+
+
 class TestLoaderOracle:
     """The single row loop returns what the per-row loader in ``support.py`` returns."""
 
@@ -533,17 +554,27 @@ class TestLoaderOracle:
 
     # Across rows, the first broken row is reported, a duplicate id as any
     # other rule, whatever a later row breaks.
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize(
-        "second, third",
+        "second, third, fmt",
         [
-            ("duplicate", "bad_date"),
-            ("duplicate", "short"),
-            ("duplicate", "malformed"),
-            ("bad_date", "duplicate"),
-            ("short", "duplicate"),
-            ("malformed", "duplicate"),
-            ("bad_hazard", "duplicate"),
+            (second, third, fmt)
+            for fmt in ("csv", "jsonl")
+            for second, third in [
+                ("duplicate", "bad_date"),
+                ("duplicate", "short"),
+                ("duplicate", "malformed"),
+                ("bad_date", "duplicate"),
+                ("short", "duplicate"),
+                ("malformed", "duplicate"),
+                ("bad_hazard", "duplicate"),
+                ("duplicate", "empty_id"),
+                ("empty_id", "duplicate"),
+            ]
+        ]
+        + [
+            (second, third, "jsonl")
+            for kind in ("not_object", "unknown_field", "not_string", "surrogate")
+            for second, third in [("duplicate", kind), (kind, "duplicate")]
         ],
     )
     def test_the_first_broken_row_is_reported(self, tmp_path, monkeypatch, fmt, second, third):
@@ -552,17 +583,19 @@ class TestLoaderOracle:
             monkeypatch.setattr(
                 module, "csv_reader", lambda handle: csv.reader(handle, strict=True)
             )
-        record = dict(
-            id="a1", date="2020-01-10", outlet="o", text_type="t", hazard="fire", text="x"
-        )
         broken = {
-            "duplicate": dict(record, text="y"),
-            "bad_date": dict(record, id="a9", date="2020-13-01"),
-            "short": {k: v for k, v in record.items() if k != "text"},
-            "malformed": dict(record, id="a9", text='"y"z'),
-            "bad_hazard": dict(record, id="a9", hazard="flood"),
+            "duplicate": dict(_RECORD, text="y"),
+            "bad_date": dict(_RECORD, id="a9", date="2020-13-01"),
+            "short": {k: v for k, v in _RECORD.items() if k != "text"},
+            "malformed": dict(_RECORD, id="a9", text='"y"z'),
+            "bad_hazard": dict(_RECORD, id="a9", hazard="flood"),
+            "empty_id": dict(_RECORD, id=""),
+            "not_object": ["a9"],
+            "unknown_field": dict(_RECORD, id="a9", extra="z"),
+            "not_string": dict(_RECORD, id="a9", date=20200110),
+            "surrogate": dict(_RECORD, id="a9", text="\ud800"),
         }
-        rows = [record, broken[second], broken[third]]
+        rows = [_RECORD, broken[second], broken[third]]
         path = tmp_path / f"docs.{fmt}"
         if fmt == "csv":
             lines = [CSV_HEADER.strip(), *(",".join(row.values()) for row in rows)]
@@ -578,6 +611,11 @@ class TestLoaderOracle:
             "short": "expected 6 fields, got 5" if fmt == "csv" else "missing field 'text'",
             "malformed": "malformed CSV: " if fmt == "csv" else "malformed JSON: ",
             "bad_hazard": "unknown hazard label 'flood'",
+            "empty_id": "empty field 'id'",
+            "not_object": "expected a JSON object",
+            "unknown_field": "unknown field 'extra'",
+            "not_string": "field 'date' must be a string",
+            "surrogate": "field 'text' holds an unpaired surrogate escape",
         }[second]
         outcome = _outcome(lambda: load_documents(path, fmt))
         assert outcome.startswith(f"InputError: row 2 of {str(path)!r}: {reason}")
@@ -585,7 +623,8 @@ class TestLoaderOracle:
 
 
 class TestDuplicateIds:
-    """Ids are checked by their hash; a hash seen twice sends the file to an exact second read."""
+    """Ids are checked by their hash; a hash seen twice sends the file to one exact load,
+    which checks the ids themselves."""
 
     # Every text key shares the hash too, so two distinct keys load the file again.
     @settings(max_examples=200, deadline=None)
@@ -593,30 +632,39 @@ class TestDuplicateIds:
     def test_every_id_sharing_one_hash_gives_the_oracle_result(self, file):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(attn_peaks.ingest, "hash", lambda value: -1, raising=False)
+            loads = count_calls(patch, attn_peaks.ingest, "_read_documents")
             _assert_loads_as_oracle(file)
+        # Two ids hashed alike send the file to the exact load, whatever ended the rows.
+        hashed = sum(map(len, loads[0][-1].ids))
+        assert len(loads) == (2 if hashed >= 2 else 1)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_distinct_ids_sharing_a_hash_load(self, tmp_path, monkeypatch, fmt):
         monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
-        checks = []
-        real_check = attn_peaks.ingest._check_ids
-        monkeypatch.setattr(
-            attn_peaks.ingest, "_check_ids", lambda *args: checks.append(args) or real_check(*args)
-        )
-        records = [
-            dict(id=f"a{i}", date="2020-01-10", outlet="o", text_type="t", hazard="fire", text="x")
-            for i in range(3)
-        ]
+        loads = count_calls(monkeypatch, attn_peaks.ingest, "_read_documents")
         path = tmp_path / f"docs.{fmt}"
-        if fmt == "csv":
-            body = "".join(",".join(r.values()) + "\n" for r in records)
-            path.write_text(CSV_HEADER + body, encoding="utf-8")
-        else:
-            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        _write_records(path, [dict(_RECORD, id=f"a{i}") for i in range(3)])
         docs = list(load_documents(path, fmt).rows())
-        assert checks == [(path, fmt, 3)]
+        assert len(loads) == 2
         assert [d.id for d in docs] == [1, 2, 3]
         assert first_key_rows(docs) == first_key_rows(oracle_load_documents(path, fmt))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_one_exact_load_whatever_made_a_hash_ambiguous(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        opened = count_calls(monkeypatch, attn_peaks.ingest, "open_input")
+        path = tmp_path / f"docs.{fmt}"
+        # Distinct ids and two distinct keys: the ids and the keys are both in doubt.
+        _write_keyed(path, ["k1", "k2"])
+        assert list(load_documents(path, fmt).columns["fire"].keys) == [0, 1]
+        assert len(opened) == 2
+        # A duplicate id at row 2, then a bad date at row 3.
+        _write_records(path, [_RECORD, _RECORD, dict(_RECORD, id="a2", date="2020-13-01")])
+        opened.clear()
+        outcome = _outcome(lambda: load_documents(path, fmt))
+        assert len(opened) == 2
+        assert outcome == f"InputError: row 2 of {str(path)!r}: duplicate document id 'a1'"
+        assert outcome == _outcome(lambda: oracle_load_documents(path, fmt))
 
     def test_a_load_holds_no_id(self, tmp_path):
         # 20,000 distinct ids: the ids and a set of them cost over 200 bytes
@@ -637,34 +685,14 @@ class TestDuplicateIds:
         assert peak < 64 * n, f"{peak / n:.0f} bytes per row"
 
 
-def _write_keyed(path: Path, keys: list[str]) -> None:
-    """A documents file of one row per key, in the format its suffix names."""
-    records = [
-        dict(id=f"a{i}", date="2020-01-10", outlet="o", text_type="t", hazard="fire",
-             text=f"x{i}", text_key=key)
-        for i, key in enumerate(keys)
-    ]
-    if path.suffix == ".csv":
-        body = "".join(",".join(r.values()) + "\n" for r in records)
-        path.write_text(CSV_HEADER.strip() + ",text_key\n" + body, encoding="utf-8")
-    else:
-        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-
-
 class TestTextKeys:
     """A key is labelled by its hash; the keys whose hash repeats are compared in memory,
-    and a hash that two distinct keys share sends the file to a load with exact labels."""
+    and a hash that two distinct keys share sends the file to the exact load, which
+    labels each key by its code."""
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_shared_keys_keep_their_hash_labels(self, tmp_path, monkeypatch, fmt):
-        opened = []
-        real_open = attn_peaks.ingest.open_input
-
-        def open_input(*args, **kwargs):
-            opened.append(args)
-            return real_open(*args, **kwargs)
-
-        monkeypatch.setattr(attn_peaks.ingest, "open_input", open_input)
+        opened = count_calls(monkeypatch, attn_peaks.ingest, "open_input")
         keys = ["k1", "k2", "k1", "", "k1"]
         path = tmp_path / f"docs.{fmt}"
         _write_keyed(path, keys)
@@ -676,19 +704,17 @@ class TestTextKeys:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_equal_keys_under_one_hash_keep_it(self, tmp_path, monkeypatch, fmt):
-        loads = []
-        real_read = attn_peaks.ingest._read_documents
-
-        def read_documents(*args):
-            loads.append(args)
-            return real_read(*args)
-
-        monkeypatch.setattr(attn_peaks.ingest, "_read_documents", read_documents)
-        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        key = "é" * 10
+        real_hash = hash
+        monkeypatch.setattr(
+            attn_peaks.ingest, "hash", lambda value: 7 if value == key else real_hash(value),
+            raising=False,
+        )
+        loads = count_calls(monkeypatch, attn_peaks.ingest, "_read_documents")
         path = tmp_path / f"docs.{fmt}"
-        # Every hash is 7, but the keys are equal: no reload. Packed, they
-        # fill several of the 64 KiB spans that the comparison decodes at once.
-        _write_keyed(path, ["é" * 10] * 10_000)
+        # The keys' hash is in a bucket 10,000 times, but the keys are equal: no
+        # reload. Packed, they fill several of the 64 KiB spans decoded at once.
+        _write_keyed(path, [key] * 10_000)
         corpus = load_documents(path, fmt)
         assert len(loads) == 1
         assert list(corpus.columns["fire"].keys) == [7] * 10_000

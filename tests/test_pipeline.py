@@ -26,7 +26,7 @@ from attn_peaks import ingest, pipeline
 from attn_peaks.align import AlignmentPair, AlignmentReport, RegistryLoad
 from attn_peaks.ingest import _COLUMNS
 from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
-from support import make_series, oracle_alignment_json, write_small_corpus
+from support import count_calls, make_series, oracle_alignment_json, write_small_corpus
 
 D = datetime.date
 README = Path(__file__).parents[1] / "README.md"
@@ -338,16 +338,9 @@ class TestRunPipeline:
                 assert got == want, name
 
     def test_the_exact_reload_writes_the_golden_bytes(self, golden_dir, tmp_path, monkeypatch):
-        # With every str hash equal, the golden file's distinct text digests share
-        # one, so the loader reads the file again and labels each key by its code.
-        loads = []
-        real_read = ingest._read_documents
-
-        def read_documents(*args):
-            loads.append(args)
-            return real_read(*args)
-
-        monkeypatch.setattr(ingest, "_read_documents", read_documents)
+        # With every str hash equal, the golden file's distinct ids and text digests
+        # share one, so the loader reads the file again and labels each key by its code.
+        loads = count_calls(monkeypatch, ingest, "_read_documents")
         monkeypatch.setattr(ingest, "hash", lambda value: 7, raising=False)
         config = load_config(golden_dir / "config.ini")
         config.out_dir = tmp_path / "out"
