@@ -25,6 +25,10 @@ Matches are leftmost-longest and do not overlap: "Guinea-Bissau" is one
 mention of Guinea-Bissau, not also one of Guinea. Declined or adjectival
 forms ("brasilianisch") are not matched.
 
+Given the gazetteer, :func:`load_documents` judges each distinct text as
+it first reads it and keeps the verdict in place of the body, and
+:func:`filter_single_country` drops the rows by those verdicts.
+
 The loaders read files, :func:`csv_reader` raises the process-wide csv
 field size limit, and :func:`filter_single_country` filters its corpus in
 place; every other function is pure.
@@ -43,7 +47,7 @@ import re
 import stat
 import unicodedata
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,6 +114,8 @@ class Document(NamedTuple):
     file (its 1-based position in the rows given to :meth:`Corpus.from_rows`).
     Nor does it keep a key: ``text_key`` holds the key's label, an int that
     two documents of one corpus share exactly when their keys are equal.
+    A corpus loaded with a gazetteer keeps no body either: ``text`` holds
+    the text's verdict, True when the filter keeps it.
     """
 
     id: int | str
@@ -117,7 +123,7 @@ class Document(NamedTuple):
     outlet: str
     text_type: str
     hazard: str
-    text: str
+    text: str | bool
     text_key: int | str
 
 
@@ -180,21 +186,29 @@ class Corpus:
     """Documents as columns, one :class:`Columns` per hazard.
 
     ``columns`` maps each hazard to its documents; the loader lists every
-    hazard of its vocabulary, in vocabulary order. ``outlets``, ``genres``
-    and ``texts`` are the tables of distinct values that the code columns
-    index, so a reprinted text is held once. ``len()`` is the number of
-    documents. No document is an object of its own, so the cyclic garbage
-    collector scans each column as one object. ``path`` names the file
-    whose rows the ``rows`` columns number; it is ``<rows>`` for a corpus
-    built by :meth:`from_rows`.
+    hazard it keeps, in the order given. ``outlets``, ``genres`` and
+    ``texts`` are the tables of distinct values that the code columns
+    index, so a reprinted text is held once. ``gazetteer`` is None when
+    ``texts`` holds the bodies; a corpus loaded with a gazetteer names it
+    there, and ``texts`` holds each distinct text's verdict (a bool) in
+    place of its body. ``len()`` is the number of documents. No document is
+    an object of its own, so the cyclic garbage collector scans each column
+    as one object. ``path`` names the file whose rows the ``rows`` columns
+    number; it is ``<rows>`` for a corpus built by :meth:`from_rows`.
     """
 
-    def __init__(self, hazards: Iterable[str] = (), path: Path | str = "<rows>") -> None:
+    def __init__(
+        self,
+        hazards: Iterable[str] = (),
+        path: Path | str = "<rows>",
+        gazetteer: Gazetteer | None = None,
+    ) -> None:
         self.path = path
+        self.gazetteer = gazetteer
         self.columns: dict[str, Columns] = {hazard: Columns() for hazard in hazards}
         self.outlets: list[str] = []
         self.genres: list[str] = []
-        self.texts: list[str] = []
+        self.texts: list[str] | list[bool] = []
 
     def __len__(self) -> int:
         return sum(map(len, self.columns.values()))
@@ -345,6 +359,11 @@ def extract_country_mentions(text: str, gazetteer: Gazetteer) -> set[str]:
     return found
 
 
+def _single_country(text: str, gazetteer: Gazetteer) -> bool:
+    """The filter's verdict on ``text``: whether its country mentions are exactly the target."""
+    return extract_country_mentions(text, gazetteer) == {gazetteer.target_entry}
+
+
 class _Verdicts(dict):
     """Each text code's verdict, judged the first time a row looks the code up."""
 
@@ -352,8 +371,7 @@ class _Verdicts(dict):
         self.texts, self.gazetteer = texts, gazetteer
 
     def __missing__(self, code: int) -> bool:
-        mentions = extract_country_mentions(self.texts[code], self.gazetteer)
-        self[code] = verdict = mentions == {self.gazetteer.target_entry}
+        self[code] = verdict = _single_country(self.texts[code], self.gazetteer)
         return verdict
 
 
@@ -363,10 +381,20 @@ def filter_single_country(corpus: Corpus, gazetteer: Gazetteer) -> Corpus:
     ``corpus`` is filtered in place and returned. Order is preserved. A
     document's verdict depends only on its text, so each text that a row of
     ``corpus.columns`` uses is judged once (:func:`extract_country_mentions`)
-    and its reprints reuse the verdict. Only a hazard that lost a document
-    has its columns rebuilt, one column at a time.
+    and its reprints reuse the verdict. A corpus loaded with a gazetteer
+    holds its verdicts already; it is filtered by them, and a ``gazetteer``
+    unequal to the one it was judged with is a :class:`ConsistencyError`.
+    Only a hazard that lost a document has its columns rebuilt, one column
+    at a time.
     """
-    verdicts = _Verdicts(corpus.texts, gazetteer)
+    if corpus.gazetteer is None:
+        verdicts = _Verdicts(corpus.texts, gazetteer)
+    elif corpus.gazetteer == gazetteer:
+        verdicts = corpus.texts
+    else:
+        raise ConsistencyError(
+            f"the texts of {path_repr(corpus.path)} were judged with another gazetteer"
+        )
     for columns in corpus.columns.values():
         keep = bytes(map(verdicts.__getitem__, columns.texts))
         if 0 in keep:
@@ -497,32 +525,43 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
 
 
 def _read_documents(
-    path: Path,
+    corpus: Corpus,
     format: str,
     hazards: tuple[str, ...],
     id_label: Callable[[str], int],
     key_label: Callable[[str], int],
     labels: _Labels,
 ) -> Corpus:
-    """The corpus of the documents file ``path``, each row checked.
+    """``corpus``, empty, filled from its file, each row checked.
 
     Both file formats feed this loop, so every row is checked the same way.
-    Rows are unpacked into locals and each field appended to its hazard's
-    column; each distinct date string is parsed once, each distinct text
-    without a ``text_key`` is digested once, and each distinct outlet,
-    genre and text gets one code. No id or key is kept as a str: the
-    ``id_label`` of each row's id goes to ``labels``, and one that raises
-    KeyError marks the id a duplicate; the keys column holds ``key_label``
-    of each row's key. ``labels`` records what the caller needs to check
-    the labels (see :class:`_Labels`).
+    A row's hazard must be one of ``hazards``, and only the rows of the
+    hazards that ``corpus.columns`` lists are kept. Each distinct date
+    string is parsed once, each distinct text without a ``text_key`` is
+    digested once, and each distinct outlet, genre and text gets one code.
+    A text is told apart by itself, or, when the corpus names a gazetteer
+    and the text is over 64 characters, by the SHA-256 of its UTF-8; the
+    texts table gets its body, or its verdict when a gazetteer is named.
+    No id or key is kept as a str: the ``id_label`` of each row's id goes
+    to ``labels``, and one that raises KeyError marks the id a duplicate;
+    the keys column holds ``key_label`` of each row's key. ``labels``
+    records what the caller needs to check the labels (see :class:`_Labels`).
     """
-    corpus = Corpus(hazards, path)
-    appenders = {hazard: columns.appenders() for hazard, columns in corpus.columns.items()}
+    path, gazetteer = corpus.path, corpus.gazetteer
+    appenders = {
+        hazard: corpus.columns[hazard].appenders() if hazard in corpus.columns else None
+        for hazard in hazards
+    }
     add_id_label = [bucket.append for bucket in labels.ids]
     add_key_label = [bucket.append for bucket in labels.keys]
     packed, digests = labels.packed, labels.digests
     dates: dict[str, int] = {}
     outlets, genres, texts = _Codes(), _Codes(), _Codes()
+    table = corpus.texts
+    keyless: list[int | None] = []  # each text code's label as a text without a key
+    # The longest text that is its own fingerprint; a corpus of bodies holds every text.
+    longest = math.inf if gazetteer is None else 64
+    n_texts = 0
     with _document_rows(path, format) as (width, rows):
         has_key = width == len(Document._fields)
         for row, fields in rows:
@@ -541,30 +580,48 @@ def _read_documents(
                 raise row_error(path, row, f"duplicate document id {doc_id!r}") from None
             add_id_label[h & 255](h)
             try:
-                add_row, add_day, add_outlet, add_genre, add_text, add_key = appenders[hazard]
+                add = appenders[hazard]
             except KeyError:
                 raise row_error(path, row, f"unknown hazard label {hazard!r}") from None
+            try:
+                date = dates[day]
+            except KeyError:
+                date = dates[day] = parse_row_date(day, path, row).toordinal()
+            if add is None:
+                continue
+            if len(text) <= longest:
+                fingerprint = text
+            else:
+                fingerprint = hashlib.sha256(text.encode()).digest()
+            code = texts[fingerprint]
+            if code == n_texts:
+                n_texts += 1
+                table.append(text if gazetteer is None else _single_country(text, gazetteer))
+                keyless.append(None)
             if key:
                 label = key_label(key)
                 add_key_label[label & 255](label)
                 packed += key.encode()
                 packed.append(0xFF)
             else:
-                label = digests.get(text)
+                label = keyless[code]
                 if label is None:
-                    label = digests[text] = key_label(text_digest(text))
+                    # The SHA-256 fingerprint of an NFC text is its digest already.
+                    if isinstance(fingerprint, bytes) and unicodedata.is_normalized("NFC", text):
+                        digest = fingerprint
+                    else:
+                        digest = bytes.fromhex(text_digest(text))
+                    label = keyless[code] = key_label(digest.hex())
                     add_key_label[label & 255](label)
-            try:
-                date = dates[day]
-            except KeyError:
-                date = dates[day] = parse_row_date(day, path, row).toordinal()
+                    digests += digest
+            add_row, add_day, add_outlet, add_genre, add_text, add_key = add
             add_row(row)
             add_day(date)
             add_outlet(outlets[outlet])
             add_genre(genres[genre])
-            add_text(texts[text])
+            add_text(code)
             add_key(label)
-    corpus.outlets, corpus.genres, corpus.texts = list(outlets), list(genres), list(texts)
+    corpus.outlets, corpus.genres = list(outlets), list(genres)
     return corpus
 
 
@@ -652,20 +709,27 @@ class _Labels:
 
     ``ids`` and ``keys`` each hold labels in 256 ``array('q')`` buckets
     that a label's low byte picks: ``ids`` one per checked row, ``keys``
-    one per row with a ``text_key`` and one per distinct text without one.
-    ``packed`` holds each explicit key in file order as UTF-8, ended by a
-    0xFF byte, which UTF-8 never holds: one byte a key more than its
+    one per kept row with a ``text_key`` and one per distinct text without
+    one. ``packed`` holds each explicit key in file order as UTF-8, ended
+    by a 0xFF byte, which UTF-8 never holds: one byte a key more than its
     length, where a str costs 49 more and its list slot 8. ``digests``
-    maps each text without a key to its label.
+    holds the 32 bytes of the digest of each distinct text without a key,
+    its key, in place of the body. Made with ``record=False``, it keeps
+    nothing: a load with exact labellers has nothing to check.
     """
 
     __slots__ = ("ids", "keys", "packed", "digests")
 
-    def __init__(self) -> None:
-        self.ids = [array("q") for _ in range(256)]
-        self.keys = [array("q") for _ in range(256)]
-        self.packed = bytearray()
-        self.digests: dict[str, int] = {}
+    def __init__(self, record: bool = True) -> None:
+        if record:
+            self.ids = [array("q") for _ in range(256)]
+            self.keys = [array("q") for _ in range(256)]
+            self.packed = bytearray()
+            self.digests = bytearray()
+        else:
+            nothing = deque(maxlen=0)  # what is appended or added to it is dropped
+            self.ids = self.keys = [nothing] * 256
+            self.packed = self.digests = nothing
 
     def distinct_keys_share_a_hash(self) -> bool:
         """Whether two distinct keys have one hash, so that their labels are not exact.
@@ -690,11 +754,12 @@ class _Labels:
                 if label in shared and seen.setdefault(label, key) != key:
                     return True
             start = stop + 1
-        for text, label in self.digests.items():
-            if label in shared:
-                key = text_digest(text)
-                if seen.setdefault(label, key) != key:
-                    return True
+        digests = self.digests
+        for start in range(0, len(digests), 32):
+            key = digests[start : start + 32].hex()
+            label = hash(key)
+            if label in shared and seen.setdefault(label, key) != key:
+                return True
         return False
 
 
@@ -702,13 +767,22 @@ def load_documents(
     path: Path | str,
     format: str = "csv",
     hazards: tuple[str, ...] = DEFAULT_HAZARDS,
+    gazetteer: Gazetteer | None = None,
+    run_hazards: tuple[str, ...] | None = None,
 ) -> Corpus:
     """Load document records from a file in one of :data:`DOC_FORMATS`.
 
-    Rows are numbered from 1, excluding the CSV header. Every well-formed
-    record is kept, each hazard's in file order, and the corpus lists every
-    hazard of ``hazards``; a malformed row, a duplicate ``id`` or an unknown
-    hazard label raises :class:`InputError`.
+    Rows are numbered from 1, excluding the CSV header. Every record is
+    checked; a malformed row, a duplicate ``id`` or a hazard label not in
+    ``hazards`` raises :class:`InputError`. The corpus lists each hazard
+    of ``run_hazards`` (default: ``hazards``; each must be one of them),
+    in that order, with its records in file order; the records of the
+    other hazards are checked but not kept.
+
+    Given a ``gazetteer``, each distinct text is judged the first time it
+    is read, and the corpus keeps its verdict in place of the body (see
+    :func:`filter_single_country`). A text is told apart by itself when
+    it is at most 64 characters long, else by the SHA-256 of its UTF-8.
 
     No id or text key is held as a str: the first load labels each by its
     hash (see :class:`_Labels`), exact unless two hashes match. Only when
@@ -717,13 +791,16 @@ def load_documents(
     a repeated hash are compared in memory), is the first corpus freed and
     the file loaded again with exact labellers: a set of the ids and each
     key's code. That load is the per-row check itself, so its error is the
-    first broken row's.
+    first broken row's, and it records nothing for a later check.
     """
     check_format(format)
     path = Path(path)
+    kept = hazards if run_hazards is None else run_hazards
+    if not set(kept) <= set(hazards):
+        raise InputError(f"run hazards {kept!r} are not all among the hazards {hazards!r}")
     labels = _Labels()
     try:
-        corpus = _read_documents(path, format, hazards, hash, hash, labels)
+        corpus = _read_documents(Corpus(kept, path, gazetteer), format, hazards, hash, hash, labels)
     except InputError:
         if not _repeated(labels.ids):
             raise
@@ -732,8 +809,10 @@ def load_documents(
             return corpus
         del corpus
     del labels
-    # Its labels are exact, so what this load records is not looked at.
-    return _read_documents(path, format, hazards, _Ids(), _Codes().__getitem__, _Labels())
+    exact = _Codes().__getitem__
+    return _read_documents(
+        Corpus(kept, path, gazetteer), format, hazards, _Ids(), exact, _Labels(record=False)
+    )
 
 
 @dataclass(slots=True)

@@ -474,8 +474,9 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     nothing is left behind in the output directory.
 
     One corpus is held from load through the measure stage, its last
-    reader. The documents of hazards the run leaves out are freed before
-    the filter, and each hazard's once measured. The registries and pairs
+    reader. It holds no article body, only each distinct text's verdict,
+    and no document of a hazard the run leaves out; each hazard's
+    documents are freed once measured. The registries and pairs
     of the align stage reuse that memory, so a run's high-water mark is
     that of its largest stage, not the sum of the stages.
     """
@@ -490,9 +491,10 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
 
     with _stage("ingest"):
         gazetteer = load_gazetteer(config.gazetteer, target=config.target)
-        corpus = load_documents(config.documents, config.doc_format, config.hazards)
-        # The hazards the run leaves out are freed before the filter reads them.
-        corpus.columns = {hazard: corpus.columns[hazard] for hazard in hazards}
+        # The load keeps each text's verdict, not its body, and only the run's hazards.
+        corpus = load_documents(
+            config.documents, config.doc_format, config.hazards, gazetteer, hazards
+        )
         corpus = filter_single_country(corpus, gazetteer)
         for hazard in hazards:
             series = build_count_series(corpus, hazard, config.start, config.end)

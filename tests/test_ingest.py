@@ -739,6 +739,36 @@ class TestTextKeys:
         assert corpus_stats(corpus, series).n_text_types == len(set(codes))
         assert list(corpus.columns["fire"].keys) == codes
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_the_exact_load_records_nothing(self, tmp_path, monkeypatch, south_america, fmt):
+        # Two distinct keys of 4,000 characters share the patched hash, so the file is
+        # loaded again with exact labellers. That load holds the ids, the short texts
+        # and a code per distinct key, about 315 bytes a row; a record of its labels
+        # would pack each row's key once more, over 4,000 bytes a row.
+        n, size = 2_000, 4_000
+        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        real_read = attn_peaks.ingest._read_documents
+        growth: list[int] = []
+
+        def read(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            corpus = real_read(*args)
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+            return corpus
+
+        monkeypatch.setattr(attn_peaks.ingest, "_read_documents", read)
+        path = tmp_path / f"docs.{fmt}"
+        _write_keyed(path, ["a" * size, "b" * size] * (n // 2))
+        tracemalloc.start()
+        try:
+            corpus = load_documents(path, fmt, gazetteer=south_america)
+        finally:
+            tracemalloc.stop()
+        assert list(corpus.columns["fire"].keys) == [0, 1] * (n // 2)
+        assert len(growth) == 2
+        assert growth[1] < 0.25 * n * size, f"{growth[1] / n:.0f} bytes per row"
+
     def test_a_load_holds_no_key(self, tmp_path):
         # 20,000 distinct keys: the key strings cost about 64 bytes a row;
         # their labels and hashes cost 16.
@@ -1078,6 +1108,163 @@ class TestCountryFilterOracle:
         kept_small = {d.id for d in kept_rows(docs, small)}
         kept_large = {d.id for d in kept_rows(docs, large)}
         assert kept_large <= kept_small
+
+
+def _kept_columns(corpus: Corpus) -> tuple:
+    """Every column a filtered corpus keeps but its texts, with the outlet and genre tables."""
+    columns = {
+        hazard: [list(getattr(c, name)) for name in ("rows", "days", "outlets", "genres", "keys")]
+        for hazard, c in corpus.columns.items()
+    }
+    return columns, corpus.outlets, corpus.genres
+
+
+@st.composite
+def _judged_files(draw):
+    """(file bytes, format, gazetteer, run hazards, forced exact load) for a judged load."""
+    gaz, _ = draw(_gazetteers())
+    texts = draw(st.lists(_texts(gaz), min_size=1, max_size=4)) + [f"Regen in {gaz.target}"]
+    # The last text that is its own fingerprint and the first that is told apart by its
+    # SHA-256, and NFC-composed and decomposed twins, which are distinct texts of one key.
+    base = draw(st.sampled_from(texts))
+    texts += [(base + " " * 65)[:size] for size in (64, 65)]
+    texts += [unicodedata.normalize(form, text) for form in ("NFC", "NFD") for text in texts]
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    keyed = draw(st.booleans())
+    records = []
+    for n in range(draw(st.integers(1, 14))):
+        record = dict(
+            id=f"d{n}",
+            # Now and then a bad date or a repeated id, which a row of any hazard must report.
+            date=draw(st.sampled_from(_GOOD_DAYS * 8 + ["2021-02-29"])),
+            outlet=draw(st.sampled_from(_LABELS)),
+            text_type=draw(st.sampled_from(_LABELS)),
+            hazard=draw(st.sampled_from(["fire", "landslide"])),
+            text=draw(st.sampled_from(texts)),
+        )
+        if n and not draw(st.integers(0, 39)):
+            record["id"] = f"d{n - 1}"
+        if keyed:
+            # A key may equal the digest that stands for a text without one.
+            record["text_key"] = draw(st.sampled_from(["", "k1", "k2", text_digest(base)]))
+        records.append(record)
+    if fmt == "jsonl":
+        body = "".join(json.dumps(record) + "\n" for record in records)
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(records[0])
+        writer.writerows(record.values() for record in records)
+        body = buffer.getvalue()
+    run = draw(
+        st.sampled_from([("landslide",), ("fire",), ("landslide", "fire"), ("fire", "landslide")])
+    )
+    return body.encode("utf-8"), fmt, gaz, run, draw(st.booleans())
+
+
+class TestLoadWithGazetteer:
+    """A load given the gazetteer judges each text as it reads it and keeps no body."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=_judged_files())
+    def test_judged_load_filters_as_the_body_load_and_the_oracle(self, file):
+        data, fmt, gaz, run, forced = file
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            path = Path(tmp) / f"docs.{fmt}"
+            path.write_bytes(data)
+            if forced:
+                # Every id and key shares one hash: a file of two rows takes the exact load.
+                patch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+            judged = _outcome(lambda: load_documents(path, fmt, gazetteer=gaz, run_hazards=run))
+            bodies = _outcome(lambda: load_documents(path, fmt, run_hazards=run))
+            docs = _outcome(lambda: oracle_load_documents(path, fmt))
+        if isinstance(docs, str) or isinstance(judged, str) or isinstance(bodies, str):
+            assert judged == bodies == docs
+            return
+        assert judged.gazetteer is gaz and bodies.gazetteer is None
+        assert list(judged.columns) == list(bodies.columns) == list(run)
+        filter_single_country(judged, gaz)
+        filter_single_country(bodies, gaz)
+        assert _kept_columns(judged) == _kept_columns(bodies)
+        of_run = [Document(*doc) for doc in in_corpus_order([d for d in docs if d[4] in run], run)]
+        kept = [of_run[i - 1] for i in oracle_filter_ids(of_run, gaz)]
+        assert first_key_rows(bodies.rows()) == first_key_rows(kept)
+        rows = list(judged.rows())
+        assert all(row.text is True for row in rows)
+        assert first_key_rows(r[:5] + r[6:] for r in rows) == first_key_rows(
+            d[:5] + d[6:] for d in kept
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "fire, reason",
+        [
+            (dict(_RECORD, id="a2", date="2020-13-01"), "invalid date '2020-13-01'"),
+            (dict(_RECORD, text="y"), "duplicate document id 'a1'"),
+            (dict(_RECORD, id="a2", hazard="flood"), "unknown hazard label 'flood'"),
+        ],
+    )
+    def test_rows_of_the_hazards_left_out_are_checked_not_kept(
+        self, tmp_path, south_america, fmt, fire, reason
+    ):
+        landslide = dict(_RECORD, id="a0", hazard="landslide", text="Brasilien")
+        path = tmp_path / f"docs.{fmt}"
+        _write_records(path, [landslide, _RECORD])
+        corpus = load_documents(path, fmt, gazetteer=south_america, run_hazards=("landslide",))
+        assert (list(corpus.columns), len(corpus), corpus.texts) == (["landslide"], 1, [True])
+        _write_records(path, [landslide, _RECORD, fire])
+        outcome = _outcome(
+            lambda: load_documents(path, fmt, gazetteer=south_america, run_hazards=("landslide",))
+        )
+        assert outcome == f"InputError: row 3 of {str(path)!r}: {reason}"
+        assert outcome == _outcome(lambda: oracle_load_documents(path, fmt))
+
+    def test_run_hazards_are_among_the_hazards(self, tmp_path):
+        path = write_csv(tmp_path, "a1,2020-01-10,o,t,fire,x\n")
+        with pytest.raises(InputError, match="run hazards .'flood',. are not all among"):
+            load_documents(path, run_hazards=("flood",))
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_a_load_with_a_gazetteer_holds_no_body(self, tmp_path, south_america, keyed):
+        # 200 distinct bodies of 20 KB, then of 40 KB. Judged as each is read, no
+        # body outlives its row: the peak holds the copies that reading, digesting
+        # and tokenizing one row makes (about 19 bodies' worth), not one per document.
+        n, peaks = 200, []
+        header = CSV_HEADER.strip() + (",text_key\n" if keyed else "\n")
+        for size in (20_000, 40_000):
+            rows = "".join(
+                f"doc-{i},2020-01-10,Blatt,Bericht,fire,{i:06d} Brasilien {'x' * size}"
+                + (f",key-{i}\n" if keyed else "\n")
+                for i in range(n)
+            )
+            path = write_csv(tmp_path, rows, name=f"docs-{size}.csv", header=header)
+            tracemalloc.start()
+            try:
+                corpus = load_documents(path, gazetteer=south_america)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert corpus.texts == [True] * n
+            peaks.append(peak)
+        assert peaks[0] < 0.15 * n * 20_000, f"{peaks[0] / (n * 20_000):.3f} times the bodies"
+        # Twice the body size: a held body would add 20 KB per document.
+        assert peaks[1] - peaks[0] < 0.075 * n * 20_000, f"{peaks[1] - peaks[0]} more bytes"
+
+    def test_the_filter_refuses_another_gazetteer(self, tmp_path, south_america):
+        path = write_csv(
+            tmp_path, "a1,2020-01-10,o,t,fire,Brasilien\na2,2020-01-10,o,t,fire,Peru\n"
+        )
+        corpus = load_documents(path, gazetteer=south_america)
+        for other in (
+            Gazetteer(entries=("Brasilien", "Peru"), target="Brasilien"),
+            Gazetteer(entries=south_america.entries, target="Peru"),
+        ):
+            with pytest.raises(ConsistencyError, match="judged with another gazetteer"):
+                filter_single_country(corpus, other)
+        assert len(corpus) == 2
+        # An equal gazetteer gives the same verdicts.
+        equal = Gazetteer(entries=south_america.entries, target=south_america.target)
+        assert [row.id for row in filter_single_country(corpus, equal).rows()] == [1]
 
 
 class TestCountSeries:

@@ -26,7 +26,13 @@ from attn_peaks import ingest, pipeline
 from attn_peaks.align import AlignmentPair, AlignmentReport, RegistryLoad
 from attn_peaks.ingest import _COLUMNS
 from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
-from support import count_calls, make_series, oracle_alignment_json, write_small_corpus
+from support import (
+    count_calls,
+    make_series,
+    oracle_alignment_json,
+    oracle_load_documents,
+    write_small_corpus,
+)
 
 D = datetime.date
 README = Path(__file__).parents[1] / "README.md"
@@ -388,8 +394,8 @@ class TestRunPipeline:
 
     def test_corpus_is_freed_once_measured(self, golden_dir, tmp_path, monkeypatch):
         # An array can be weakly referenced, a list cannot: a hazard's
-        # documents are alive while one of its column arrays is. The texts
-        # table, which every hazard shares, becomes a list subclass, which can.
+        # documents are alive while one of its column arrays is. The table of
+        # text verdicts, which every hazard shares, becomes a list subclass, which can.
         class Table(list):
             pass
 
@@ -448,31 +454,29 @@ class TestRunPipeline:
                 assert path.read_bytes() == (golden_dir / "expected" / name).read_bytes(), name
 
     def test_hazards_left_out_are_freed_before_the_filter(self, golden_dir, tmp_path, monkeypatch):
-        # The fire column arrays as loaded, weakly referenced (see the test above).
-        fire: list[weakref.ref] = []
-        # Per filter call: the hazards its corpus lists, and the fire arrays alive.
+        # The load checks the fire rows and keeps none of them, so the filter never sees one.
+        # Per load and per filter call: the hazards its corpus lists, and its fire documents.
+        at_load: list[tuple[list[str], int]] = []
         at_filter: list[tuple[list[str], int]] = []
         real_load, real_filter = pipeline.load_documents, pipeline.filter_single_country
 
         def load(*args):
             corpus = real_load(*args)
-            for name in _COLUMNS:
-                column = getattr(corpus.columns["fire"], name)
-                if isinstance(column, array):
-                    fire.append(weakref.ref(column))
+            at_load.append((list(corpus.columns), len(corpus.of("fire"))))
             return corpus
 
         def filter_single_country(corpus, gazetteer):
-            at_filter.append((list(corpus.columns), sum(ref() is not None for ref in fire)))
+            at_filter.append((list(corpus.columns), len(corpus.of("fire"))))
             return real_filter(corpus, gazetteer)
 
         config = load_config(golden_dir / "config.ini")
         config.out_dir = tmp_path / "out"
         config.run_hazards = ("landslide",)
+        assert any(doc[4] == "fire" for doc in oracle_load_documents(config.documents))
         monkeypatch.setattr(pipeline, "load_documents", load)
         monkeypatch.setattr(pipeline, "filter_single_country", filter_single_country)
         artifacts = run_pipeline(config, "run")
-        assert len(fire) == 6
+        assert at_load == [(["landslide"], 0)]
         assert at_filter == [(["landslide"], 0)]
         assert list(artifacts.series) == ["landslide"]
 
