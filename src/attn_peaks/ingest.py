@@ -51,7 +51,7 @@ from collections import Counter, deque
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import IO, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import ConsistencyError, InputError
 
@@ -364,31 +364,21 @@ def _single_country(text: str, gazetteer: Gazetteer) -> bool:
     return extract_country_mentions(text, gazetteer) == {gazetteer.target_entry}
 
 
-class _Verdicts(dict):
-    """Each text code's verdict, judged the first time a row looks the code up."""
-
-    def __init__(self, texts: list[str], gazetteer: Gazetteer) -> None:
-        self.texts, self.gazetteer = texts, gazetteer
-
-    def __missing__(self, code: int) -> bool:
-        self[code] = verdict = _single_country(self.texts[code], self.gazetteer)
-        return verdict
-
-
 def filter_single_country(corpus: Corpus, gazetteer: Gazetteer) -> Corpus:
     """Keep the documents whose country mentions are exactly ``{target}``.
 
     ``corpus`` is filtered in place and returned. Order is preserved. A
-    document's verdict depends only on its text, so each text that a row of
-    ``corpus.columns`` uses is judged once (:func:`extract_country_mentions`)
-    and its reprints reuse the verdict. A corpus loaded with a gazetteer
-    holds its verdicts already; it is filtered by them, and a ``gazetteer``
-    unequal to the one it was judged with is a :class:`ConsistencyError`.
-    Only a hazard that lost a document has its columns rebuilt, one column
-    at a time.
+    document's verdict depends only on its text, so a corpus of bodies has
+    each text of its table judged once (:func:`extract_country_mentions`),
+    and its reprints reuse the verdict: a loaded or :meth:`Corpus.from_rows`
+    table holds only the texts that its rows use. A corpus loaded with a
+    gazetteer holds its verdicts already; it is filtered by them, and a
+    ``gazetteer`` unequal to the one it was judged with is a
+    :class:`ConsistencyError`. Only a hazard that lost a document has its
+    columns rebuilt, one column at a time.
     """
     if corpus.gazetteer is None:
-        verdicts = _Verdicts(corpus.texts, gazetteer)
+        verdicts = [_single_country(text, gazetteer) for text in corpus.texts]
     elif corpus.gazetteer == gazetteer:
         verdicts = corpus.texts
     else:
@@ -525,12 +515,7 @@ def undecodable(path: Path, jsonl: bool = False) -> InputError:
 
 
 def _read_documents(
-    corpus: Corpus,
-    format: str,
-    hazards: tuple[str, ...],
-    id_label: Callable[[str], int],
-    key_label: Callable[[str], int],
-    labels: _Labels,
+    corpus: Corpus, format: str, hazards: tuple[str, ...], labels: _Labels
 ) -> Corpus:
     """``corpus``, empty, filled from its file, each row checked.
 
@@ -542,12 +527,13 @@ def _read_documents(
     A text is told apart by itself, or, when the corpus names a gazetteer
     and the text is over 64 characters, by the SHA-256 of its UTF-8; the
     texts table gets its body, or its verdict when a gazetteer is named.
-    No id or key is kept as a str: the ``id_label`` of each row's id goes
-    to ``labels``, and one that raises KeyError marks the id a duplicate;
-    the keys column holds ``key_label`` of each row's key. ``labels``
-    records what the caller needs to check the labels (see :class:`_Labels`).
+    No id or key is kept as a str: ``labels.id`` labels each row's id, and
+    raises KeyError for a duplicate; the keys column holds ``labels.key``
+    of each row's key. ``labels`` records what the caller needs to check
+    the labels (see :class:`_Labels`).
     """
     path, gazetteer = corpus.path, corpus.gazetteer
+    id_label, key_label = labels.id, labels.key
     appenders = {
         hazard: corpus.columns[hazard].appenders() if hazard in corpus.columns else None
         for hazard in hazards
@@ -705,31 +691,36 @@ def _repeated(buckets: list[array]) -> set[int]:
 
 
 class _Labels:
-    """What a load keeps of its ids and text keys to check their labels when the rows end.
+    """How a load labels its ids and text keys, and what it keeps to check the labels.
 
-    ``ids`` and ``keys`` each hold labels in 256 ``array('q')`` buckets
-    that a label's low byte picks: ``ids`` one per checked row, ``keys``
-    one per kept row with a ``text_key`` and one per distinct text without
-    one. ``packed`` holds each explicit key in file order as UTF-8, ended
-    by a 0xFF byte, which UTF-8 never holds: one byte a key more than its
-    length, where a str costs 49 more and its list slot 8. ``digests``
-    holds the 32 bytes of the digest of each distinct text without a key,
-    its key, in place of the body. Made with ``record=False``, it keeps
-    nothing: a load with exact labellers has nothing to check.
+    ``id`` labels a row's id and ``key`` a text key. ``_Labels()`` labels
+    both by ``hash`` and records them: ``ids`` and ``keys`` each hold
+    labels in 256 ``array('q')`` buckets that a label's low byte picks,
+    ``ids`` one per checked row, ``keys`` one per kept row with a
+    ``text_key`` and one per distinct text without one. ``packed`` holds
+    each explicit key in file order as UTF-8, ended by a 0xFF byte, which
+    UTF-8 never holds: one byte a key more than its length, where a str
+    costs 49 more and its list slot 8. ``digests`` holds the 32 bytes of
+    the digest of each distinct text without a key, its key, in place of
+    the body. ``_Labels(exact=True)`` labels exactly: ids through a set of
+    them (:class:`_Ids`), keys by their codes. It records nothing, as such
+    labels need no check.
     """
 
-    __slots__ = ("ids", "keys", "packed", "digests")
+    __slots__ = ("id", "key", "ids", "keys", "packed", "digests")
 
-    def __init__(self, record: bool = True) -> None:
-        if record:
+    def __init__(self, exact: bool = False) -> None:
+        if exact:
+            self.id, self.key = _Ids(), _Codes().__getitem__
+            nothing = deque(maxlen=0)  # what is appended or added to it is dropped
+            self.ids = self.keys = [nothing] * 256
+            self.packed = self.digests = nothing
+        else:
+            self.id = self.key = hash
             self.ids = [array("q") for _ in range(256)]
             self.keys = [array("q") for _ in range(256)]
             self.packed = bytearray()
             self.digests = bytearray()
-        else:
-            nothing = deque(maxlen=0)  # what is appended or added to it is dropped
-            self.ids = self.keys = [nothing] * 256
-            self.packed = self.digests = nothing
 
     def distinct_keys_share_a_hash(self) -> bool:
         """Whether two distinct keys have one hash, so that their labels are not exact.
@@ -750,14 +741,14 @@ class _Labels:
                 stop = len(packed) - 1
             keys = packed[start:stop].decode("utf-8", "surrogateescape").split("\udcff")
             for key in set(keys):
-                label = hash(key)
+                label = self.key(key)
                 if label in shared and seen.setdefault(label, key) != key:
                     return True
             start = stop + 1
         digests = self.digests
         for start in range(0, len(digests), 32):
             key = digests[start : start + 32].hex()
-            label = hash(key)
+            label = self.key(key)
             if label in shared and seen.setdefault(label, key) != key:
                 return True
         return False
@@ -785,11 +776,11 @@ def load_documents(
     it is at most 64 characters long, else by the SHA-256 of its UTF-8.
 
     No id or text key is held as a str: the first load labels each by its
-    hash (see :class:`_Labels`), exact unless two hashes match. Only when
-    the rows end in an InputError and an id hash repeats, or end normally
-    and an id hash repeats or two distinct keys share a hash (the keys of
-    a repeated hash are compared in memory), is the first corpus freed and
-    the file loaded again with exact labellers: a set of the ids and each
+    hash (``_Labels()``), exact unless two hashes match. Only when the rows
+    end in an InputError and an id hash repeats, or end normally and an id
+    hash repeats or two distinct keys share a hash (the keys of a repeated
+    hash are compared in memory), is the first corpus freed and the file
+    loaded again with ``_Labels(exact=True)``: a set of the ids and each
     key's code. That load is the per-row check itself, so its error is the
     first broken row's, and it records nothing for a later check.
     """
@@ -800,7 +791,7 @@ def load_documents(
         raise InputError(f"run hazards {kept!r} are not all among the hazards {hazards!r}")
     labels = _Labels()
     try:
-        corpus = _read_documents(Corpus(kept, path, gazetteer), format, hazards, hash, hash, labels)
+        corpus = _read_documents(Corpus(kept, path, gazetteer), format, hazards, labels)
     except InputError:
         if not _repeated(labels.ids):
             raise
@@ -809,10 +800,7 @@ def load_documents(
             return corpus
         del corpus
     del labels
-    exact = _Codes().__getitem__
-    return _read_documents(
-        Corpus(kept, path, gazetteer), format, hazards, _Ids(), exact, _Labels(record=False)
-    )
+    return _read_documents(Corpus(kept, path, gazetteer), format, hazards, _Labels(exact=True))
 
 
 @dataclass(slots=True)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+import attn_peaks.ingest
 from attn_peaks import (
     ConsistencyError,
     CountSeries,
@@ -73,6 +74,20 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def hash_alike(monkeypatch, values=None, label: int = 7) -> None:
+    """Patch the loader's ``hash`` to give ``label`` for each of ``values``.
+
+    With ``values`` None, every value hashes to ``label``; any other value
+    keeps its real hash.
+    """
+    alike = None if values is None else frozenset(values)
+
+    def patched(value):
+        return label if alike is None or value in alike else hash(value)
+
+    monkeypatch.setattr(attn_peaks.ingest, "hash", patched, raising=False)
 
 
 def docs_matching_series(series: CountSeries, outlet_pool: int = 5, genre_pool: int = 3):
@@ -593,6 +608,65 @@ def oracle_load_documents(path, format: str = "csv", hazards=("landslide", "fire
     except UnicodeDecodeError:
         raise undecodable(path, jsonl=True) from None
     return docs
+
+
+def _oracle_gazetteer(path: Path, target: str) -> Gazetteer:
+    """The gazetteer of ``path``: each stripped line that is not blank and not a comment."""
+    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8-sig").splitlines()]
+    return Gazetteer(tuple(line for line in lines if line and not line.startswith("#")), target)
+
+
+def _oracle_corpus_stats(docs, hazard: str, counts: Counter) -> dict:
+    """One hazard's ``corpus_stats.json`` entry from its kept documents and day counts."""
+    mine = [d for d in docs if d[4] == hazard]
+    active = np.array([counts[day] for day in sorted(counts)], dtype=np.int64)  # in day order
+    return {
+        "n_articles": len(mine),
+        "n_text_types": len({d[6] for d in mine}),
+        "n_genres": len({d[3] for d in mine}),
+        "daily_max": int(active.max()) if active.size else 0,
+        "n_active_days": int(active.size),
+        "active_mean": float(active.mean()) if active.size else None,
+        "active_std": float(active.std()) if active.size else None,
+        "n_outlets": len({d[2] for d in mine}),
+    }
+
+
+def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
+    """The files that ``run_pipeline(config, command)`` writes, by name, from the stage oracles.
+
+    ``inputs`` names each input file by its role, as a run's manifest
+    does (``documents``, ``gazetteer``); ``config`` gives the parameters.
+    Only ``ingest`` is rendered so far. An input error is the InputError
+    that the run raises, tagged with its stage.
+    """
+    if command != "ingest":
+        raise NotImplementedError(command)
+    hazards = tuple(dict.fromkeys(config.run_hazards or config.hazards))
+    unknown = [h for h in hazards if h not in config.hazards]
+    if unknown:
+        raise InputError(
+            f"config: --hazard {unknown[0]!r} is not in the configured vocabulary "
+            f"{', '.join(config.hazards)}"
+        )
+    start, end = config.start, config.end
+    try:
+        gazetteer = _oracle_gazetteer(inputs["gazetteer"], config.target)
+        path = Path(inputs["documents"])
+        docs = oracle_load_documents(path, config.doc_format, config.hazards)
+        of_run = in_corpus_order([Document(*d) for d in docs if d[4] in hazards], hazards)
+        kept = [of_run[row - 1] for row in oracle_filter_ids(of_run, gazetteer)]
+        counts = {h: oracle_count_series(kept, h, start, end, path) for h in hazards}
+    except InputError as exc:
+        raise InputError(f"ingest: {exc}") from None
+    stats = {h: _oracle_corpus_stats(kept, h, counts[h]) for h in hazards}
+    text = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    files = {"corpus_stats.json": text.encode("utf-8")}
+    days = [start + datetime.timedelta(days=i) for i in range((end - start).days + 1)]
+    for h in hazards:
+        rows = "".join(f"{day},{counts[h][i]},0,0\n" for i, day in enumerate(days))
+        files[f"timeseries_{h}.csv"] = ("date,count,is_event_day,is_peak\n" + rows).encode()
+    return files
 
 
 def write_small_corpus(root, with_registries: bool = True):

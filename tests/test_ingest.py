@@ -45,6 +45,7 @@ import support
 from support import (
     count_calls,
     first_key_rows,
+    hash_alike,
     in_corpus_order,
     make_doc,
     make_series,
@@ -631,7 +632,7 @@ class TestDuplicateIds:
     @given(file=_document_files())
     def test_every_id_sharing_one_hash_gives_the_oracle_result(self, file):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(attn_peaks.ingest, "hash", lambda value: -1, raising=False)
+            hash_alike(patch, label=-1)
             loads = count_calls(patch, attn_peaks.ingest, "_read_documents")
             _assert_loads_as_oracle(file)
         # Two ids hashed alike send the file to the exact load, whatever ended the rows.
@@ -640,7 +641,7 @@ class TestDuplicateIds:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_distinct_ids_sharing_a_hash_load(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        hash_alike(monkeypatch)
         loads = count_calls(monkeypatch, attn_peaks.ingest, "_read_documents")
         path = tmp_path / f"docs.{fmt}"
         _write_records(path, [dict(_RECORD, id=f"a{i}") for i in range(3)])
@@ -651,7 +652,7 @@ class TestDuplicateIds:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_one_exact_load_whatever_made_a_hash_ambiguous(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        hash_alike(monkeypatch)
         opened = count_calls(monkeypatch, attn_peaks.ingest, "open_input")
         path = tmp_path / f"docs.{fmt}"
         # Distinct ids and two distinct keys: the ids and the keys are both in doubt.
@@ -705,11 +706,7 @@ class TestTextKeys:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_equal_keys_under_one_hash_keep_it(self, tmp_path, monkeypatch, fmt):
         key = "é" * 10
-        real_hash = hash
-        monkeypatch.setattr(
-            attn_peaks.ingest, "hash", lambda value: 7 if value == key else real_hash(value),
-            raising=False,
-        )
+        hash_alike(monkeypatch, [key])
         loads = count_calls(monkeypatch, attn_peaks.ingest, "_read_documents")
         path = tmp_path / f"docs.{fmt}"
         # The keys' hash is in a bucket 10,000 times, but the keys are equal: no
@@ -721,20 +718,27 @@ class TestTextKeys:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize(
-        "keys, codes",
+        "keys, alike, codes",
         [
+            # Every value hashes alike, ids too: the id check alone reloads the file.
             # k1, k2, k3 and the digest, which the row without a key stands for.
-            (["k1", "k2", "k1", "", "k3", text_digest("x3")], [0, 1, 0, 2, 3, 2]),
-            (["k1", "k2", "k1"], [0, 1, 0]),
+            (["k1", "k2", "k1", "", "k3", text_digest("x3")], None, [0, 1, 0, 2, 3, 2]),
+            (["k1", "k2", "k1"], None, [0, 1, 0]),
+            # The ids hash apart, so only the key check can find the shared hash:
+            # of two explicit keys, and of the digests of two texts without a key.
+            (["k1", "k2"], ["k1", "k2"], [0, 1]),
+            (["", ""], [text_digest("x0"), text_digest("x1")], [0, 1]),
         ],
     )
     def test_distinct_keys_sharing_a_hash_are_distinct(
-        self, tmp_path, monkeypatch, fmt, keys, codes
+        self, tmp_path, monkeypatch, fmt, keys, alike, codes
     ):
-        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        hash_alike(monkeypatch, alike)
+        loads = count_calls(monkeypatch, attn_peaks.ingest, "_read_documents")
         path = tmp_path / f"docs.{fmt}"
         _write_keyed(path, keys)
         corpus = load_documents(path, fmt)
+        assert len(loads) == 2
         series = build_count_series(corpus, "fire", D(2020, 1, 10), D(2020, 1, 10))
         assert corpus_stats(corpus, series).n_text_types == len(set(codes))
         assert list(corpus.columns["fire"].keys) == codes
@@ -746,7 +750,7 @@ class TestTextKeys:
         # and a code per distinct key, about 315 bytes a row; a record of its labels
         # would pack each row's key once more, over 4,000 bytes a row.
         n, size = 2_000, 4_000
-        monkeypatch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+        hash_alike(monkeypatch)
         real_read = attn_peaks.ingest._read_documents
         growth: list[int] = []
 
@@ -933,6 +937,26 @@ class TestSingleCountryFilter:
         kept = [docs[d.id - 1].id for d in filter_single_country(corpus, south_america).rows()]
         assert kept == ["L0", "L3", "L5", "L8", "F0"]
         assert all(getattr(fire, name) is column for name, column in zip(_COLUMNS, fire_columns))
+
+    def test_a_corpus_of_bodies_has_each_distinct_text_judged_once(
+        self, tmp_path, monkeypatch, south_america
+    ):
+        judged = count_calls(monkeypatch, attn_peaks.ingest, "extract_country_mentions")
+        texts = ["Brasilien", "Brasilien und Peru", "Peru", "Kolumbien " * 10]
+        docs = [
+            make_doc(f"a{i}", D(2011, 1, 1), hazard=("landslide", "fire")[i % 2], text=text)
+            for i, text in enumerate(texts * 3)
+        ]
+        filter_single_country(Corpus.from_rows(docs), south_america)
+        assert sorted(args[0] for args in judged) == sorted(texts)
+        # Each text is printed three times, under one hazard. A load keeps the texts
+        # of the run's hazards only, so the fire texts are not judged.
+        judged.clear()
+        path = write_csv(
+            tmp_path, "".join(f"{d.id},2011-01-01,o,t,{d.hazard},{d.text}\n" for d in docs)
+        )
+        filter_single_country(load_documents(path, run_hazards=("landslide",)), south_america)
+        assert sorted(args[0] for args in judged) == sorted(texts[::2])
 
     def test_filter_preserves_order(self, south_america):
         docs = [
@@ -1174,7 +1198,7 @@ class TestLoadWithGazetteer:
             path.write_bytes(data)
             if forced:
                 # Every id and key shares one hash: a file of two rows takes the exact load.
-                patch.setattr(attn_peaks.ingest, "hash", lambda value: 7, raising=False)
+                hash_alike(patch)
             judged = _outcome(lambda: load_documents(path, fmt, gazetteer=gaz, run_hazards=run))
             bodies = _outcome(lambda: load_documents(path, fmt, run_hazards=run))
             docs = _outcome(lambda: oracle_load_documents(path, fmt))

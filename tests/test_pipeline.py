@@ -1,8 +1,10 @@
+import csv
 import datetime
 import io
 import json
 import re
 import shutil
+import tempfile
 import tracemalloc
 import weakref
 from array import array
@@ -28,9 +30,11 @@ from attn_peaks.ingest import _COLUMNS
 from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
 from support import (
     count_calls,
+    hash_alike,
     make_series,
     oracle_alignment_json,
     oracle_load_documents,
+    oracle_outputs,
     write_small_corpus,
 )
 
@@ -347,7 +351,7 @@ class TestRunPipeline:
         # With every str hash equal, the golden file's distinct ids and text digests
         # share one, so the loader reads the file again and labels each key by its code.
         loads = count_calls(monkeypatch, ingest, "_read_documents")
-        monkeypatch.setattr(ingest, "hash", lambda value: 7, raising=False)
+        hash_alike(monkeypatch)
         config = load_config(golden_dir / "config.ini")
         config.out_dir = tmp_path / "out"
         files = run_pipeline(config, "run").files
@@ -583,3 +587,83 @@ class TestWriteAlignment:
         _write_alignment(handle, report, registry_loads)
         assert handle.getvalue() == oracle_alignment_json(report, registry_loads)
 
+
+
+# Multi-token and hyphenated entries, and one nested in another ("Guinea").
+_GAZETTEER = ("Brasilien", "Peru", "Costa Rica", "Guinea", "Guinea-Bissau", "Saudi-Arabien")
+_WORDS = ("Erdrutsch", "Waldbrand", "in", "und", "Regen")
+_RUN_HAZARDS = [(), ("landslide",), ("fire",), ("fire", "landslide"), ("fire", "fire"), ("flood",)]
+
+
+@st.composite
+def _ingest_inputs(draw):
+    """The input files of a small ``ingest`` run, by role, and its parameters."""
+    target = draw(st.sampled_from(_GAZETTEER))
+    texts = []
+    for _ in range(draw(st.integers(1, 4))):
+        other = draw(st.sampled_from(_GAZETTEER))
+        # The target alone first, so that a text shrinks towards one that the filter keeps.
+        mentions = [[target], [target, target], [target, other], [other], []]
+        filler = st.lists(st.sampled_from(_WORDS), max_size=3)
+        words = draw(st.sampled_from(mentions)) + draw(filler)
+        texts.append(draw(st.sampled_from([" ", ", "])).join(draw(st.permutations(words))))
+    keyed = draw(st.booleans())
+    records = []
+    for i in range(draw(st.integers(0, 12))):
+        record = {
+            "id": f"d{i}",
+            "date": str(D(2020, 1, 1) + datetime.timedelta(days=draw(st.integers(0, 730)))),
+            "outlet": draw(st.sampled_from(["Blatt 1", "Blatt 2", "Blatt 3"])),
+            "text_type": draw(st.sampled_from(["Bericht", "Meldung"])),
+            "hazard": draw(st.sampled_from(["landslide", "fire"])),
+            "text": draw(st.sampled_from(texts)),  # a text drawn twice is a reprint
+        }
+        if keyed:
+            record["text_key"] = draw(st.sampled_from(["", "k1", "k2"]))
+        records.append(record)
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    if fmt == "csv":
+        handle = io.StringIO()
+        writer = csv.writer(handle, lineterminator="\n")
+        header = ["id", "date", "outlet", "text_type", "hazard", "text"]
+        writer.writerow(header + ["text_key"] * keyed)
+        writer.writerows(record.values() for record in records)
+        documents = handle.getvalue()
+    else:
+        documents = "".join(json.dumps(record) + "\n" for record in records)
+    params = dict(
+        doc_format=fmt,
+        start=D(2020, 1, 1) + datetime.timedelta(days=draw(st.integers(-30, 30))),
+        end=D(2021, 12, 31) + datetime.timedelta(days=draw(st.integers(-30, 30))),
+        run_hazards=draw(st.sampled_from(_RUN_HAZARDS)),
+        target=draw(st.sampled_from([target, target.upper()])),
+    )
+    files = {
+        "documents": (f"docs.{fmt}", documents),
+        "gazetteer": ("countries.txt", "# Länder\n\n" + "\n".join(_GAZETTEER) + "\n"),
+    }
+    return files, params
+
+
+class TestOutputsAgainstTheOracle:
+    """``run_pipeline`` writes what ``oracle_outputs`` renders from the stage oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_ingest_inputs())
+    def test_ingest_writes_the_oracle_bytes(self, drawn):
+        files, params = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs = {}
+            for role, (name, text) in files.items():
+                inputs[role] = Path(tmp) / name
+                inputs[role].write_text(text, encoding="utf-8")
+            config = PipelineConfig(**inputs, out_dir=Path(tmp) / "out", **params)
+            try:
+                want = oracle_outputs(inputs, config, "ingest")
+            except InputError as exc:
+                with pytest.raises(InputError) as raised:
+                    run_pipeline(config, "ingest")
+                assert str(raised.value) == str(exc)
+                return
+            written = run_pipeline(config, "ingest").files
+            assert {name: path.read_bytes() for name, path in written.items()} == want
