@@ -35,12 +35,13 @@ events = [
     event("landslide", D(2015, 11, 5), [4]),          # retrospective coverage, no onset nearby
 ]
 
+# A record holds what alignment reads: id, source, hazard and onset date.
 records = [
-    DisasterRecord("S2-001", "S2ID", "landslide", D(2022, 2, 15), "Petrópolis", "Deslizamentos", "recognised"),
-    DisasterRecord("EM-001", "EMDAT", "landslide", D(2022, 2, 14), "Rio de Janeiro", "Mass movement (wet)", ""),
-    DisasterRecord("EM-002", "EMDAT", "fire", D(2019, 8, 16), "Amazonas", "Wildfire", ""),
-    DisasterRecord("EM-003", "EMDAT", "fire", D(2019, 8, 10), "Acre", "Wildfire", ""),  # 10 days early
-    DisasterRecord("S2-002", "S2ID", "landslide", D(2010, 4, 6), "Niterói", "Deslizamentos", "recognised"),
+    DisasterRecord("S2-001", "S2ID", "landslide", D(2022, 2, 15)),   # Petrópolis
+    DisasterRecord("EM-001", "EMDAT", "landslide", D(2022, 2, 14)),  # Rio de Janeiro
+    DisasterRecord("EM-002", "EMDAT", "fire", D(2019, 8, 16)),       # Amazonas
+    DisasterRecord("EM-003", "EMDAT", "fire", D(2019, 8, 10)),       # Acre, 10 days early
+    DisasterRecord("S2-002", "S2ID", "landslide", D(2010, 4, 6)),    # Niterói
 ]
 
 report = align_events(events, records, window_days=5)

@@ -57,15 +57,12 @@ IGNORE = "ignore"
 
 @dataclass(slots=True)
 class DisasterRecord:
-    """One registry entry after hazard mapping."""
+    """One registry entry after hazard mapping: what alignment reads of it."""
 
     record_id: str
     source: str
     hazard: str
     onset_date: datetime.date
-    location: str
-    raw_type: str
-    status: str
 
 
 @dataclass
@@ -91,12 +88,11 @@ def load_registry(
     source, records whose ``status`` is not in it (compared
     case-insensitively) are dropped and counted as well.
 
-    Each row is checked as it is read; only the records are kept.
-    A wrong width, malformed CSV or undecodable bytes raise at once. The
-    other errors wait for the end of the file: every ``raw_type`` missing
-    from the type map is reported first, then the first row that breaks a
-    row rule. Equal ``raw_type`` and ``status`` strings share one object;
-    ``location`` is kept as read.
+    Each row is checked as it is read; a kept record holds its id, source,
+    hazard and onset alone. A wrong width, malformed CSV or undecodable
+    bytes raise at once. The other errors wait for the end of the file:
+    every ``raw_type`` missing from the type map is reported first, then the
+    first row that breaks a row rule.
     """
     if not source:
         raise InputError("registry source must be a non-empty label")
@@ -109,14 +105,13 @@ def load_registry(
     n_ignored = n_dropped = 0
     seen_ids: set[str] = set()
     onsets: dict[str, datetime.date] = {}
-    shared: dict[str, str] = {}
     first_error: InputError | None = None
     width = len(REGISTRY_COLUMNS)
     with csv_rows(path, f"{source} registry", "registry", REGISTRY_COLUMNS) as (_, rows):
         for row_number, row in rows:
             if len(row) != width:
                 raise row_error(path, row_number, f"expected {width} fields, got {len(row)}")
-            record_id, declared, raw_type, onset_text, location, status = row
+            record_id, declared, raw_type, onset_text, _, status = row
             if raw_type not in mapping:
                 unmapped.add(raw_type)
                 continue
@@ -144,17 +139,7 @@ def load_registry(
             except InputError as exc:
                 first_error = exc
                 continue
-            records.append(
-                DisasterRecord(
-                    record_id,
-                    source,
-                    hazard,
-                    onset,
-                    location,
-                    shared.setdefault(raw_type, raw_type),
-                    shared.setdefault(status, status),
-                )
-            )
+            records.append(DisasterRecord(record_id, source, hazard, onset))
 
     if unmapped:
         raise InputError(

@@ -45,8 +45,9 @@ class MeasureSet:
     days_since_last_peak: int | None
 
 
-# The per-event measure columns, in emission order.
-MEASURE_COLUMNS = tuple(f.name for f in fields(MeasureSet))[3:]
+# The header of measures.csv; the per-event measure columns follow the three id columns.
+MEASURES_HEADER = tuple(f.name for f in fields(MeasureSet))
+MEASURE_COLUMNS = MEASURES_HEADER[3:]
 
 
 @dataclass

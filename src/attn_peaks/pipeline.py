@@ -28,7 +28,7 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
@@ -54,7 +54,7 @@ from .ingest import (
     parse_date,
     path_repr,
 )
-from .measures import MEASURE_COLUMNS, MeasureSet, measure_events, summarize
+from .measures import MEASURE_COLUMNS, MEASURES_HEADER, MeasureSet, measure_events, summarize
 from .peaks import NewsEvent, PeakParams, detect_events
 
 # Each command runs the stages up to its own, in this order.
@@ -66,8 +66,6 @@ COMMANDS = {
     "report": "write the aggregated run report",
     "run": "run every stage and write all artifacts plus the manifest",
 }
-
-_MEASURES_HEADER = tuple(f.name for f in fields(MeasureSet))
 
 # National-registry (S2ID) entries are kept only in these recognition states.
 DEFAULT_S2ID_ACCEPT = ("recognised",)
@@ -344,9 +342,9 @@ def _write_events_jsonl(path: Path, events_by_hazard: dict[str, list[NewsEvent]]
 
 
 def _write_measures_csv(path: Path, measures_by_hazard: dict[str, list[MeasureSet]]) -> None:
-    row = attrgetter(*_MEASURES_HEADER)
+    row = attrgetter(*MEASURES_HEADER)
     with path.open("w", encoding="utf-8") as handle:
-        handle.write(",".join(_MEASURES_HEADER) + "\n")
+        handle.write(",".join(MEASURES_HEADER) + "\n")
         handle.writelines(
             ",".join("" if value is None else str(value) for value in row(m)) + "\n"
             for measures in measures_by_hazard.values()
@@ -478,7 +476,10 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     and no document of a hazard the run leaves out; each hazard's
     documents are freed once measured. The registries and pairs
     of the align stage reuse that memory, so a run's high-water mark is
-    that of its largest stage, not the sum of the stages.
+    that of its largest stage, not the sum of the stages. That is the load
+    only where the corpus dwarfs the rest: the sets of ``corpus_stats`` and
+    ``measure_events``, or the index and pairs of ``align_events``, can
+    rise above it.
     """
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")

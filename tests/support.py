@@ -424,9 +424,6 @@ def oracle_load_registry(path, source: str, type_map=None, status_accept=None) -
                     source=source,
                     hazard=hazard,
                     onset_date=_oracle_date(values["onset_date"], path, row),
-                    location=values["location"],
-                    raw_type=values["raw_type"],
-                    status=values["status"],
                 )
             )
     return load
@@ -636,11 +633,12 @@ def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
     """The files that ``run_pipeline(config, command)`` writes, by name, from the stage oracles.
 
     ``inputs`` names each input file by its role, as a run's manifest
-    does (``documents``, ``gazetteer``); ``config`` gives the parameters.
-    Only ``ingest`` is rendered so far. An input error is the InputError
-    that the run raises, tagged with its stage.
+    does (``documents``, ``gazetteer``, ``registry_<source>``), registries
+    in the order the run loads them; ``config`` gives the parameters. Only
+    ``ingest`` and ``align`` are rendered so far. An input error is the
+    InputError that the run raises, tagged with its stage.
     """
-    if command != "ingest":
+    if command not in ("ingest", "align"):
         raise NotImplementedError(command)
     hazards = tuple(dict.fromkeys(config.run_hazards or config.hazards))
     unknown = [h for h in hazards if h not in config.hazards]
@@ -649,6 +647,12 @@ def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
             f"config: --hazard {unknown[0]!r} is not in the configured vocabulary "
             f"{', '.join(config.hazards)}"
         )
+    # A shipped entry may keep its own hazard; any other must name a configured one.
+    for raw_type, hazard in sorted(config.type_map.items(), key=lambda item: item[1]):
+        if hazard not in ("ignore", *config.hazards) and DEFAULT_TYPE_MAP.get(raw_type) != hazard:
+            raise InputError(
+                f"config: type map target {hazard!r} is neither a configured hazard nor 'ignore'"
+            )
     start, end = config.start, config.end
     try:
         gazetteer = _oracle_gazetteer(inputs["gazetteer"], config.target)
@@ -659,14 +663,45 @@ def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
         counts = {h: oracle_count_series(kept, h, start, end, path) for h in hazards}
     except InputError as exc:
         raise InputError(f"ingest: {exc}") from None
+    days = [start + datetime.timedelta(days=i) for i in range((end - start).days + 1)]
+    if command == "align":
+        return {"alignment.json": _oracle_alignment_file(inputs, config, hazards, counts, days)}
     stats = {h: _oracle_corpus_stats(kept, h, counts[h]) for h in hazards}
     text = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
     files = {"corpus_stats.json": text.encode("utf-8")}
-    days = [start + datetime.timedelta(days=i) for i in range((end - start).days + 1)]
     for h in hazards:
         rows = "".join(f"{day},{counts[h][i]},0,0\n" for i, day in enumerate(days))
         files[f"timeseries_{h}.csv"] = ("date,count,is_event_day,is_peak\n" + rows).encode()
     return files
+
+
+def _oracle_alignment_file(inputs: dict, config, hazards, counts: dict, days) -> bytes:
+    """``alignment.json`` from the run's day counts: events by the peak and segment oracles.
+
+    Only the S2ID file is filtered by ``s2id_accept``. Every registry is
+    tallied whole, but the records of a hazard the run leaves out take no
+    part in the alignment, so none of them is unmatched.
+    """
+    events = []
+    for h in hazards:
+        values = [counts[h][i] for i in range(len(days))]
+        peaks = oracle_peaks(values, config.min_height, config.min_distance)
+        for peak, first, last, day_counts in oracle_segments(values, peaks):
+            spans = tuple((days[i], count) for i, count in day_counts)
+            events.append(NewsEvent(h, days[peak], days[first], days[last], spans))
+    loads, records = {}, []
+    try:
+        for role, path in inputs.items():
+            if not role.startswith("registry_"):
+                continue
+            source = role[len("registry_"):]
+            accept = config.s2id_accept if source == "S2ID" else None
+            loads[source] = oracle_load_registry(path, source, config.type_map, accept)
+            records += [r for r in loads[source].records if r.hazard in hazards]
+    except InputError as exc:
+        raise InputError(f"align: {exc}") from None
+    report = oracle_alignment_report(events, records, config.window_days)
+    return oracle_alignment_json(report, loads).encode("utf-8")
 
 
 def write_small_corpus(root, with_registries: bool = True):

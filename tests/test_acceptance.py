@@ -240,9 +240,6 @@ def test_alignment_window_property_suite():
                 source="EMDAT",
                 hazard=record_hazard,
                 onset_date=start - datetime.timedelta(days=lag),
-                location="",
-                raw_type="",
-                status="",
             )
             report = align_events([event], [record], window)
             should_pair = (event_hazard == record_hazard) and (0 <= lag <= window)

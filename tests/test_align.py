@@ -2,6 +2,7 @@ import csv
 import datetime
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,9 +48,6 @@ def make_record(
         source=source,
         hazard=hazard,
         onset_date=onset,
-        location="",
-        raw_type=hazard,
-        status="",
     )
 
 
@@ -68,7 +66,6 @@ class TestLoadRegistry:
         load = load_registry(path, "EMDAT")
         record = load.records[0]
         assert record.hazard == "landslide"
-        assert record.raw_type == "Mass movement (wet)"
         assert record.onset_date == D(2011, 1, 11)
         assert record.source == "EMDAT"
 
@@ -131,17 +128,27 @@ class TestLoadRegistry:
         assert first.onset_date == D(2011, 1, 11)
         assert first.onset_date is second.onset_date
 
-    def test_equal_labels_share_one_object(self, tmp_path):
-        row = "S2ID,Landslide,2011-01-1{},Petrópolis,recognised\n"
-        path = write_registry(tmp_path, "r1," + row.format(1) + "r2," + row.format(2))
-        first, second = load_registry(path, "S2ID").records
-        assert (first.raw_type, first.location, first.status) == (
-            "Landslide",
-            "Petrópolis",
-            "recognised",
+    def test_a_record_holds_its_id_source_hazard_and_onset_alone(self, tmp_path):
+        # 20,000 distinct 40-character locations: a kept location, type and
+        # status would cost over 100 bytes a record more.
+        n = 20_000
+        rows = "".join(
+            f"S2-{i:06d},S2ID,Deslizamentos,2011-01-{i % 28 + 1:02d},"
+            f"{f'Município {i:06d}':<40},recognised\n"
+            for i in range(n)
         )
-        assert first.raw_type is second.raw_type
-        assert first.status is second.status
+        path = write_registry(tmp_path, rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            load = load_registry(
+                path, "S2ID", {"Deslizamentos": "landslide"}, status_accept=("recognised",)
+            )
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(load.records) == n
+        assert retained < 160 * n, f"{retained / n:.0f} bytes per record"
 
     def test_unmapped_raw_type_is_reported_before_row_errors(self, tmp_path):
         path = write_registry(

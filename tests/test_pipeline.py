@@ -25,7 +25,7 @@ from attn_peaks import (
 )
 from attn_peaks import align as align_mod
 from attn_peaks import ingest, pipeline
-from attn_peaks.align import AlignmentPair, AlignmentReport, RegistryLoad
+from attn_peaks.align import DEFAULT_TYPE_MAP, AlignmentPair, AlignmentReport, RegistryLoad
 from attn_peaks.ingest import _COLUMNS
 from attn_peaks.pipeline import COMMANDS, _write_alignment, emit_timeseries, validate_config
 from support import (
@@ -596,8 +596,12 @@ _RUN_HAZARDS = [(), ("landslide",), ("fire",), ("fire", "landslide"), ("fire", "
 
 
 @st.composite
-def _ingest_inputs(draw):
-    """The input files of a small ``ingest`` run, by role, and its parameters."""
+def _ingest_inputs(draw, vocabulary=("landslide", "fire"), days=730, docs=(0, 12)):
+    """The input files of a small ``ingest`` run, by role, and its parameters.
+
+    ``docs`` bounds the number of documents, each dated within ``days``
+    days from 2020-01-01 and with a hazard of ``vocabulary``.
+    """
     target = draw(st.sampled_from(_GAZETTEER))
     texts = []
     for _ in range(draw(st.integers(1, 4))):
@@ -609,13 +613,13 @@ def _ingest_inputs(draw):
         texts.append(draw(st.sampled_from([" ", ", "])).join(draw(st.permutations(words))))
     keyed = draw(st.booleans())
     records = []
-    for i in range(draw(st.integers(0, 12))):
+    for i in range(draw(st.integers(*docs))):
         record = {
             "id": f"d{i}",
-            "date": str(D(2020, 1, 1) + datetime.timedelta(days=draw(st.integers(0, 730)))),
+            "date": str(D(2020, 1, 1) + datetime.timedelta(days=draw(st.integers(0, days)))),
             "outlet": draw(st.sampled_from(["Blatt 1", "Blatt 2", "Blatt 3"])),
             "text_type": draw(st.sampled_from(["Bericht", "Meldung"])),
-            "hazard": draw(st.sampled_from(["landslide", "fire"])),
+            "hazard": draw(st.sampled_from(vocabulary)),
             "text": draw(st.sampled_from(texts)),  # a text drawn twice is a reprint
         }
         if keyed:
@@ -632,6 +636,7 @@ def _ingest_inputs(draw):
     else:
         documents = "".join(json.dumps(record) + "\n" for record in records)
     params = dict(
+        hazards=vocabulary,
         doc_format=fmt,
         start=D(2020, 1, 1) + datetime.timedelta(days=draw(st.integers(-30, 30))),
         end=D(2021, 12, 31) + datetime.timedelta(days=draw(st.integers(-30, 30))),
@@ -645,25 +650,101 @@ def _ingest_inputs(draw):
     return files, params
 
 
+# Registry labels: shipped ones, then the ones that the drawn type map adds.
+_REGISTRY_TYPES = ["Landslide", "Wildfire", "Mass movement (wet)"] * 3 + [
+    "Deslizamentos",
+    "Incêndio florestal",
+    "Inundações",
+] * 2
+_VOCABULARIES = [("landslide", "fire"), ("fire", "landslide"), ("landslide",)]
+
+
+@st.composite
+def _align_inputs(draw):
+    """The input files of a small ``align`` run, by role, and its parameters.
+
+    Both registries hold ignored types, and S2ID statuses that its filter
+    drops appear in EM-DAT files too. A vocabulary of landslides alone
+    leaves the shipped fire entries' hazard out of it.
+    """
+    vocabulary = draw(st.sampled_from(_VOCABULARIES))
+    files, params = draw(_ingest_inputs(vocabulary, days=30, docs=(1, 40)))
+    # Mostly a range that holds every document and a run hazard in the vocabulary:
+    # a config or ingest error ends the run before alignment.
+    params["start"] = D(2019, 12, 1) + datetime.timedelta(days=draw(st.integers(0, 35)))
+    params["run_hazards"] = draw(
+        st.sampled_from([(), (), vocabulary[:1], vocabulary[-1:], vocabulary[::-1], ("flood",)])
+    )
+    type_map = dict(DEFAULT_TYPE_MAP)
+    for label in ("Deslizamentos", "Incêndio florestal", "Inundações"):
+        # "flood" is neither a configured hazard nor "ignore": a config error.
+        type_map[label] = draw(st.sampled_from([*vocabulary, "ignore"] * 8 + ["flood"]))
+    n_registries = draw(st.sampled_from([2, 2, 1, 0]))
+    for source in draw(st.permutations(["EMDAT", "S2ID"]))[:n_registries]:
+        handle = io.StringIO()
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["record_id", "source", "raw_type", "onset_date", "location", "status"])
+        for i in range(draw(st.integers(1, 10))):
+            onset = D(2020, 1, 1) + datetime.timedelta(days=draw(st.integers(-5, 30)))
+            writer.writerow(
+                [
+                    f"{source[0]}-{i}",
+                    draw(st.sampled_from(["", source])),
+                    # "Hail" is in no type map: an align error.
+                    draw(st.sampled_from(_REGISTRY_TYPES * 8 + ["Hail"])),
+                    str(onset),
+                    draw(st.sampled_from(["", "Petrópolis, RJ"])),
+                    draw(st.sampled_from(["recognised", " Recognised ", "pending", ""])),
+                ]
+            )
+        files[f"registry_{source}"] = (f"{source.lower()}.csv", handle.getvalue())
+    params.update(
+        type_map=type_map,
+        s2id_accept=draw(st.sampled_from([("recognised",), ("recognised", "pending"), ()])),
+        min_height=draw(st.sampled_from([1, 1, 2, 3])),
+        min_distance=draw(st.integers(1, 10)),
+        window_days=draw(st.integers(0, 10)),
+    )
+    return files, params
+
+
 class TestOutputsAgainstTheOracle:
     """``run_pipeline`` writes what ``oracle_outputs`` renders from the stage oracles."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(drawn=_ingest_inputs())
-    def test_ingest_writes_the_oracle_bytes(self, drawn):
-        files, params = drawn
+    @staticmethod
+    def check(files: dict, params: dict, command: str) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             inputs = {}
             for role, (name, text) in files.items():
                 inputs[role] = Path(tmp) / name
                 inputs[role].write_text(text, encoding="utf-8")
-            config = PipelineConfig(**inputs, out_dir=Path(tmp) / "out", **params)
+            config = PipelineConfig(
+                documents=inputs["documents"],
+                gazetteer=inputs["gazetteer"],
+                registries={
+                    role[len("registry_"):]: path
+                    for role, path in inputs.items()
+                    if role.startswith("registry_")
+                },
+                out_dir=Path(tmp) / "out",
+                **params,
+            )
             try:
-                want = oracle_outputs(inputs, config, "ingest")
+                want = oracle_outputs(inputs, config, command)
             except InputError as exc:
                 with pytest.raises(InputError) as raised:
-                    run_pipeline(config, "ingest")
+                    run_pipeline(config, command)
                 assert str(raised.value) == str(exc)
                 return
-            written = run_pipeline(config, "ingest").files
+            written = run_pipeline(config, command).files
             assert {name: path.read_bytes() for name, path in written.items()} == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_ingest_inputs())
+    def test_ingest_writes_the_oracle_bytes(self, drawn):
+        self.check(*drawn, "ingest")
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_align_inputs())
+    def test_align_writes_the_oracle_bytes(self, drawn):
+        self.check(*drawn, "align")
