@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import bisect
 import datetime
+import itertools
+import operator
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -187,6 +190,25 @@ def check_window(window_days: int) -> None:
         raise ValueError(f"window_days must be >= 0, got {window_days}")
 
 
+def _onset_index(ranked: list[DisasterRecord]) -> dict[str, tuple[array, array]]:
+    """Each hazard's records by onset day.
+
+    A hazard maps to an ``array('i')`` of its records' onset days, sorted,
+    and an ``array('I')`` of their ranks (positions in ``ranked``) in the
+    same order. The ranks are grouped by hazard first, so a list of ranks
+    is held for one hazard at a time.
+    """
+    dates = [record.onset_date for record in ranked]
+    by_hazard = {hazard: array("I") for hazard in {record.hazard for record in ranked}}
+    for rank, record in enumerate(ranked):
+        by_hazard[record.hazard].append(rank)
+    index = {}
+    for hazard, ranks in by_hazard.items():
+        ranks = array("I", sorted(ranks, key=dates.__getitem__))
+        index[hazard] = (array("i", (dates[rank].toordinal() for rank in ranks)), ranks)
+    return index
+
+
 def align_events(
     events: list[NewsEvent],
     records: list[DisasterRecord],
@@ -201,54 +223,71 @@ def align_events(
     emitted, so one event may align with several records.
 
     Pairs are sorted by ``(event_id, source, record_id)``; equal keys keep
-    event order, then record order. Each hazard's record positions are
-    sorted once by onset day; each event binary-searches the onsets in its
-    window. Each pair found is a tuple ``(event_id, source, record_id, event
-    position, record position)``, and one sort of those P tuples gives the
-    final order, so the cost is O((E + R) log R + P log P).
+    event order, then record order. The records are ranked once by
+    ``(source, record_id)``, equal keys in record order, and each distinct
+    key is numbered in that order. The events are taken one ``event_id`` at
+    a time; each binary-searches its hazard's onset days for those in its
+    window, and the hits of one id are sorted by key number, event
+    position and rank. Matched keys are marked in a ``bytearray``, so the
+    unmatched records come out in rank order, which is sorted. Beside the
+    report, what is held is about 21 bytes a record and the hits of one
+    id; the cost is O((E + R) log R + P log P).
     """
     check_window(window_days)
-    onset_days = [record.onset_date.toordinal() for record in records]
-    # hazard -> (sorted onset days, the positions of their records in the same order)
-    index: dict[str, tuple[list[int], list[int]]] = {}
-    # Stable, so the records of one onset day stay in record order.
-    for r in sorted(range(len(records)), key=onset_days.__getitem__):
-        onsets, positions = index.setdefault(records[r].hazard, ([], []))
-        onsets.append(onset_days[r])
-        positions.append(r)
+    # Two stable sorts: by source, then by record_id, then in record order.
+    ranked = sorted(records, key=attrgetter("record_id"))
+    ranked.sort(key=attrgetter("source"))
+    # The number of each rank's key: 0 for the first, one more at each new
+    # key (and a lone 0 when there is no record, which no rank reads).
+    keys = map(_record_key, ranked)
+    changes = itertools.starmap(operator.ne, itertools.pairwise(keys))
+    key_numbers = array("I", itertools.accumulate(changes, initial=0))
+    index = _onset_index(ranked)
+    no_records = (array("i"), array("I"))
 
     ids = [event.event_id for event in events]
     starts = [event.start_date.toordinal() for event in events]
-    found: list[tuple[str, str, str, int, int]] = []
-    for i, event in enumerate(events):
-        onsets, positions = index.get(event.hazard, ((), ()))
-        lo = bisect.bisect_left(onsets, starts[i] - window_days)
-        hi = bisect.bisect_right(onsets, starts[i])
-        found += [
-            (ids[i], records[r].source, records[r].record_id, i, r) for r in positions[lo:hi]
-        ]
-    found.sort()
-
     pairs: list[AlignmentPair] = []
-    matched_records: set[tuple[str, str]] = set()
-    aligned: set[tuple[str, str, str]] = set()  # (source, hazard, event_id)
-    for event_id, source, record_id, i, r in found:
-        hazard = events[i].hazard
-        pairs.append(AlignmentPair(event_id, record_id, source, hazard, starts[i] - onset_days[r]))
-        matched_records.add((source, record_id))
-        aligned.add((source, hazard, event_id))
-    matched_events = {event_id for _, _, event_id in aligned}
+    matched = bytearray(len(ranked))  # by key number
+    aligned: Counter[tuple[str, str]] = Counter()  # (source, hazard) -> events
+    unmatched_events: list[str] = []
+    by_id = sorted(range(len(events)), key=ids.__getitem__)  # stable: equal ids in event order
+    for event_id, group in itertools.groupby(by_id, ids.__getitem__):
+        group = list(group)
+        hits: list[tuple[int, int, int]] = []  # (key number, position in group, rank)
+        for j, i in enumerate(group):
+            onsets, ranks = index.get(events[i].hazard, no_records)
+            lo = bisect.bisect_left(onsets, starts[i] - window_days)
+            hi = bisect.bisect_right(onsets, starts[i], lo)
+            hits += [(key_numbers[rank], j, rank) for rank in ranks[lo:hi]]
+        if not hits:
+            unmatched_events += [event_id] * len(group)
+            continue
+        hits.sort()
+        hazard = events[group[0]].hazard  # an event_id names its hazard
+        sources: set[str] = set()
+        for number, j, rank in hits:
+            record = ranked[rank]
+            lag = starts[group[j]] - record.onset_date.toordinal()
+            pairs.append(AlignmentPair(event_id, record.record_id, record.source, hazard, lag))
+            matched[number] = 1
+            sources.add(record.source)
+        for source in sources:
+            aligned[source, hazard] += 1
+
     aligned_by_source: dict[str, dict[str, int]] = {}
-    for (source, hazard), n in sorted(Counter(t[:2] for t in aligned).items()):
+    for (source, hazard), n in sorted(aligned.items()):
         aligned_by_source.setdefault(source, {})[hazard] = n
     return AlignmentReport(
         window_days=window_days,
         pairs=pairs,
         aligned_by_source=aligned_by_source,
-        unmatched_events=[event_id for event_id in sorted(ids) if event_id not in matched_events],
-        unmatched_records=sorted(
-            key for key in map(_record_key, records) if key not in matched_records
-        ),
+        unmatched_events=unmatched_events,
+        unmatched_records=[
+            _record_key(record)
+            for record, number in zip(ranked, key_numbers)
+            if not matched[number]
+        ],
     )
 
 

@@ -476,10 +476,12 @@ def run_pipeline(config: PipelineConfig, command: str = "run") -> RunArtifacts:
     and no document of a hazard the run leaves out; each hazard's
     documents are freed once measured. The registries and pairs
     of the align stage reuse that memory, so a run's high-water mark is
-    that of its largest stage, not the sum of the stages. That is the load
-    only where the corpus dwarfs the rest: the sets of ``corpus_stats`` and
-    ``measure_events``, or the index and pairs of ``align_events``, can
-    rise above it.
+    that of its largest stage, not the sum of the stages. That is the load,
+    or near it: ``corpus_stats`` counts distinct keys about a quarter of
+    them at a time, ``measure_events`` holds the sets of one event, and
+    ``align_events`` holds a few bytes a record beside the report it
+    returns. Registries far larger than the corpus can still set the mark
+    in the align stage.
     """
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")

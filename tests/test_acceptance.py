@@ -352,8 +352,20 @@ def _write_scale_registry(path: Path) -> None:
 # Python 3.10-3.13, a fresh `run` read 256-285 MiB on this corpus when each
 # document was a tuple, 186-220 MiB with the columnar corpus while it kept
 # every id, 130-147 MiB when it kept only the ids' hashes but every key
-# string, and 97-101 MiB since it keeps the keys' hashes in their place.
-_SCALE_RSS_MIB = 112
+# string, 97-101 MiB when it kept the keys' hashes in their place, and
+# 73-77 MiB since `corpus_stats` counts the distinct keys a class of low
+# bytes at a time instead of in one set of every key label.
+_SCALE_RSS_MIB = 84
+
+# On Linux a child's ru_maxrss includes the resident set of the process that
+# spawned it, as it was at exec, and pytest under `-X dev` holds about 90 MiB.
+# So the run is spawned by this small interpreter, which prints the run's exit
+# code and peak RSS in KiB as the last line of its output.
+_LAUNCH = """import os, sys
+pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def test_scale_smoke_one_million_documents(tmp_path):
@@ -371,12 +383,18 @@ def test_scale_smoke_one_million_documents(tmp_path):
         out = tmp_path / "out"
         # The tool as users start it: a fresh interpreter, not in development mode.
         env = {key: value for key, value in os.environ.items() if key != "PYTHONDEVMODE"}
-        command = ["run", "--config", str(config), "--out-dir", str(out)]
+        command = ["-m", "attn_peaks", "run", "--config", str(config), "--out-dir", str(out)]
         started = time.perf_counter()
-        with subprocess.Popen([sys.executable, "-m", "attn_peaks", *command], env=env) as child:
-            _, status, usage = os.wait4(child.pid, 0)
+        launched = subprocess.run(
+            [sys.executable, "-c", _LAUNCH, sys.executable, *command],
+            env=env,
+            stdout=subprocess.PIPE,
+            encoding="utf-8",
+            check=True,
+        )
         elapsed = time.perf_counter() - started
-        assert os.waitstatus_to_exitcode(status) == 0
+        exit_code, max_rss_kib = map(int, launched.stdout.split()[-2:])
+        assert exit_code == 0
 
         stats = json.loads((out / "corpus_stats.json").read_text(encoding="utf-8"))
         assert sum(hazard["n_articles"] for hazard in stats.values()) == n_kept
@@ -389,6 +407,6 @@ def test_scale_smoke_one_million_documents(tmp_path):
         alignment = json.loads((out / "alignment.json").read_text(encoding="utf-8"))
         assert alignment["registries"]["EMDAT"]["records"] == 400
         assert alignment["pairs"], "scale corpus produced no alignments"
-        peak_rss_mib = usage.ru_maxrss / 1024
+        peak_rss_mib = max_rss_kib / 1024
         assert elapsed < 60.0, f"run took {elapsed:.1f}s"
         assert peak_rss_mib < _SCALE_RSS_MIB, f"peak RSS {peak_rss_mib:.0f} MiB"

@@ -33,6 +33,7 @@ from attn_peaks import (
 from attn_peaks.ingest import (
     _COLUMNS,
     Gazetteer,
+    _n_distinct,
     _pairwise_sum,
     canonical_tokens,
     corpus_stats,
@@ -1392,6 +1393,22 @@ class TestCountSeriesOracle:
                 oracle_count_series(list(corpus.rows()), "landslide", series.start, series.end)
 
 
+# Labels over the whole int64 range, at its ends, near 0 and sharing one low byte.
+_KEY_LABEL = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**63 - 2, 2**63 - 1]),
+    st.integers(-300, 300),
+    st.integers(-(2**55), 2**55 - 1).map(lambda k: k * 256 + 7),
+)
+
+
+@st.composite
+def _key_label_lists(draw):
+    """Labels drawn from a small pool, so that they repeat; one label alone, or none."""
+    pool = draw(st.lists(_KEY_LABEL, min_size=1, max_size=40))
+    return draw(st.lists(st.sampled_from(pool), max_size=300))
+
+
 class TestCorpusStats:
     def test_small_series_by_hand(self):
         series = make_series([0, 2, 0, 4])
@@ -1431,6 +1448,31 @@ class TestCorpusStats:
     def test_mismatched_series_is_rejected(self):
         with pytest.raises(ConsistencyError, match="does not match"):
             corpus_stats(Corpus(), make_series([1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=_key_label_lists())
+    @example(labels=[])
+    @example(labels=[-7] * 9)
+    @example(labels=[2**63 - 1, -(2**63), 2**63 - 1, -1, 0, -(2**63)])
+    @example(labels=[k * 256 + 3 for k in (-4, 9, 0, 9, 2**55 - 1, -(2**55))])  # one low byte
+    def test_distinct_labels_are_counted_exactly(self, labels):
+        assert _n_distinct(array("q", labels)) == len(set(labels))
+
+    def test_distinct_keys_are_counted_a_class_at_a_time(self):
+        # 50,000 distinct keys, labelled by their codes 0 to 49,999, whose
+        # high bytes are all 0: a set of every label costs about 80 bytes a
+        # document, a set per class of low bytes about 25.
+        n = 50_000
+        corpus = Corpus.from_rows(make_doc(f"d{i}", support.DAY0) for i in range(n))
+        series = make_series([n])
+        tracemalloc.start()
+        try:
+            stats = corpus_stats(corpus, series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.n_text_types == n
+        assert peak < 40 * n, f"{peak / n:.0f} bytes per document"
 
 
 

@@ -596,7 +596,7 @@ _RUN_HAZARDS = [(), ("landslide",), ("fire",), ("fire", "landslide"), ("fire", "
 
 
 @st.composite
-def _ingest_inputs(draw, vocabulary=("landslide", "fire"), days=730, docs=(0, 12)):
+def _ingest_inputs(draw, vocabulary=("landslide", "fire"), days=730, docs=(1, 12)):
     """The input files of a small ``ingest`` run, by role, and its parameters.
 
     ``docs`` bounds the number of documents, each dated within ``days``
@@ -741,6 +741,22 @@ class TestOutputsAgainstTheOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=_ingest_inputs())
+    @example(  # the empty corpus, which the draws leave out
+        drawn=(
+            {
+                "documents": ("docs.csv", "id,date,outlet,text_type,hazard,text\n"),
+                "gazetteer": ("countries.txt", "\n".join(_GAZETTEER) + "\n"),
+            },
+            dict(
+                hazards=("landslide", "fire"),
+                doc_format="csv",
+                start=D(2020, 1, 1),
+                end=D(2021, 12, 31),
+                run_hazards=(),
+                target="Brasilien",
+            ),
+        )
+    )
     def test_ingest_writes_the_oracle_bytes(self, drawn):
         self.check(*drawn, "ingest")
 
