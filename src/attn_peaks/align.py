@@ -13,14 +13,13 @@ from __future__ import annotations
 import bisect
 import datetime
 import itertools
-import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .ingest import csv_rows, parse_row_date, path_repr, row_error
 from .peaks import NewsEvent
 
@@ -222,55 +221,53 @@ def align_events(
     align, since coverage follows the disaster. All qualifying pairs are
     emitted, so one event may align with several records.
 
-    Pairs are sorted by ``(event_id, source, record_id)``; equal keys keep
-    event order, then record order. The records are ranked once by
-    ``(source, record_id)``, equal keys in record order, and each distinct
-    key is numbered in that order. The events are taken one ``event_id`` at
-    a time; each binary-searches its hazard's onset days for those in its
-    window, and the hits of one id are sorted by key number, event
-    position and rank. Matched keys are marked in a ``bytearray``, so the
-    unmatched records come out in rank order, which is sorted. Beside the
-    report, what is held is about 21 bytes a record and the hits of one
-    id; the cost is O((E + R) log R + P log P).
+    Event ids and ``(source, record_id)`` keys must be distinct, as they are
+    in a run: the events of one hazard are disjoint, and each source is one
+    registry file whose ids ``load_registry`` checks. A repeated key, then
+    a repeated id, raises :class:`ConsistencyError` naming the first.
+
+    Pairs are sorted by ``(event_id, source, record_id)``. The records are
+    ranked once by ``(source, record_id)`` and the events are walked in id
+    order; each binary-searches its hazard's onset days for those in its
+    window and emits its hits in rank order. Matched ranks are marked in a
+    ``bytearray``, so the unmatched records come out in rank order, which
+    is sorted. Beside the report, what is held is about 17 bytes a record;
+    the cost is O((E + R) log(E + R) + P log P).
     """
     check_window(window_days)
-    # Two stable sorts: by source, then by record_id, then in record order.
+    # Two stable sorts: by source, then by record_id.
     ranked = sorted(records, key=attrgetter("record_id"))
     ranked.sort(key=attrgetter("source"))
-    # The number of each rank's key: 0 for the first, one more at each new
-    # key (and a lone 0 when there is no record, which no rank reads).
-    keys = map(_record_key, ranked)
-    changes = itertools.starmap(operator.ne, itertools.pairwise(keys))
-    key_numbers = array("I", itertools.accumulate(changes, initial=0))
+    for key, following in itertools.pairwise(map(_record_key, ranked)):
+        if key == following:
+            raise ConsistencyError(f"record {key[1]!r} of registry {key[0]!r} is repeated")
+    ids = [event.event_id for event in events]
+    by_id = sorted(range(len(events)), key=ids.__getitem__)
+    for i, j in itertools.pairwise(by_id):
+        if ids[i] == ids[j]:
+            raise ConsistencyError(f"event {ids[i]} is repeated")
     index = _onset_index(ranked)
     no_records = (array("i"), array("I"))
 
-    ids = [event.event_id for event in events]
-    starts = [event.start_date.toordinal() for event in events]
     pairs: list[AlignmentPair] = []
-    matched = bytearray(len(ranked))  # by key number
+    matched = bytearray(len(ranked))  # by rank
     aligned: Counter[tuple[str, str]] = Counter()  # (source, hazard) -> events
     unmatched_events: list[str] = []
-    by_id = sorted(range(len(events)), key=ids.__getitem__)  # stable: equal ids in event order
-    for event_id, group in itertools.groupby(by_id, ids.__getitem__):
-        group = list(group)
-        hits: list[tuple[int, int, int]] = []  # (key number, position in group, rank)
-        for j, i in enumerate(group):
-            onsets, ranks = index.get(events[i].hazard, no_records)
-            lo = bisect.bisect_left(onsets, starts[i] - window_days)
-            hi = bisect.bisect_right(onsets, starts[i], lo)
-            hits += [(key_numbers[rank], j, rank) for rank in ranks[lo:hi]]
-        if not hits:
-            unmatched_events += [event_id] * len(group)
+    for i in by_id:
+        event_id, hazard = ids[i], events[i].hazard
+        start = events[i].start_date.toordinal()
+        onsets, ranks = index.get(hazard, no_records)
+        lo = bisect.bisect_left(onsets, start - window_days)
+        hi = bisect.bisect_right(onsets, start, lo)
+        if lo == hi:
+            unmatched_events.append(event_id)
             continue
-        hits.sort()
-        hazard = events[group[0]].hazard  # an event_id names its hazard
         sources: set[str] = set()
-        for number, j, rank in hits:
+        for rank in sorted(ranks[lo:hi]):
             record = ranked[rank]
-            lag = starts[group[j]] - record.onset_date.toordinal()
+            lag = start - record.onset_date.toordinal()
             pairs.append(AlignmentPair(event_id, record.record_id, record.source, hazard, lag))
-            matched[number] = 1
+            matched[rank] = 1
             sources.add(record.source)
         for source in sources:
             aligned[source, hazard] += 1
@@ -283,11 +280,7 @@ def align_events(
         pairs=pairs,
         aligned_by_source=aligned_by_source,
         unmatched_events=unmatched_events,
-        unmatched_records=[
-            _record_key(record)
-            for record, number in zip(ranked, key_numbers)
-            if not matched[number]
-        ],
+        unmatched_records=[_record_key(r) for r, m in zip(ranked, matched) if not m],
     )
 
 

@@ -281,7 +281,6 @@ class Gazetteer:
             raise InputError("gazetteer has no entries")
         index: dict[str, list[tuple[tuple[str, ...], str]]] = {}
         by_tokens: dict[tuple[str, ...], str] = {}
-        kept: list[str] = []
         for entry in self.entries:
             tokens = tuple(canonical_tokens(entry))
             if not tokens:
@@ -289,11 +288,10 @@ class Gazetteer:
             if tokens in by_tokens:
                 continue
             by_tokens[tokens] = entry
-            kept.append(entry)
             index.setdefault(tokens[0], []).append((tokens, entry))
         for bucket in index.values():
             bucket.sort(key=lambda item: -len(item[0]))
-        self.entries = tuple(kept)
+        self.entries = tuple(by_tokens.values())
         self._index = index
         self._multi_starts = frozenset(
             first for first, bucket in index.items() if len(bucket[0][0]) > 1

@@ -635,10 +635,10 @@ def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
     ``inputs`` names each input file by its role, as a run's manifest
     does (``documents``, ``gazetteer``, ``registry_<source>``), registries
     in the order the run loads them; ``config`` gives the parameters. Only
-    ``ingest`` and ``align`` are rendered so far. An input error is the
-    InputError that the run raises, tagged with its stage.
+    ``ingest``, ``detect`` and ``align`` are rendered so far. An input error
+    is the InputError that the run raises, tagged with its stage.
     """
-    if command not in ("ingest", "align"):
+    if command not in ("ingest", "detect", "align"):
         raise NotImplementedError(command)
     hazards = tuple(dict.fromkeys(config.run_hazards or config.hazards))
     unknown = [h for h in hazards if h not in config.hazards]
@@ -664,31 +664,74 @@ def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
     except InputError as exc:
         raise InputError(f"ingest: {exc}") from None
     days = [start + datetime.timedelta(days=i) for i in range((end - start).days + 1)]
+    if command == "ingest":
+        stats = {h: _oracle_corpus_stats(kept, h, counts[h]) for h in hazards}
+        text = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        files = {"corpus_stats.json": text.encode("utf-8")}
+        return files | {
+            f"timeseries_{h}.csv": _oracle_timeseries(counts[h], days, []) for h in hazards
+        }
+    events = _oracle_events(config, counts, days)
     if command == "align":
-        return {"alignment.json": _oracle_alignment_file(inputs, config, hazards, counts, days)}
-    stats = {h: _oracle_corpus_stats(kept, h, counts[h]) for h in hazards}
-    text = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-    files = {"corpus_stats.json": text.encode("utf-8")}
-    for h in hazards:
-        rows = "".join(f"{day},{counts[h][i]},0,0\n" for i, day in enumerate(days))
-        files[f"timeseries_{h}.csv"] = ("date,count,is_event_day,is_peak\n" + rows).encode()
-    return files
+        every_event = [event for of_hazard in events.values() for event in of_hazard]
+        return {"alignment.json": _oracle_alignment_file(inputs, config, hazards, every_event)}
+    lines = [
+        json.dumps(
+            {
+                "hazard": event.hazard,
+                "peak_date": str(event.peak_date),
+                "start_date": str(event.start_date),
+                "end_date": str(event.end_date),
+                "days": [{"date": str(day), "count": count} for day, count in event.day_counts],
+            },
+            ensure_ascii=False,
+            separators=(",", ":"),
+        )
+        + "\n"
+        for of_hazard in events.values()
+        for event in of_hazard
+    ]
+    files = {"events.jsonl": "".join(lines).encode("utf-8")}
+    return files | {
+        f"timeseries_{h}.csv": _oracle_timeseries(counts[h], days, events[h]) for h in hazards
+    }
 
 
-def _oracle_alignment_file(inputs: dict, config, hazards, counts: dict, days) -> bytes:
-    """``alignment.json`` from the run's day counts: events by the peak and segment oracles.
+def _oracle_events(config, counts: dict, days) -> dict[str, list[NewsEvent]]:
+    """Each hazard's news events, in ``counts`` order, by the peak and segment oracles."""
+    events = {}
+    for h, by_offset in counts.items():
+        values = [by_offset[i] for i in range(len(days))]
+        peaks = oracle_peaks(values, config.min_height, config.min_distance)
+        events[h] = [
+            NewsEvent(h, days[peak], days[first], days[last], tuple((days[i], n) for i, n in spans))
+            for peak, first, last, spans in oracle_segments(values, peaks)
+        ]
+    return events
+
+
+def _oracle_timeseries(by_offset: Counter, days, events: list[NewsEvent]) -> bytes:
+    """``timeseries_<hazard>.csv``: an event's days run from its start to its end date."""
+    event_days = {
+        event.start_date + datetime.timedelta(days=i)
+        for event in events
+        for i in range((event.end_date - event.start_date).days + 1)
+    }
+    peak_days = {event.peak_date for event in events}
+    rows = "".join(
+        f"{day},{by_offset[i]},{int(day in event_days)},{int(day in peak_days)}\n"
+        for i, day in enumerate(days)
+    )
+    return ("date,count,is_event_day,is_peak\n" + rows).encode()
+
+
+def _oracle_alignment_file(inputs: dict, config, hazards, events: list[NewsEvent]) -> bytes:
+    """``alignment.json`` for the run's events.
 
     Only the S2ID file is filtered by ``s2id_accept``. Every registry is
     tallied whole, but the records of a hazard the run leaves out take no
     part in the alignment, so none of them is unmatched.
     """
-    events = []
-    for h in hazards:
-        values = [counts[h][i] for i in range(len(days))]
-        peaks = oracle_peaks(values, config.min_height, config.min_distance)
-        for peak, first, last, day_counts in oracle_segments(values, peaks):
-            spans = tuple((days[i], count) for i, count in day_counts)
-            events.append(NewsEvent(h, days[peak], days[first], days[last], spans))
     loads, records = {}, []
     try:
         for role, path in inputs.items():

@@ -660,6 +660,29 @@ _VOCABULARIES = [("landslide", "fire"), ("fire", "landslide"), ("landslide",)]
 
 
 @st.composite
+def _detect_inputs(draw, vocabulary=None):
+    """The input files of a small ``detect`` run, by role, and its parameters.
+
+    Up to 40 documents over a month give days of several articles, so a
+    low height finds peaks that the distance then prunes. The vocabulary
+    is drawn unless given.
+    """
+    vocabulary = vocabulary or draw(st.sampled_from(_VOCABULARIES))
+    files, params = draw(_ingest_inputs(vocabulary, days=30, docs=(1, 40)))
+    # Mostly a range that holds every document and a run hazard in the vocabulary:
+    # a config or ingest error ends the run before detection.
+    params["start"] = D(2019, 12, 1) + datetime.timedelta(days=draw(st.integers(0, 35)))
+    params["run_hazards"] = draw(
+        st.sampled_from([(), (), vocabulary[:1], vocabulary[-1:], vocabulary[::-1], ("flood",)])
+    )
+    params.update(
+        min_height=draw(st.sampled_from([1, 1, 2, 3])),
+        min_distance=draw(st.integers(1, 10)),
+    )
+    return files, params
+
+
+@st.composite
 def _align_inputs(draw):
     """The input files of a small ``align`` run, by role, and its parameters.
 
@@ -668,13 +691,7 @@ def _align_inputs(draw):
     leaves the shipped fire entries' hazard out of it.
     """
     vocabulary = draw(st.sampled_from(_VOCABULARIES))
-    files, params = draw(_ingest_inputs(vocabulary, days=30, docs=(1, 40)))
-    # Mostly a range that holds every document and a run hazard in the vocabulary:
-    # a config or ingest error ends the run before alignment.
-    params["start"] = D(2019, 12, 1) + datetime.timedelta(days=draw(st.integers(0, 35)))
-    params["run_hazards"] = draw(
-        st.sampled_from([(), (), vocabulary[:1], vocabulary[-1:], vocabulary[::-1], ("flood",)])
-    )
+    files, params = draw(_detect_inputs(vocabulary))
     type_map = dict(DEFAULT_TYPE_MAP)
     for label in ("Deslizamentos", "Incêndio florestal", "Inundações"):
         # "flood" is neither a configured hazard nor "ignore": a config error.
@@ -701,8 +718,6 @@ def _align_inputs(draw):
     params.update(
         type_map=type_map,
         s2id_accept=draw(st.sampled_from([("recognised",), ("recognised", "pending"), ()])),
-        min_height=draw(st.sampled_from([1, 1, 2, 3])),
-        min_distance=draw(st.integers(1, 10)),
         window_days=draw(st.integers(0, 10)),
     )
     return files, params
@@ -759,6 +774,11 @@ class TestOutputsAgainstTheOracle:
     )
     def test_ingest_writes_the_oracle_bytes(self, drawn):
         self.check(*drawn, "ingest")
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_detect_inputs())
+    def test_detect_writes_the_oracle_bytes(self, drawn):
+        self.check(*drawn, "detect")
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=_align_inputs())
