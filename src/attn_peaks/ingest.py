@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import hashlib
 import itertools
 import json
 import math
@@ -101,9 +100,24 @@ def canonical_tokens(text: str) -> list[str]:
     return latin1.translate(_LATIN1_TOKEN_BYTES).decode("latin-1").casefold().split()
 
 
+def _sha256(data: bytes):
+    """``hashlib.sha256(data)``, hashlib imported at a process's first call.
+
+    Importing hashlib maps OpenSSL's libcrypto, about 3.4 MiB resident, and
+    a load of keyed texts of at most 64 characters hashes nothing. The first
+    call rebinds this module-global name to ``hashlib.sha256`` itself, so
+    every later call costs what that call costs, with no wrapper between.
+    """
+    global _sha256
+    import hashlib
+
+    _sha256 = hashlib.sha256
+    return _sha256(data)
+
+
 def text_digest(text: str) -> str:
     """Default text identity key: SHA-256 hex digest of the NFC-normalized body."""
-    return hashlib.sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()
+    return _sha256(unicodedata.normalize("NFC", text).encode("utf-8")).hexdigest()
 
 
 class Document(NamedTuple):
@@ -577,7 +591,7 @@ def _read_documents(
             if len(text) <= longest:
                 fingerprint = text
             else:
-                fingerprint = hashlib.sha256(text.encode()).digest()
+                fingerprint = _sha256(text.encode()).digest()
             code = texts[fingerprint]
             if code == n_texts:
                 n_texts += 1

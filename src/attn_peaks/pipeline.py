@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import configparser
 import datetime
-import hashlib
 import itertools
 import json
 import os
@@ -280,6 +279,8 @@ def _stage(name: str):
 
 
 def _sha256(path: Path, role: str) -> str:
+    import hashlib  # not at module level: see ingest._sha256
+
     digest = hashlib.sha256()
     with open_input(path, role, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):

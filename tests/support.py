@@ -635,10 +635,11 @@ def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
     ``inputs`` names each input file by its role, as a run's manifest
     does (``documents``, ``gazetteer``, ``registry_<source>``), registries
     in the order the run loads them; ``config`` gives the parameters. Only
-    ``ingest``, ``detect`` and ``align`` are rendered so far. An input error
-    is the InputError that the run raises, tagged with its stage.
+    ``ingest``, ``detect``, ``measure`` and ``align`` are rendered so far.
+    An input error is the InputError that the run raises, tagged with its
+    stage.
     """
-    if command not in ("ingest", "detect", "align"):
+    if command not in ("ingest", "detect", "measure", "align"):
         raise NotImplementedError(command)
     hazards = tuple(dict.fromkeys(config.run_hazards or config.hazards))
     unknown = [h for h in hazards if h not in config.hazards]
@@ -672,6 +673,8 @@ def oracle_outputs(inputs: dict, config, command: str) -> dict[str, bytes]:
             f"timeseries_{h}.csv": _oracle_timeseries(counts[h], days, []) for h in hazards
         }
     events = _oracle_events(config, counts, days)
+    if command == "measure":
+        return _oracle_measure_files({h: oracle_measures(events[h], kept) for h in hazards})
     if command == "align":
         every_event = [event for of_hazard in events.values() for event in of_hazard]
         return {"alignment.json": _oracle_alignment_file(inputs, config, hazards, every_event)}
@@ -723,6 +726,34 @@ def _oracle_timeseries(by_offset: Counter, days, events: list[NewsEvent]) -> byt
         for i, day in enumerate(days)
     )
     return ("date,count,is_event_day,is_peak\n" + rows).encode()
+
+
+_MEASURES_CSV_HEADER = (
+    "hazard,event_id,peak_date,n_at_peak,total_volume,duration_days,days_since_last,"
+    "days_to_peak,days_to_fade,n_text_types,n_outlets,n_genres,days_since_last_peak"
+)
+
+
+def _oracle_measure_files(measures: dict[str, list[MeasureSet]]) -> dict[str, bytes]:
+    """``measures.csv``, None as an empty cell, and ``summaries.json`` of each hazard's measures."""
+    rows = [_MEASURES_CSV_HEADER]
+    rows += [
+        ",".join("" if value is None else str(value) for value in asdict(m).values())
+        for of_hazard in measures.values()
+        for m in of_hazard
+    ]
+    summaries = {}
+    for h, of_hazard in measures.items():
+        columns = {}
+        for column in _MEASURES_CSV_HEADER.split(",")[3:]:
+            values = [getattr(m, column) for m in of_hazard if getattr(m, column) is not None]
+            columns[column] = asdict(oracle_summarize(values)) if values else None
+        summaries[h] = {"n_events": len(of_hazard), "measures": columns}
+    text = json.dumps(summaries, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    return {
+        "measures.csv": "".join(row + "\n" for row in rows).encode("utf-8"),
+        "summaries.json": text.encode("utf-8"),
+    }
 
 
 def _oracle_alignment_file(inputs: dict, config, hazards, events: list[NewsEvent]) -> bytes:

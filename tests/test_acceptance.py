@@ -352,10 +352,13 @@ def _write_scale_registry(path: Path) -> None:
 # Python 3.10-3.13, a fresh `run` read 256-285 MiB on this corpus when each
 # document was a tuple, 186-220 MiB with the columnar corpus while it kept
 # every id, 130-147 MiB when it kept only the ids' hashes but every key
-# string, 97-101 MiB when it kept the keys' hashes in their place, and
-# 73-77 MiB since `corpus_stats` counts the distinct keys a class of low
-# bytes at a time instead of in one set of every key label.
-_SCALE_RSS_MIB = 84
+# string, 97-101 MiB when it kept the keys' hashes in their place,
+# 73-77 MiB when `corpus_stats` counted the distinct keys a class of low
+# bytes at a time instead of in one set of every key label, and 69.7-73.2
+# MiB since hashlib, and with it OpenSSL, is imported at the first SHA-256,
+# here the manifest's (3.10.13 69.7-70.4, 3.11.7 72.3-73.0, 3.12.1
+# 72.5-73.2, 3.13.0 72.3-72.9).
+_SCALE_RSS_MIB = 80
 
 # On Linux a child's ru_maxrss includes the resident set of the process that
 # spawned it, as it was at exec, and pytest under `-X dev` holds about 90 MiB.

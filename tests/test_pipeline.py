@@ -1,9 +1,13 @@
 import csv
 import datetime
+import hashlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import attn_peaks
 from attn_peaks import (
     InputError,
     NewsEvent,
@@ -513,13 +518,52 @@ class TestRunPipeline:
         assert manifest["parameters"]["min_height"] == 2
         assert set(manifest["inputs"]) == {"documents", "gazetteer", "registry_EMDAT"}
         for entry in manifest["inputs"].values():
-            assert len(entry["sha256"]) == 64
+            assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
         config.out_dir = tmp_path / "other"
         second = run_pipeline(config, "run")
         assert (
             second.files["manifest.json"].read_bytes()
             == first.files["manifest.json"].read_bytes()
         )
+
+    def test_hashlib_is_imported_at_the_first_sha256(self, tmp_path):
+        # Importing hashlib maps OpenSSL, a few MiB resident. The child runs without
+        # site (-S), so no .pth file imports hashlib before the package does.
+        config = str(write_small_corpus(tmp_path))
+        rows = (tmp_path / "documents.csv").read_text(encoding="utf-8").splitlines()
+        keyed = [rows[0] + ",text_key"] + [f"{row},k{i}" for i, row in enumerate(rows[1:])]
+        assert max(len(row.split(",")[5]) for row in keyed[1:]) <= 64
+        (tmp_path / "short.csv").write_text("\n".join(keyed) + "\n", encoding="utf-8")
+        keyed[1] = keyed[1].replace("Brasilien A", "Brasilien " + "A" * 42)
+        assert len(keyed[1].split(",")[5]) == 65
+        (tmp_path / "long.csv").write_text("\n".join(keyed) + "\n", encoding="utf-8")
+        calls = [
+            [command, "--config", config, "--documents", str(tmp_path / name), "--out-dir", out]
+            for command, name, out in [
+                ("measure", "short.csv", "out1"),
+                ("measure", "long.csv", "out2"),
+                ("run", "short.csv", "out3"),
+            ]
+        ]
+        probe = (
+            "import json, sys\n"
+            "import attn_peaks, attn_peaks.cli\n"
+            "seen = ['hashlib' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert attn_peaks.cli.main(argv) == 0\n"
+            "    seen.append('hashlib' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(attn_peaks.__file__).parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", probe, json.dumps(calls)],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            encoding="utf-8",
+            check=True,
+        )
+        assert json.loads(child.stdout) == [False, False, True, True]
 
     def test_out_of_range_document_is_an_ingest_error(self, tmp_path):
         config_path = write_small_corpus(tmp_path)
@@ -779,6 +823,11 @@ class TestOutputsAgainstTheOracle:
     @given(drawn=_detect_inputs())
     def test_detect_writes_the_oracle_bytes(self, drawn):
         self.check(*drawn, "detect")
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_detect_inputs())
+    def test_measure_writes_the_oracle_bytes(self, drawn):
+        self.check(*drawn, "measure")
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=_align_inputs())
